@@ -24,7 +24,6 @@ from .dissimilarity import (
 from .embedding import (
     BiplotCoordinates,
     Embedding,
-    GramMatrix,
     classical_mds,
     cumbia,
     double_center,
@@ -59,7 +58,6 @@ __all__ = [
     "CumbiaWarning",
     "DataMatrix",
     "Embedding",
-    "GramMatrix",
     "GroupLabels",
     "InputError",
     "InvariantViolation",

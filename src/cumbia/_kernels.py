@@ -1,98 +1,23 @@
-"""Hot pairwise kernels with a compiled fast path and a numpy fallback.
+"""The pairwise K-smallest kernel.
 
 The single expensive operation in the whole pipeline is, for every pair of
 rows (i, j) of an n x m matrix R, averaging the K smallest values of
 {R[i, k] + R[j, k] : k < m}. For n in the thousands this is the dominant
-cost, so it carries a numba implementation; CUMBIA_BACKEND=numpy selects
-the pure-numpy path instead (CUMBIA_BACKEND=auto or numba are the other
-accepted values).
+cost.
 
-Both paths perform the identical floating-point operations in the identical
-order: the K smallest values are summed in ascending order and divided by K
-last. Outputs are therefore bit-for-bit equal across backends.
+The K smallest values are summed in ascending order and divided by K last,
+so every entry is a fixed sequence of floating-point operations and the
+result does not depend on how the selection is carried out.
 """
-
-import os
 
 import numpy as np
 
 from .errors import ParameterError
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install-time dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-@njit(cache=True)
-def _pair_mean_k_smallest_compiled(R, K, out):
-    n, m = R.shape
-    buf = np.empty(K, dtype=np.float64)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            count = 0
-            for k in range(m):
-                v = R[i, k] + R[j, k]
-                if count < K:
-                    pos = count
-                    while pos > 0 and buf[pos - 1] > v:
-                        buf[pos] = buf[pos - 1]
-                        pos -= 1
-                    buf[pos] = v
-                    count += 1
-                elif v < buf[K - 1]:
-                    pos = K - 1
-                    while pos > 0 and buf[pos - 1] > v:
-                        buf[pos] = buf[pos - 1]
-                        pos -= 1
-                    buf[pos] = v
-            acc = 0.0
-            for t in range(K):
-                acc += buf[t]
-            val = acc / K
-            out[i, j] = val
-            out[j, i] = val
-    return out
-
-
-def _pair_mean_k_smallest_numpy(R, K, out):
-    n, m = R.shape
-    for i in range(n - 1):
-        sums = R[i] + R[i + 1:]
-        if K < m:
-            part = np.partition(sums, K - 1, axis=1)[:, :K]
-        else:
-            part = sums
-        part = np.sort(part, axis=1)
-        acc = part[:, 0].copy()
-        for t in range(1, K):
-            acc += part[:, t]
-        acc /= K
-        out[i, i + 1:] = acc
-        out[i + 1:, i] = acc
-    return out
-
 
 def backend_name():
-    """Resolve the active backend from the CUMBIA_BACKEND environment flag."""
-    choice = os.environ.get("CUMBIA_BACKEND", "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ParameterError(
-            f"CUMBIA_BACKEND must be auto, numba, or numpy, not {choice!r}"
-        )
-    if choice == "numba" and not HAS_NUMBA:
-        raise ParameterError("CUMBIA_BACKEND=numba but numba is not installed")
-    if choice == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    return choice
+    """Name of the kernel implementation; the benchmark records it."""
+    return "numpy"
 
 
 def pair_mean_k_smallest(R, K):
@@ -107,6 +32,17 @@ def pair_mean_k_smallest(R, K):
     if not 1 <= K <= m:
         raise ParameterError(f"K={K} outside [1, {m}]")
     out = np.zeros((n, n), dtype=np.float64)
-    if backend_name() == "numba":
-        return _pair_mean_k_smallest_compiled(R, K, out)
-    return _pair_mean_k_smallest_numpy(R, K, out)
+    for i in range(n - 1):
+        sums = R[i] + R[i + 1:]
+        if K < m:
+            part = np.partition(sums, K - 1, axis=1)[:, :K]
+        else:
+            part = sums
+        part = np.sort(part, axis=1)
+        acc = part[:, 0].copy()
+        for t in range(1, K):
+            acc += part[:, t]
+        acc /= K
+        out[i, i + 1:] = acc
+        out[i + 1:, i] = acc
+    return out

@@ -13,14 +13,9 @@ from math import ceil
 
 import numpy as np
 
-from .dissimilarity import (
-    CumbiaConfig,
-    identical_index_groups,
-    sample_variable_diss,
-    within_kind_diss,
-)
+from .dissimilarity import CumbiaConfig, _blocks
 from .errors import CumbiaWarning, ParameterError
-from .matrix_core import DataMatrix, require_finite, svd, truncate
+from .matrix_core import DataMatrix, require_finite, svd
 
 
 @dataclass
@@ -41,7 +36,10 @@ class ShaveTrace:
 
 
 def _mean_k0_smallest(M, k0, kind, clamp_note):
-    """Per object, mean of its k0 smallest off-diagonal same-kind distances."""
+    """Per object, mean of its k0 smallest off-diagonal same-kind distances.
+
+    Works in place on M, which the caller must not need afterwards.
+    """
     n = M.shape[0]
     if n == 1:
         return np.zeros(1)
@@ -53,14 +51,16 @@ def _mean_k0_smallest(M, k0, kind, clamp_note):
             CumbiaWarning,
             stacklevel=3,
         )
-    scores = np.empty(n)
-    for i in range(n):
-        others = np.delete(M[i], i)
-        smallest = np.sort(np.partition(others, k - 1)[:k])
-        acc = smallest[0]
-        for t in range(1, k):
-            acc = acc + smallest[t]
-        scores[i] = acc / k
+    # the diagonal can never be among the k <= n - 1 smallest; the k picked
+    # values are summed in ascending order, as in the kernel
+    np.fill_diagonal(M, np.inf)
+    M.partition(k - 1, axis=1)
+    smallest = M[:, :k]
+    smallest.sort(axis=1)
+    scores = smallest[:, 0].copy()
+    for t in range(1, k):
+        scores += smallest[:, t]
+    scores /= k
     return scores
 
 
@@ -74,29 +74,7 @@ def _within_blocks(values, cfg, clamp_note):
             CumbiaWarning,
             stacklevel=3,
         )
-    # full-rank truncation is the submatrix itself, see joint_matrix
-    X_s = values if s == f.r else truncate(f, s)
-    N, p = X_s.shape
-    for kind, K, avail in (("samples", cfg.k_samples, p),
-                           ("variables", cfg.resolved_k_variables(), N)):
-        key = "K:" + kind
-        if K > avail and key not in clamp_note:
-            clamp_note.add(key)
-            warnings.warn(
-                f"K={K} exceeds the {avail} available intermediaries for "
-                f"{kind} pairs; clamped for the remaining rounds",
-                CumbiaWarning,
-                stacklevel=3,
-            )
-    D_sv = sample_variable_diss(X_s, float(f.singular_values[0]))
-    with warnings.catch_warnings():
-        # the once-per-run notice above replaces the per-call clamp warning
-        warnings.simplefilter("ignore", CumbiaWarning)
-        SS = within_kind_diss(D_sv, cfg.k_samples, "samples",
-                              identical_index_groups(X_s, axis=0))
-        VV = within_kind_diss(D_sv, cfg.resolved_k_variables(), "variables",
-                              identical_index_groups(X_s, axis=1))
-    return SS, VV
+    return _blocks(values, f, s, cfg, clamp_note)[1:]
 
 
 def _worst(scores, count):

@@ -69,7 +69,6 @@ def _add_cfg_flags(p):
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--k-vars", type=int, default=None)
     p.add_argument("--s", default="full")
-    p.add_argument("--dims", type=int, default=3)
 
 
 def _add_plot_flags(p):
@@ -102,6 +101,7 @@ def build_parser():
     _add_io_flags(p)
     _add_table_flags(p)
     _add_cfg_flags(p)
+    p.add_argument("--dims", type=int, default=3)
     _add_plot_flags(p)
 
     p = sub.add_parser("pca", help="biplot coordinates from the SVD")
@@ -115,14 +115,13 @@ def build_parser():
     _add_io_flags(p)
     _add_table_flags(p)
     _add_cfg_flags(p)
+    p.add_argument("--dims", type=int, default=3)
     p.add_argument("--mode", choices=["pca", "cumbia"], default="pca")
 
     p = sub.add_parser("shave", help="backward-elimination biclustering trace")
     _add_io_flags(p)
     _add_table_flags(p)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--k-vars", type=int, default=None)
-    p.add_argument("--s", default="full")
+    _add_cfg_flags(p)
     p.add_argument("--k0", type=int, default=3)
     p.add_argument("--drop-fraction", type=float, default=0.1)
     p.add_argument("--min-objects", type=int, default=2)
@@ -361,9 +360,8 @@ def cmd_scree(args):
 def cmd_shave(args):
     X = _load(args)
     _require_complete(X)
-    cfg = CumbiaConfig(s=_parse_s(args.s), k_samples=args.k,
-                       k_variables=args.k_vars)
-    trace = shave(X, cfg, k0=args.k0, drop_fraction=args.drop_fraction,
+    trace = shave(X, _cfg_from(args), k0=args.k0,
+                  drop_fraction=args.drop_fraction,
                   min_objects=args.min_objects)
     delim = DELIMS[args.delim]
     lines = [delim.join(["step", "kind", "object_label", "score"])]

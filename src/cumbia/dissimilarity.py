@@ -99,16 +99,21 @@ def identical_index_groups(M, axis=0):
     return [g for g in seen.values() if len(g) > 1]
 
 
-def _clamp_k(K, available, context):
-    if K > available:
+def _clamp_k(K, available, context, notes=None):
+    """min(K, available), warning on a clamp; with a notes set, only once
+    per context for the life of that set."""
+    if K <= available:
+        return K
+    if notes is None or context not in notes:
         warnings.warn(
             f"K={K} exceeds the {available} available intermediaries for "
             f"{context}; clamped to {available}",
             CumbiaWarning,
             stacklevel=3,
         )
-        return available
-    return K
+    if notes is not None:
+        notes.add(context)
+    return available
 
 
 def within_kind_diss(D_sv, K, kind, duplicate_groups=None):
@@ -137,6 +142,27 @@ def within_kind_diss(D_sv, K, kind, duplicate_groups=None):
     return out
 
 
+def _blocks(values, f, s, cfg, notes=None):
+    """Sample-variable block and both same-kind blocks at truncation rank s.
+
+    values is the matrix f factors, and 1 <= s <= f.r. lambda1 is always
+    the top singular value. K clamps warn through _clamp_k with notes.
+    """
+    # rank-r truncation of X is X itself; reconstructing it through the
+    # factors would only add rounding noise and break bitwise duplicate
+    # detection for identical rows or columns of X
+    X_s = values if s == f.r else truncate(f, s)
+    N, p = X_s.shape
+    D_sv = sample_variable_diss(X_s, float(f.singular_values[0]))
+    Ks = _clamp_k(cfg.k_samples, p, "samples pairs", notes)
+    Kv = _clamp_k(cfg.resolved_k_variables(), N, "variables pairs", notes)
+    SS = within_kind_diss(D_sv, Ks, "samples",
+                          identical_index_groups(X_s, axis=0))
+    VV = within_kind_diss(D_sv, Kv, "variables",
+                          identical_index_groups(X_s, axis=1))
+    return D_sv, SS, VV
+
+
 def joint_matrix(X, f, cfg):
     """Assemble the full (N+p) x (N+p) dissimilarity matrix.
 
@@ -150,19 +176,8 @@ def joint_matrix(X, f, cfg):
     s = f.r if cfg.s is None else cfg.s
     if not 1 <= s <= f.r:
         raise ParameterError(f"truncation rank s={s} outside [1, {f.r}]")
-    # rank-r truncation of X is X itself; reconstructing it through the
-    # factors would only add rounding noise and break bitwise duplicate
-    # detection for identical rows or columns of X
-    X_s = X.values if s == f.r else truncate(f, s)
-    lambda1 = float(f.singular_values[0])
-    D_sv = sample_variable_diss(X_s, lambda1)
-    dup_samples = identical_index_groups(X_s, axis=0)
-    dup_variables = identical_index_groups(X_s, axis=1)
-    SS = within_kind_diss(D_sv, cfg.k_samples, "samples", dup_samples)
-    VV = within_kind_diss(
-        D_sv, cfg.resolved_k_variables(), "variables", dup_variables
-    )
-    N, p = X_s.shape
+    D_sv, SS, VV = _blocks(X.values, f, s, cfg)
+    N, p = D_sv.shape
     values = np.zeros((N + p, N + p), dtype=np.float64)
     values[:N, :N] = SS
     values[N:, N:] = VV

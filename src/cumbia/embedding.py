@@ -22,13 +22,6 @@ POSITIVE_EIGENVALUE_CUTOFF = 1e-10
 
 
 @dataclass
-class GramMatrix:
-    """Double-centered inner-product matrix C = -1/2 J D^2 J."""
-
-    values: np.ndarray
-
-
-@dataclass
 class Embedding:
     """MDS coordinates plus the full signed eigenvalue spectrum."""
 
@@ -60,7 +53,7 @@ def _square_values(D):
 
 
 def double_center(D):
-    """C = -1/2 J (D o D) J with J = I - (1/n) 11^T.
+    """Gram matrix C = -1/2 J (D o D) J with J = I - (1/n) 11^T.
 
     Expanded directly from row means, column means, and the grand mean of
     the squared dissimilarities, then symmetrized against rounding.
@@ -74,8 +67,7 @@ def double_center(D):
     row_means = S.mean(axis=1)
     grand_mean = row_means.mean()
     C = -0.5 * (S - row_means[:, None] - row_means[None, :] + grand_mean)
-    C = (C + C.T) / 2.0
-    return GramMatrix(values=C)
+    return (C + C.T) / 2.0
 
 
 def _fix_column_signs(M):
@@ -97,7 +89,7 @@ def classical_mds(D, dims):
     if dims < 1:
         raise ParameterError(f"dims={dims} must be >= 1")
     V, kinds, labels = _square_values(D)
-    C = double_center(V).values
+    C = double_center(V)
     eigenvalues, eigenvectors = np.linalg.eigh(C)
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]

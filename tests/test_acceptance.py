@@ -278,7 +278,7 @@ def test_criterion_7_negative_eigenvalue_kind_split(planted_block_runs):
             continue
         f = svd(Z)
         D = joint_matrix(Z, f, CumbiaConfig(k_samples=3))
-        C = double_center(D.values).values
+        C = double_center(D.values)
         evals, evecs = np.linalg.eigh(C)
         vec = evecs[:, int(np.argmin(evals))]
         kinds = np.array([k == "sample" for k in D.object_kinds])
@@ -352,21 +352,6 @@ def test_criterion_9_determinism():
     first = run_once()
     repeat_ok = all(run_once() == first for _ in range(2))
 
-    # backend swap must not change a single byte
-    def run_backend(name):
-        old = os.environ.get("CUMBIA_BACKEND")
-        os.environ["CUMBIA_BACKEND"] = name
-        try:
-            return run_once()
-        finally:
-            if old is None:
-                os.environ.pop("CUMBIA_BACKEND", None)
-            else:
-                os.environ["CUMBIA_BACKEND"] = old
-
-    backend_ok = (run_backend("numpy") == first
-                  and run_backend("numba") == first)
-
     # thread-count variation in a fresh interpreter must not change bytes
     script = (
         "import hashlib, warnings\n"
@@ -381,23 +366,24 @@ def test_criterion_9_determinism():
         "print(hashlib.sha256(J.values.tobytes()\n"
         "                     + emb.coordinates.tobytes()).hexdigest())\n"
     )
+    # the child imports cumbia from this checkout's src, wherever it runs
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = set()
     for threads in ("1", "2"):
-        env = dict(os.environ)
+        env = dict(os.environ, PYTHONPATH=path)
         env["OMP_NUM_THREADS"] = threads
         env["OPENBLAS_NUM_THREADS"] = threads
-        env["NUMBA_NUM_THREADS"] = threads
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
         digests.add(out.stdout.strip())
     threads_ok = len(digests) == 1
 
     elapsed = time.time() - start
-    ok = repeat_ok and backend_ok and threads_ok
+    ok = repeat_ok and threads_ok
     report(9, "bit-for-bit determinism", ok,
-           f"repeats {'=' if repeat_ok else '!='}, backends "
-           f"{'=' if backend_ok else '!='}, thread counts "
+           f"repeats {'=' if repeat_ok else '!='}, thread counts "
            f"{'=' if threads_ok else '!='}, {elapsed:.0f}s")
     assert repeat_ok, "repeated runs differ"
-    assert backend_ok, "numpy and numba backends differ"
     assert threads_ok, "thread-count variation changed output bytes"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from cumbia import (
     shave,
     synth_block,
 )
+from cumbia.bicluster import _mean_k0_smallest
 
 
 def test_trace_is_strictly_nested():
@@ -78,6 +81,52 @@ def test_k0_clamped_with_warning():
     X, _ = synth_block(N=4, p=6, n_planted=2, p_planted=2, seed=9)
     with pytest.warns(CumbiaWarning, match="K0"):
         shave(X, CumbiaConfig(k_samples=2), k0=10, drop_fraction=0.3)
+
+
+def _k0_row_loop(M, k0):
+    # reference: one row at a time, diagonal removed with np.delete
+    n = M.shape[0]
+    k = min(k0, n - 1)
+    scores = np.empty(n)
+    for i in range(n):
+        smallest = np.sort(np.partition(np.delete(M[i], i), k - 1)[:k])
+        acc = smallest[0]
+        for t in range(1, k):
+            acc = acc + smallest[t]
+        scores[i] = acc / k
+    return scores
+
+
+@pytest.mark.parametrize("k0", [1, 2, 3, 8, 20, 29, 40])
+def test_mean_k0_smallest_matches_row_loop(k0):
+    n = 30
+    rng = np.random.default_rng(k0)
+    # few distinct values, so ties are everywhere and summation order shows
+    levels = np.array([1.0, 0.1, 0.2, 0.3, 0.7, 3e-17])
+    M = levels[rng.integers(0, levels.size, size=(n, n))]
+    M = M + M.T
+    np.fill_diagonal(M, 0.0)
+    # objects 0, 3 and 5 are duplicates: zero distance among them
+    for a, b in ((0, 3), (0, 5), (3, 5)):
+        M[a, b] = M[b, a] = 0.0
+    expect = _k0_row_loop(M, k0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _mean_k0_smallest(M.copy(), k0, "samples", set())
+    assert got.tobytes() == expect.tobytes()
+    assert len(caught) == (1 if k0 >= n else 0)
+
+
+def test_k_clamp_warns_once_per_run():
+    X, _ = synth_block(N=8, p=10, n_planted=2, p_planted=3, seed=4)
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # later rounds keep fewer than 6 variables and fewer than 6 samples
+            shave(X, CumbiaConfig(k_samples=6), k0=2, drop_fraction=0.3)
+        messages = [str(w.message) for w in caught]
+        assert sum("samples pairs" in m for m in messages) == 1
+        assert sum("variables pairs" in m for m in messages) == 1
 
 
 def test_scores_align_with_survivors():

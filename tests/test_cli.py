@@ -9,10 +9,17 @@ import pytest
 from cumbia.cli import main
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
 def run_cli(args, cwd):
+    # absolute, because the child runs in cwd, where a relative path breaks
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
         [sys.executable, "-m", "cumbia.cli"] + args,
-        cwd=cwd, capture_output=True, text=True,
+        cwd=cwd, capture_output=True, text=True, env=env,
     )
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,15 @@ class TestJointMatrix:
         B[2, 3] += 0.5 * (lam1 - B[2, 3])  # stay below the bound
         D2 = sample_variable_diss(B, lam1)
         assert D2[2, 3] <= D1[2, 3]
+
+    def test_k_clamp_warns_on_every_call(self):
+        A = np.array([[0.3, -1.2, 0.8, 2.0], [1.1, 0.4, -0.6, 0.2]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            joint_from(A, k=3)
+            joint_from(A, k=3)
+        clamps = [w for w in caught if "variables pairs" in str(w.message)]
+        assert len(clamps) == 2
 
 
 class TestGraphOracle:

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from cumbia._kernels import (
-    HAS_NUMBA,
-    _pair_mean_k_smallest_numpy,
-    backend_name,
-    pair_mean_k_smallest,
-)
+from cumbia._kernels import pair_mean_k_smallest
 from cumbia.errors import ParameterError
 
 
@@ -32,18 +27,6 @@ def test_matches_sorted_reference():
         for K in range(1, m + 1):
             got = pair_mean_k_smallest(R, K)
             assert got.tobytes() == reference(R, K).tobytes()
-
-
-def test_backends_agree_bit_for_bit(monkeypatch):
-    if not HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(1)
-    R = np.abs(rng.standard_normal((40, 70)))
-    monkeypatch.setenv("CUMBIA_BACKEND", "numpy")
-    a = pair_mean_k_smallest(R, 3)
-    monkeypatch.setenv("CUMBIA_BACKEND", "numba")
-    b = pair_mean_k_smallest(R, 3)
-    assert a.tobytes() == b.tobytes()
 
 
 def test_ties_at_selection_boundary():
@@ -78,17 +61,7 @@ def test_k_out_of_range():
         pair_mean_k_smallest(np.ones((3, 4)), 0)
 
 
-def test_env_flag_selection(monkeypatch):
-    monkeypatch.setenv("CUMBIA_BACKEND", "numpy")
-    assert backend_name() == "numpy"
-    monkeypatch.setenv("CUMBIA_BACKEND", "bogus")
-    with pytest.raises(ParameterError):
-        backend_name()
-    monkeypatch.delenv("CUMBIA_BACKEND")
-    assert backend_name() in ("numba", "numpy")
-
-
 def test_numpy_path_handles_single_row():
-    out = _pair_mean_k_smallest_numpy(np.ones((1, 4)), 2, np.zeros((1, 1)))
+    out = pair_mean_k_smallest(np.ones((1, 4)), 2)
     assert out.shape == (1, 1)
     assert out[0, 0] == 0.0
