@@ -9,6 +9,7 @@ matrices. cumbia() chains SVD, truncation, the joint dissimilarity, and
 MDS into the end-to-end method.
 """
 
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +20,11 @@ from .errors import CumbiaWarning, InputError, ParameterError
 from .matrix_core import DataMatrix, require_finite, svd
 
 POSITIVE_EIGENVALUE_CUTOFF = 1e-10
+# resident peak of cumbia() in (N+p)^2 float64 buffers, set by eigh's
+# working set; measured 6.28-6.34 above the pre-call RSS at N+p = 3100
+RESIDENT_PEAK_BUFFERS = 6.4
+# edge of the square tiles double_center checks and symmetrizes in place
+SYMMETRY_TILE = 256
 
 
 @dataclass
@@ -52,22 +58,47 @@ def _square_values(D):
     return V, ["object"] * n, [f"o{i + 1}" for i in range(n)]
 
 
+def _tile_pairs(n):
+    """(rows, cols) slice pairs covering the upper triangle of an n x n
+    matrix in SYMMETRY_TILE blocks, diagonal blocks included."""
+    for a in range(0, n, SYMMETRY_TILE):
+        for b in range(a, n, SYMMETRY_TILE):
+            yield (slice(a, a + SYMMETRY_TILE), slice(b, b + SYMMETRY_TILE))
+
+
 def double_center(D):
     """Gram matrix C = -1/2 J (D o D) J with J = I - (1/n) 11^T.
 
     Expanded directly from row means, column means, and the grand mean of
-    the squared dissimilarities, then symmetrized against rounding.
+    the squared dissimilarities, then symmetrized against rounding. Works
+    in one n x n buffer: the symmetry check and the symmetrization go tile
+    by tile, so no transpose of the whole matrix is allocated.
     """
     V, _, _ = _square_values(D)
     if V.ndim != 2 or V.shape[0] != V.shape[1]:
         raise InputError("dissimilarity matrix must be square")
-    if np.max(np.abs(V - V.T)) > 1e-12:
-        raise InputError("dissimilarity matrix is not symmetric within 1e-12")
-    S = V * V
-    row_means = S.mean(axis=1)
+    for rows, cols in _tile_pairs(V.shape[0]):
+        if np.max(np.abs(V[rows, cols] - V[cols, rows].T)) > 1e-12:
+            raise InputError(
+                "dissimilarity matrix is not symmetric within 1e-12")
+    C = V * V
+    row_means = C.mean(axis=1)
     grand_mean = row_means.mean()
-    C = -0.5 * (S - row_means[:, None] - row_means[None, :] + grand_mean)
-    return (C + C.T) / 2.0
+    C -= row_means[:, None]
+    C -= row_means[None, :]
+    C += grand_mean
+    C *= -0.5
+    # (C + C.T) / 2, one tile pair at a time
+    for rows, cols in _tile_pairs(C.shape[0]):
+        upper = C[rows, cols]
+        lower = C[cols, rows]
+        if rows == cols:
+            upper[...] = (upper + lower.T) / 2.0
+        else:
+            upper += lower.T
+            upper /= 2.0
+            lower[...] = upper.T
+    return C
 
 
 def _fix_column_signs(M):
@@ -93,11 +124,10 @@ def classical_mds(D, dims):
     eigenvalues, eigenvectors = np.linalg.eigh(C)
     order = np.argsort(-eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
-    eigenvectors = eigenvectors[:, order]
     cutoff = POSITIVE_EIGENVALUE_CUTOFF * abs(eigenvalues[0])
     n_positive = int(np.sum(eigenvalues > cutoff))
     d = min(dims, n_positive)
-    coords = eigenvectors[:, :d] * np.sqrt(eigenvalues[:d])
+    coords = eigenvectors[:, order[:d]] * np.sqrt(eigenvalues[:d])
     coords = _fix_column_signs(coords)
     shortfall = d < dims
     if shortfall:
@@ -172,15 +202,38 @@ def scree(spectrum, mode):
     )
 
 
+def _physical_memory_bytes():
+    """Installed physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _require_memory_for(n):
+    """Raise ParameterError if an n-object embedding cannot fit in memory."""
+    need = RESIDENT_PEAK_BUFFERS * n * n * 8
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise ParameterError(
+            f"embedding {n} objects needs about {need / 2**30:.1f} GiB "
+            f"({RESIDENT_PEAK_BUFFERS} x {n}^2 float64), more than the "
+            f"{have / 2**30:.1f} GiB of physical memory"
+        )
+
+
 def cumbia(X, cfg=None, dims=3):
     """End-to-end joint embedding of samples and variables.
 
     SVD, rank-s truncation, joint two-edge-path dissimilarities, classical
-    MDS. Returns the Embedding with the configuration recorded.
+    MDS. Returns the Embedding with the configuration recorded. Raises
+    ParameterError before any work if the estimated resident peak,
+    RESIDENT_PEAK_BUFFERS (N+p)^2 float64 buffers, exceeds physical memory.
     """
     if not isinstance(X, DataMatrix):
         X = DataMatrix(X)
     require_finite(X.values)
+    _require_memory_for(sum(X.values.shape))
     if cfg is None:
         cfg = CumbiaConfig()
     f = svd(X)

@@ -13,6 +13,8 @@ from cumbia import (
     pca_biplot,
     scree,
 )
+from cumbia import embedding
+from cumbia.embedding import SYMMETRY_TILE
 
 
 def pairwise(points):
@@ -47,6 +49,35 @@ class TestDoubleCenter:
 
     def test_asymmetric_input_rejected(self):
         D = np.array([[0.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(InputError, match="symmetric"):
+            double_center(D)
+
+    @pytest.mark.parametrize("n", [1, 2, SYMMETRY_TILE - 1, SYMMETRY_TILE,
+                                   SYMMETRY_TILE + 1, 2 * SYMMETRY_TILE + 3])
+    def test_in_place_matches_expression_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        A = np.abs(rng.standard_normal((n, n)))
+        D = (A + A.T) / 2.0
+        before = D.copy()
+        # reference: the whole-matrix expression, temporaries and all
+        S = D * D
+        r = S.mean(axis=1)
+        g = r.mean()
+        C = -0.5 * (S - r[:, None] - r[None, :] + g)
+        expect = (C + C.T) / 2.0
+        got = double_center(D)
+        assert got.tobytes() == expect.tobytes()
+        assert D.tobytes() == before.tobytes()
+
+    def test_asymmetry_in_off_diagonal_tile(self):
+        n = 2 * SYMMETRY_TILE + 3
+        rng = np.random.default_rng(40)
+        A = np.abs(rng.standard_normal((n, n)))
+        D = (A + A.T) / 2.0
+        i, j = 5, SYMMETRY_TILE + 7  # upper tile (0, 1), away from the diagonal
+        D[i, j] += 5e-13
+        double_center(D)
+        D[i, j] += 1.5e-12
         with pytest.raises(InputError, match="symmetric"):
             double_center(D)
 
@@ -118,6 +149,34 @@ class TestClassicalMds:
     def test_dims_must_be_positive(self):
         with pytest.raises(ParameterError):
             classical_mds(np.zeros((2, 2)), dims=0)
+
+
+class TestMemoryGuard:
+    def test_too_large_for_memory_raises_up_front(self, monkeypatch):
+        # 60 x 20,000 needs about 19 GiB; refuse before any SVD or kernel
+        monkeypatch.setattr(embedding, "_physical_memory_bytes",
+                            lambda: 7 * 2**30)
+        monkeypatch.setattr(embedding, "svd", None)
+        X = np.zeros((60, 20000))
+        with pytest.raises(ParameterError, match=r"19\.2 GiB.*7\.0 GiB"):
+            cumbia(X)
+
+    def test_estimate_scales_with_squared_object_count(self, monkeypatch):
+        n = 4 + 6
+        need = embedding.RESIDENT_PEAK_BUFFERS * n * n * 8
+        X = np.random.default_rng(42).standard_normal((4, 6))
+        monkeypatch.setattr(embedding, "_physical_memory_bytes",
+                            lambda: int(need) - 1)
+        with pytest.raises(ParameterError, match="physical memory"):
+            cumbia(X, dims=2)
+        monkeypatch.setattr(embedding, "_physical_memory_bytes",
+                            lambda: int(need) + 1)
+        assert cumbia(X, dims=2).coordinates.shape == (n, 2)
+
+    def test_unknown_memory_skips_the_check(self, monkeypatch):
+        monkeypatch.setattr(embedding, "_physical_memory_bytes", lambda: None)
+        X = np.random.default_rng(44).standard_normal((4, 6))
+        assert cumbia(X, dims=2).coordinates.shape == (10, 2)
 
 
 class TestPcaBiplot:

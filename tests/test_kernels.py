@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from cumbia import _kernels
 from cumbia._kernels import pair_mean_k_smallest
 from cumbia.errors import ParameterError
 
@@ -65,3 +68,61 @@ def test_numpy_path_handles_single_row():
     out = pair_mean_k_smallest(np.ones((1, 4)), 2)
     assert out.shape == (1, 1)
     assert out[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_bytes_independent_of_worker_count(monkeypatch, workers):
+    # n runs from 1 (no pairs) through n - 1 < workers to n - 1 > workers
+    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 4, 9, 17):
+        for m in (1, 2, 5):
+            R = np.abs(rng.standard_normal((n, m)))
+            R[:, -1] = R[:, 0]  # ties at the selection boundary
+            for K in range(1, m + 1):
+                monkeypatch.setattr(_kernels, "_worker_count", lambda: 1)
+                single = pair_mean_k_smallest(R, K).tobytes()
+                monkeypatch.setattr(_kernels, "_worker_count",
+                                    lambda: workers)
+                got = pair_mean_k_smallest(R, K).tobytes()
+                assert got == single
+                assert got == reference(R, K).tobytes()
+
+
+def no_thread(*args, **kwargs):
+    raise AssertionError("thread started")
+
+
+def test_bad_k_raises_before_any_thread(monkeypatch):
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 8)
+    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
+    monkeypatch.setattr(_kernels, "threading",
+                        SimpleNamespace(Thread=no_thread))
+    with pytest.raises(ParameterError):
+        pair_mean_k_smallest(np.ones((20, 4)), 5)
+    with pytest.raises(ParameterError):
+        pair_mean_k_smallest(np.ones((20, 4)), 0)
+
+
+def test_small_input_runs_on_the_caller_thread(monkeypatch):
+    # too few pair sums to share: no thread is started
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 8)
+    monkeypatch.setattr(_kernels, "threading",
+                        SimpleNamespace(Thread=no_thread))
+    R = np.abs(np.random.default_rng(4).standard_normal((12, 120)))
+    assert pair_mean_k_smallest(R, 3).tobytes() == reference(R, 3).tobytes()
+
+
+def test_worker_exception_reraised_on_caller(monkeypatch):
+    fill_rows = _kernels._fill_rows
+
+    def failing(R, K, out, first, step):
+        if first == 1:
+            raise MemoryError("worker 1")
+        fill_rows(R, K, out, first, step)
+
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 3)
+    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
+    monkeypatch.setattr(_kernels, "_fill_rows", failing)
+    with pytest.raises(MemoryError, match="worker 1"):
+        pair_mean_k_smallest(np.ones((10, 4)), 2)
