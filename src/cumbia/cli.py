@@ -24,6 +24,7 @@ from .dissimilarity import CumbiaConfig
 from .embedding import cumbia, pca_biplot, scree
 from .errors import CumbiaError, InputError, ParameterError
 from .ingest import (
+    PLANTED_VARIABLES,
     filter_and_log2,
     load_table,
     synth_block,
@@ -241,7 +242,8 @@ def cmd_synth(args):
             lines.append(f"{label},{group}")
         # variables of the planted block are known here too; tag them for plots
         for j, label in enumerate(X.variable_labels):
-            lines.append(f"{label},{'planted' if j < 25 else 'background'}")
+            group = "planted" if j < PLANTED_VARIABLES else "background"
+            lines.append(f"{label},{group}")
         atomic_write_text(args.labels, "\n".join(lines) + "\n")
         run.outputs.append(args.labels)
     _manifest(run, args.out_path)

@@ -1,12 +1,13 @@
 """Classical MDS, the PCA/SVD biplot, scree spectra, and the full pipeline.
 
-classical_mds embeds objects from a dissimilarity matrix by
-eigendecomposing the double-centered squared dissimilarities and keeping
-eigenvectors with positive eigenvalues; negative eigenvalues are never
-used for coordinates but stay in the reported spectrum, because their
-presence (and sign pattern) is informative for joint sample-variable
-matrices. cumbia() chains SVD, truncation, the joint dissimilarity, and
-MDS into the end-to-end method.
+classical_mds embeds objects from a dissimilarity matrix through the
+double-centered squared dissimilarities: eigvalsh gives their whole
+signed spectrum, and a Lanczos solver with full reorthogonalization gives
+only the eigenvectors the coordinates use, those of the top dims positive
+eigenvalues. Negative eigenvalues are never used for coordinates but stay
+in the reported spectrum, because their presence (and sign pattern) is
+informative for joint sample-variable matrices. cumbia() chains SVD,
+truncation, the joint dissimilarity, and MDS into the end-to-end method.
 """
 
 import os
@@ -20,9 +21,21 @@ from .errors import CumbiaWarning, InputError, ParameterError
 from .matrix_core import DataMatrix, require_finite, svd
 
 POSITIVE_EIGENVALUE_CUTOFF = 1e-10
-# resident peak of cumbia() in (N+p)^2 float64 buffers, set by eigh's
-# working set; measured 6.28-6.34 above the pre-call RSS at N+p = 3100
-RESIDENT_PEAK_BUFFERS = 6.4
+# Lanczos stops once every wanted Ritz residual is below RITZ_RESIDUAL_TOL
+# and every wanted Ritz value is within RITZ_VALUE_TOL of eigvalsh's, both
+# relative to the largest |eigenvalue|
+RITZ_RESIDUAL_TOL = 1e-12
+RITZ_VALUE_TOL = 1e-9
+# rows the Lanczos basis starts with; it doubles when full
+LANCZOS_CHUNK = 64
+# after a failed convergence check at Lanczos step k the next one comes at
+# step k + 1 + k // RITZ_CHECK_SPACING: at most 1/16 more steps, and the
+# k x k eigh calls of the checks cost O(k^3) in all instead of O(k^4)
+RITZ_CHECK_SPACING = 16
+# resident peak of cumbia() in (N+p)^2 float64 buffers: the joint matrix,
+# the Gram matrix and eigvalsh's internal copy of it, plus its workspace;
+# measured 3.23 above the pre-call RSS at N+p = 3100
+RESIDENT_PEAK_BUFFERS = 3.3
 # edge of the square tiles double_center checks and symmetrizes in place
 SYMMETRY_TILE = 256
 
@@ -109,26 +122,87 @@ def _fix_column_signs(M):
     return M
 
 
+def _orthogonalize(w, basis):
+    """Remove from w its components along the rows of basis, in two
+    classical Gram-Schmidt passes (one pass leaves rounding-level
+    components that grow over many Lanczos steps)."""
+    for _ in range(2):
+        w -= (basis @ w) @ basis
+    return w
+
+
+def _top_eigenvectors(C, top, scale):
+    """Eigenvectors of the symmetric C for its top len(top) eigenvalues.
+
+    top holds those eigenvalues, descending, as eigvalsh computed them;
+    scale is the largest |eigenvalue|. Lanczos from a fixed seeded start
+    vector with full reorthogonalization; the basis is kept as rows that
+    grow in chunks. On breakdown (the Krylov space is invariant) the
+    iteration restarts from a fresh random vector orthogonal to the basis,
+    so every copy of a repeated eigenvalue is found. It stops when each
+    wanted Ritz pair has residual |beta_k s_k| <= RITZ_RESIDUAL_TOL * scale
+    and the wanted Ritz values match top within RITZ_VALUE_TOL * scale
+    (a missed copy of a repeated eigenvalue fails the second test), or
+    when the basis spans the whole space. Returns an n x len(top) array.
+    """
+    n = C.shape[0]
+    d = top.size
+    rng = np.random.default_rng(0)
+    basis = np.empty((min(n, LANCZOS_CHUNK), n))
+    alphas, betas = [], []
+    q = rng.standard_normal(n)
+    q /= np.linalg.norm(q)
+    k, next_check = 0, d
+    while True:
+        if k == basis.shape[0]:
+            grown = np.empty((min(n, 2 * k), n))
+            grown[:k] = basis
+            basis = grown
+        basis[k] = q
+        w = C @ q
+        alphas.append(float(q @ w))
+        k += 1
+        w = _orthogonalize(w, basis[:k])
+        beta = float(np.linalg.norm(w))
+        if k >= next_check or k == n:
+            next_check = k + 1 + k // RITZ_CHECK_SPACING
+            T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+            theta, S = np.linalg.eigh(T)
+            theta, S = theta[::-1][:d], S[:, ::-1][:, :d]
+            if k == n or (
+                    np.all(np.abs(beta * S[-1]) <= RITZ_RESIDUAL_TOL * scale)
+                    and np.all(np.abs(theta - top) <= RITZ_VALUE_TOL * scale)):
+                return basis[:k].T @ S
+        if beta <= RITZ_RESIDUAL_TOL * scale:
+            # invariant subspace: restart orthogonal to it, uncoupled in T
+            w = _orthogonalize(rng.standard_normal(n), basis[:k])
+            beta = 0.0
+        q = w / np.linalg.norm(w)
+        betas.append(beta)
+
+
 def classical_mds(D, dims):
     """Embed a dissimilarity matrix in at most dims dimensions.
 
+    The whole signed spectrum of the double-centered matrix comes from
+    eigvalsh and is kept, descending, in the eigenvalues field.
     Coordinates use only eigenvalues above 1e-10 * |largest eigenvalue|;
-    if fewer than dims qualify, all available are returned and the
-    shortfall flag is set. The eigenvalues field keeps the whole signed
-    spectrum, descending.
+    their eigenvectors come from a Lanczos solver (_top_eigenvectors), so
+    only the d used ones are computed, and each is scaled by the square
+    root of its eigvalsh eigenvalue. If fewer than dims eigenvalues
+    qualify, all available are returned and the shortfall flag is set.
     """
     if dims < 1:
         raise ParameterError(f"dims={dims} must be >= 1")
     V, kinds, labels = _square_values(D)
     C = double_center(V)
-    eigenvalues, eigenvectors = np.linalg.eigh(C)
-    order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
+    eigenvalues = np.linalg.eigvalsh(C)[::-1].copy()
+    scale = max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
     cutoff = POSITIVE_EIGENVALUE_CUTOFF * abs(eigenvalues[0])
     n_positive = int(np.sum(eigenvalues > cutoff))
     d = min(dims, n_positive)
-    coords = eigenvectors[:, order[:d]] * np.sqrt(eigenvalues[:d])
-    coords = _fix_column_signs(coords)
+    vectors = _top_eigenvectors(C, eigenvalues[:d], scale)
+    coords = _fix_column_signs(vectors * np.sqrt(eigenvalues[:d]))
     shortfall = d < dims
     if shortfall:
         warnings.warn(

@@ -17,6 +17,9 @@ import numpy as np
 from .errors import CumbiaWarning, InputError, ParameterError
 from .matrix_core import DataMatrix, require_finite
 
+# variables in synth_block's planted block: the first PLANTED_VARIABLES
+PLANTED_VARIABLES = 25
+
 
 @dataclass
 class PreprocessReport:
@@ -225,7 +228,8 @@ def f_statistic(X, groups):
     return F
 
 
-def synth_block(N=60, p=1500, n_planted=6, p_planted=25, shift=2.0, seed=0):
+def synth_block(N=60, p=1500, n_planted=6, p_planted=PLANTED_VARIABLES,
+                shift=2.0, seed=0):
     """Seeded Gaussian matrix with a mean-shifted top-left block.
 
     Entries are Normal(0, 1) except the n_planted x p_planted corner, which

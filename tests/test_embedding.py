@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,14 +153,126 @@ class TestClassicalMds:
             classical_mds(np.zeros((2, 2)), dims=0)
 
 
+def _simplex_cases():
+    for n in (2, 3, 6, 12):
+        for dims in sorted({*range(1, min(3, n - 1) + 1), n - 1}):
+            yield n, dims
+
+
+class TestTopEigenvectors:
+    """classical_mds takes the spectrum from eigvalsh and only the used
+    eigenvectors from a Lanczos solver; these pin both against eigh."""
+
+    @pytest.mark.parametrize("n,dims", list(_simplex_cases()))
+    def test_regular_simplex_repeated_eigenvalue(self, n, dims):
+        # C = J / 2: eigenvalue 1/2 of multiplicity n - 1, so the Krylov
+        # space of any start vector breaks down after two steps and the
+        # solver must restart to find every copy it needs
+        D = np.ones((n, n)) - np.eye(n)
+        emb = classical_mds(D, dims=dims)
+        P = emb.coordinates
+        assert emb.dims_used == dims and not emb.shortfall
+        assert np.abs(P.T @ P - np.diag(emb.eigenvalues[:dims])).max() < 1e-12
+        assert np.abs(emb.eigenvalues[:dims] - 0.5).max() < 1e-12
+        assert np.abs(double_center(D) @ P - 0.5 * P).max() < 1e-12
+        if dims == n - 1:
+            off = ~np.eye(n, dtype=bool)
+            assert np.abs(pairwise(P)[off] - 1.0).max() < 1e-12
+
+    def test_spectrum_is_eigvalsh_reversed(self):
+        rng = np.random.default_rng(50)
+        A = np.abs(rng.standard_normal((40, 40)))
+        D = (A + A.T) / 2.0
+        np.fill_diagonal(D, 0.0)
+        emb = classical_mds(D, dims=3)
+        expect = np.linalg.eigvalsh(double_center(D))[::-1]
+        assert emb.eigenvalues.tobytes() == expect.tobytes()
+        assert emb.eigenvalues.shape == (40,)
+
+    def test_matches_full_eigh_reference(self):
+        rng = np.random.default_rng(52)
+        n = 400
+        pts = rng.standard_normal((n, 3)) * [3.0, 2.0, 1.0]
+        noise = np.abs(rng.standard_normal((n, n))) * 0.05
+        D = pairwise(pts) + (noise + noise.T) / 2.0
+        np.fill_diagonal(D, 0.0)
+        emb = classical_mds(D, dims=3)
+        evals, evecs = np.linalg.eigh(double_center(D))
+        order = np.argsort(-evals, kind="stable")[:3]
+        ref = embedding._fix_column_signs(
+            evecs[:, order] * np.sqrt(evals[order]))
+        assert emb.coordinates.shape == (n, 3)
+        for k in range(3):
+            assert np.abs(emb.coordinates[:, k] - ref[:, k]).max() < 1e-8
+
+    def test_convergence_checks_are_spaced(self, monkeypatch):
+        # evenly spaced eigenvalues leave no gap at the top, so Lanczos
+        # needs a hundred or more steps; a convergence check (a k x k eigh)
+        # at every step would cost O(k^4) there
+        rng = np.random.default_rng(58)
+        n = 400
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        C = (Q * np.linspace(-0.5, 1.0, n)) @ Q.T
+        C = (C + C.T) / 2.0
+        top = np.linalg.eigvalsh(C)[::-1][:3].copy()
+        calls = {"eigh": 0, "steps": 0}
+        eigh, orthogonalize = np.linalg.eigh, embedding._orthogonalize
+
+        def counting_eigh(T):
+            calls["eigh"] += 1
+            return eigh(T)
+
+        def counting_orthogonalize(w, basis):
+            calls["steps"] += 1
+            return orthogonalize(w, basis)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(embedding, "_orthogonalize",
+                            counting_orthogonalize)
+        vectors = embedding._top_eigenvectors(C, top, 1.0)
+        assert calls["steps"] >= 100
+        assert calls["eigh"] <= calls["steps"] // 3
+        assert np.abs(C @ vectors - vectors * top).max() < 1e-10
+
+    def test_single_object_has_no_dimensions(self):
+        with pytest.warns(CumbiaWarning, match="only 0 positive"):
+            emb = classical_mds(np.zeros((1, 1)), dims=2)
+        assert emb.dims_used == 0 and emb.shortfall
+        assert emb.coordinates.shape == (1, 0)
+        assert emb.eigenvalues.tolist() == [0.0]
+
+    def test_shortfall_keeps_every_positive_direction(self):
+        pts = np.random.default_rng(54).standard_normal((10, 2))
+        with pytest.warns(CumbiaWarning, match="only 2 positive"):
+            emb = classical_mds(pairwise(pts), dims=4)
+        assert emb.dims_used == 2 and emb.shortfall
+        assert np.abs(pairwise(emb.coordinates) - pairwise(pts)).max() < 1e-8
+
+    def test_traced_peak_below_one_and_a_quarter_buffers(self):
+        # full eigh held the Gram matrix and n x n eigenvectors (2 buffers)
+        n = 1000
+        pts = np.random.default_rng(56).standard_normal((n, 5))
+        D = pairwise(pts)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            emb = classical_mds(D, dims=3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert emb.dims_used == 3
+        assert peak <= 1.25 * n * n * 8, f"peak {peak / (n * n * 8):.2f} buffers"
+
+
 class TestMemoryGuard:
     def test_too_large_for_memory_raises_up_front(self, monkeypatch):
-        # 60 x 20,000 needs about 19 GiB; refuse before any SVD or kernel
+        # 60 x 20,000 needs about 9.9 GiB; refuse before any SVD or kernel
         monkeypatch.setattr(embedding, "_physical_memory_bytes",
                             lambda: 7 * 2**30)
         monkeypatch.setattr(embedding, "svd", None)
         X = np.zeros((60, 20000))
-        with pytest.raises(ParameterError, match=r"19\.2 GiB.*7\.0 GiB"):
+        with pytest.raises(ParameterError, match=r"9\.9 GiB.*7\.0 GiB"):
             cumbia(X)
 
     def test_estimate_scales_with_squared_object_count(self, monkeypatch):
@@ -264,7 +378,8 @@ class TestCumbiaPipeline:
         # the 4-object joint matrix of the 2x2 identity makes sample i and
         # variable i indistinguishable (identical dissimilarity rows), so
         # each sample lands on its variable partner, while the two samples
-        # stay a unit apart; eigh leaves ulp-level noise, hence tolerances
+        # stay a unit apart; the eigensolver leaves ulp-level noise, hence
+        # tolerances
         emb = cumbia(np.eye(2), CumbiaConfig(k_samples=1), dims=1)
         c = emb.coordinates.ravel()
         s1, s2, w1, w2 = c
