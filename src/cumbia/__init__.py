@@ -15,7 +15,6 @@ from .bicluster import ShaveStep, ShaveTrace, shave
 from .dissimilarity import (
     CumbiaConfig,
     JointDissimilarity,
-    graph_oracle,
     joint_matrix,
     sample_variable_diss,
     within_kind_diss,
@@ -74,7 +73,6 @@ __all__ = [
     "f_statistic",
     "filter_and_log2",
     "frobenius_norm",
-    "graph_oracle",
     "joint_matrix",
     "load_table",
     "pca_biplot",

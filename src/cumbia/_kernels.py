@@ -13,13 +13,14 @@ Rows are split over one thread per CPU the process may run on, as long as
 each thread gets at least MIN_SUMS_PER_WORKER pair sums; smaller inputs run
 on the calling thread. Worker w of T handles the rows i with i % T == w,
 which interleaves long and short rows of the upper triangle so the workers
-get similar shares. Row i fills out[i, i+1:] and out[i+1:, i] and nothing
-else, so no two workers write the same entry, and each entry is computed
-by the same arithmetic whichever worker computes it: the output bytes do
-not depend on the thread count. The threads overlap because np.add,
-np.partition and np.sort release the interpreter lock. They are started
-and joined inside each call, so no pool outlives a call, survives a fork
-or is shared by concurrent callers.
+get similar shares. The calling thread zeroes the diagonal first; row i
+fills out[i, i+1:] and out[i+1:, i] and nothing else, so no two workers
+write the same entry, and each entry is computed by the same arithmetic
+whichever worker computes it: the output bytes do not depend on the thread
+count. The threads overlap because np.add, np.partition and np.sort
+release the interpreter lock. They are started and joined inside each
+call, so no pool outlives a call, survives a fork or is shared by
+concurrent callers.
 """
 
 import os
@@ -72,18 +73,27 @@ def _fill_rows(R, K, out, first, step):
         out[i + 1:, i] = acc
 
 
-def pair_mean_k_smallest(R, K):
+def pair_mean_k_smallest(R, K, out=None):
     """Symmetric n x n matrix of K-smallest-sum averages over row pairs.
 
     Entry (i, j) is the mean of the K smallest values of R[i] + R[j]
     (elementwise sums over the m columns); the diagonal is zero. K must
-    already be clamped to at most m by the caller.
+    already be clamped to at most m by the caller. With out, an n x n
+    float64 array that may be a strided view into a larger buffer, every
+    entry of out is written and out is returned; its prior contents do
+    not matter.
     """
     R = np.ascontiguousarray(R, dtype=np.float64)
     n, m = R.shape
     if not 1 <= K <= m:
         raise ParameterError(f"K={K} outside [1, {m}]")
-    out = np.zeros((n, n), dtype=np.float64)
+    if out is None:
+        out = np.empty((n, n), dtype=np.float64)
+    elif out.shape != (n, n) or out.dtype != np.float64:
+        raise ParameterError(
+            f"out must be a {n} x {n} float64 array, got {out.shape} "
+            f"{out.dtype}")
+    np.fill_diagonal(out, 0.0)
     pair_sums = n * (n - 1) // 2 * m
     workers = max(1, min(_worker_count(), n - 1,
                          pair_sums // MIN_SUMS_PER_WORKER))

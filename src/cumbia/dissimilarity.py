@@ -8,9 +8,9 @@ graph: every sample pair is connected by p two-edge paths (one per
 variable) and every variable pair by N two-edge paths (one per sample),
 and the distance is the mean of the K smallest path lengths.
 
-joint_matrix assembles all four blocks into one symmetric
-(N + p) x (N + p) matrix; graph_oracle is a deliberately naive
-reimplementation used to cross-check it, and the two agree bit for bit.
+joint_matrix assembles all four blocks in one symmetric (N + p) x (N + p)
+buffer: the kernel writes the two same-kind blocks straight into its
+diagonal blocks, so no block is built apart and copied in.
 """
 
 import warnings
@@ -116,12 +116,14 @@ def _clamp_k(K, available, context, notes=None):
     return available
 
 
-def within_kind_diss(D_sv, K, kind, duplicate_groups=None):
+def within_kind_diss(D_sv, K, kind, duplicate_groups=None, out=None):
     """Square distance matrix among samples or among variables.
 
     Entry (i, j) is the mean of the K smallest two-edge paths through the
     other kind; the diagonal is zero, and pairs listed in duplicate_groups
-    (objects with identical profiles) are forced to zero afterwards.
+    (objects with identical profiles) are forced to zero afterwards. With
+    out, a square float64 array or view of the result's size, the matrix
+    is written there and out is returned.
     """
     D_sv = np.asarray(D_sv, dtype=np.float64)
     if kind == "samples":
@@ -133,20 +135,19 @@ def within_kind_diss(D_sv, K, kind, duplicate_groups=None):
     if K < 1:
         raise ParameterError(f"K={K} must be >= 1")
     K = _clamp_k(K, R.shape[1], f"{kind} pairs")
-    out = pair_mean_k_smallest(R, K)
+    out = pair_mean_k_smallest(R, K, out=out)
     for group in duplicate_groups or []:
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                out[group[a], group[b]] = 0.0
-                out[group[b], group[a]] = 0.0
+        out[np.ix_(group, group)] = 0.0
     return out
 
 
-def _blocks(values, f, s, cfg, notes=None):
+def _blocks(values, f, s, cfg, notes=None, out=None):
     """Sample-variable block and both same-kind blocks at truncation rank s.
 
     values is the matrix f factors, and 1 <= s <= f.r. lambda1 is always
     the top singular value. K clamps warn through _clamp_k with notes.
+    With out, an (N+p) x (N+p) buffer, the same-kind blocks are written
+    into its diagonal blocks and returned as views of it.
     """
     # rank-r truncation of X is X itself; reconstructing it through the
     # factors would only add rounding noise and break bitwise duplicate
@@ -157,9 +158,11 @@ def _blocks(values, f, s, cfg, notes=None):
     Ks = _clamp_k(cfg.k_samples, p, "samples pairs", notes)
     Kv = _clamp_k(cfg.resolved_k_variables(), N, "variables pairs", notes)
     SS = within_kind_diss(D_sv, Ks, "samples",
-                          identical_index_groups(X_s, axis=0))
+                          identical_index_groups(X_s, axis=0),
+                          out=None if out is None else out[:N, :N])
     VV = within_kind_diss(D_sv, Kv, "variables",
-                          identical_index_groups(X_s, axis=1))
+                          identical_index_groups(X_s, axis=1),
+                          out=None if out is None else out[N:, N:])
     return D_sv, SS, VV
 
 
@@ -167,8 +170,9 @@ def joint_matrix(X, f, cfg):
     """Assemble the full (N+p) x (N+p) dissimilarity matrix.
 
     Blocks: sample-sample and variable-variable from within_kind_diss on
-    the rank-s reconstruction, off-diagonal blocks directly from
-    sample_variable_diss. lambda1 is always the top singular value of X.
+    the rank-s reconstruction, written in place into the joint buffer;
+    off-diagonal blocks directly from sample_variable_diss. lambda1 is
+    always the top singular value of X.
     """
     if not isinstance(X, DataMatrix):
         X = DataMatrix(X)
@@ -176,77 +180,13 @@ def joint_matrix(X, f, cfg):
     s = f.r if cfg.s is None else cfg.s
     if not 1 <= s <= f.r:
         raise ParameterError(f"truncation rank s={s} outside [1, {f.r}]")
-    D_sv, SS, VV = _blocks(X.values, f, s, cfg)
-    N, p = D_sv.shape
-    values = np.zeros((N + p, N + p), dtype=np.float64)
-    values[:N, :N] = SS
-    values[N:, N:] = VV
+    N, p = X.values.shape
+    values = np.empty((N + p, N + p), dtype=np.float64)
+    D_sv = _blocks(X.values, f, s, cfg, out=values)[0]
     values[:N, N:] = D_sv
     values[N:, :N] = D_sv.T
     kinds = ["sample"] * N + ["variable"] * p
     labels = list(X.sample_labels) + list(X.variable_labels)
-    return JointDissimilarity(values=values, object_kinds=kinds,
-                              object_labels=labels)
-
-
-ORACLE_SIZE_LIMIT = 50
-
-
-def graph_oracle(X_s, lambda1, K):
-    """Brute-force reference for joint_matrix, for small inputs only.
-
-    Builds the complete bipartite graph explicitly, enumerates every
-    two-edge path per same-kind pair as (length, intermediary) tuples,
-    sorts them, and averages the K smallest. Matches joint_matrix exactly,
-    including the floating-point operation order.
-    """
-    X_s = np.asarray(X_s, dtype=np.float64)
-    N, p = X_s.shape
-    if N > ORACLE_SIZE_LIMIT or p > ORACLE_SIZE_LIMIT:
-        raise ParameterError(
-            f"graph oracle limited to {ORACLE_SIZE_LIMIT} objects per kind, "
-            f"got {N}x{p}"
-        )
-    if K < 1:
-        raise ParameterError(f"K={K} must be >= 1")
-    w = sample_variable_diss(X_s, lambda1)
-    n = N + p
-    values = np.zeros((n, n), dtype=np.float64)
-    values[:N, N:] = w
-    values[N:, :N] = w.T
-
-    def k_smallest_mean(paths, K):
-        paths.sort()
-        total = 0.0
-        for t in range(K):
-            total += paths[t][0]
-        return total / K
-
-    Ks = _clamp_k(K, p, "samples pairs")
-    for i in range(N):
-        for j in range(i + 1, N):
-            paths = [(w[i, k] + w[j, k], k) for k in range(p)]
-            values[i, j] = values[j, i] = k_smallest_mean(paths, Ks)
-    Kv = _clamp_k(K, N, "variables pairs")
-    for a in range(p):
-        for b in range(a + 1, p):
-            paths = [(w[k, a] + w[k, b], k) for k in range(N)]
-            va, vb = N + a, N + b
-            values[va, vb] = values[vb, va] = k_smallest_mean(paths, Kv)
-
-    for group in identical_index_groups(X_s, axis=0):
-        for x in range(len(group)):
-            for y in range(x + 1, len(group)):
-                values[group[x], group[y]] = 0.0
-                values[group[y], group[x]] = 0.0
-    for group in identical_index_groups(X_s, axis=1):
-        for x in range(len(group)):
-            for y in range(x + 1, len(group)):
-                values[N + group[x], N + group[y]] = 0.0
-                values[N + group[y], N + group[x]] = 0.0
-
-    kinds = ["sample"] * N + ["variable"] * p
-    labels = [f"s{i + 1}" for i in range(N)] + [f"v{j + 1}" for j in range(p)]
     return JointDissimilarity(values=values, object_kinds=kinds,
                               object_labels=labels)
 

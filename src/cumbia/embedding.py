@@ -8,6 +8,13 @@ eigenvalues. Negative eigenvalues are never used for coordinates but stay
 in the reported spectrum, because their presence (and sign pattern) is
 informative for joint sample-variable matrices. cumbia() chains SVD,
 truncation, the joint dissimilarity, and MDS into the end-to-end method.
+
+double_center and classical_mds leave their argument as it is and put the
+Gram matrix in a new buffer. cumbia() owns its joint matrix, so it squares
+and double-centers that buffer in place with the same routine and hands
+it to the same eigensolver step: at N+p = 3100 its tracemalloc peak is
+1.16 (N+p)^2 float64 buffers and its resident peak 2.28, the second
+buffer being eigvalsh's internal copy of the Gram matrix.
 """
 
 import os
@@ -33,9 +40,10 @@ LANCZOS_CHUNK = 64
 # k x k eigh calls of the checks cost O(k^3) in all instead of O(k^4)
 RITZ_CHECK_SPACING = 16
 # resident peak of cumbia() in (N+p)^2 float64 buffers: the joint matrix,
-# the Gram matrix and eigvalsh's internal copy of it, plus its workspace;
-# measured 3.23 above the pre-call RSS at N+p = 3100
-RESIDENT_PEAK_BUFFERS = 3.3
+# centered in place into the Gram matrix, and eigvalsh's internal copy of
+# it, plus its workspace; measured 2.28 above the pre-call RSS at
+# N+p = 3100 and 2.13 at N+p = 6200 (tools/wide_run.py --shape)
+RESIDENT_PEAK_BUFFERS = 2.3
 # edge of the square tiles double_center checks and symmetrizes in place
 SYMMETRY_TILE = 256
 
@@ -79,22 +87,26 @@ def _tile_pairs(n):
             yield (slice(a, a + SYMMETRY_TILE), slice(b, b + SYMMETRY_TILE))
 
 
-def double_center(D):
-    """Gram matrix C = -1/2 J (D o D) J with J = I - (1/n) 11^T.
-
-    Expanded directly from row means, column means, and the grand mean of
-    the squared dissimilarities, then symmetrized against rounding. Works
-    in one n x n buffer: the symmetry check and the symmetrization go tile
-    by tile, so no transpose of the whole matrix is allocated.
-    """
-    V, _, _ = _square_values(D)
+def _require_symmetric(V):
+    """Raise InputError unless V is square, finite and symmetric within
+    1e-12, checked tile by tile (a NaN or inf entry makes its tile's
+    difference NaN or inf, which fails the comparison)."""
     if V.ndim != 2 or V.shape[0] != V.shape[1]:
         raise InputError("dissimilarity matrix must be square")
     for rows, cols in _tile_pairs(V.shape[0]):
-        if np.max(np.abs(V[rows, cols] - V[cols, rows].T)) > 1e-12:
-            raise InputError(
-                "dissimilarity matrix is not symmetric within 1e-12")
-    C = V * V
+        if not np.max(np.abs(V[rows, cols] - V[cols, rows].T)) <= 1e-12:
+            raise InputError("dissimilarity matrix is not finite and "
+                             "symmetric within 1e-12")
+
+
+def _double_center_in_place(C):
+    """Overwrite the squared dissimilarities in C with their Gram matrix.
+
+    Subtracts the row and column means, adds the grand mean, scales by
+    -1/2 and symmetrizes against rounding, all in C's own buffer: the
+    symmetrization goes tile by tile, so no transpose of the whole matrix
+    is allocated. Returns C.
+    """
     row_means = C.mean(axis=1)
     grand_mean = row_means.mean()
     C -= row_means[:, None]
@@ -112,6 +124,18 @@ def double_center(D):
             upper /= 2.0
             lower[...] = upper.T
     return C
+
+
+def double_center(D):
+    """Gram matrix C = -1/2 J (D o D) J with J = I - (1/n) 11^T.
+
+    Expanded directly from row means, column means, and the grand mean of
+    the squared dissimilarities, then symmetrized against rounding. D is
+    left as it is; C is one new n x n buffer.
+    """
+    V, _, _ = _square_values(D)
+    _require_symmetric(V)
+    return _double_center_in_place(V * V)
 
 
 def _fix_column_signs(M):
@@ -181,21 +205,13 @@ def _top_eigenvectors(C, top, scale):
         betas.append(beta)
 
 
-def classical_mds(D, dims):
-    """Embed a dissimilarity matrix in at most dims dimensions.
-
-    The whole signed spectrum of the double-centered matrix comes from
-    eigvalsh and is kept, descending, in the eigenvalues field.
-    Coordinates use only eigenvalues above 1e-10 * |largest eigenvalue|;
-    their eigenvectors come from a Lanczos solver (_top_eigenvectors), so
-    only the d used ones are computed, and each is scaled by the square
-    root of its eigvalsh eigenvalue. If fewer than dims eigenvalues
-    qualify, all available are returned and the shortfall flag is set.
-    """
+def _require_dims(dims):
     if dims < 1:
         raise ParameterError(f"dims={dims} must be >= 1")
-    V, kinds, labels = _square_values(D)
-    C = double_center(V)
+
+
+def _embed_gram(C, dims, kinds, labels):
+    """Embedding from the Gram matrix C, which is read, never written."""
     eigenvalues = np.linalg.eigvalsh(C)[::-1].copy()
     scale = max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
     cutoff = POSITIVE_EIGENVALUE_CUTOFF * abs(eigenvalues[0])
@@ -208,7 +224,7 @@ def classical_mds(D, dims):
         warnings.warn(
             f"only {d} positive eigenvalues for {dims} requested dimensions",
             CumbiaWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return Embedding(
         coordinates=coords,
@@ -218,6 +234,23 @@ def classical_mds(D, dims):
         dims_used=d,
         shortfall=shortfall,
     )
+
+
+def classical_mds(D, dims):
+    """Embed a dissimilarity matrix in at most dims dimensions.
+
+    The whole signed spectrum of the double-centered matrix comes from
+    eigvalsh and is kept, descending, in the eigenvalues field.
+    Coordinates use only eigenvalues above 1e-10 * |largest eigenvalue|;
+    their eigenvectors come from a Lanczos solver (_top_eigenvectors), so
+    only the d used ones are computed, and each is scaled by the square
+    root of its eigvalsh eigenvalue. If fewer than dims eigenvalues
+    qualify, all available are returned and the shortfall flag is set.
+    D is left as it is: the Gram matrix goes into a new buffer.
+    """
+    _require_dims(dims)
+    V, kinds, labels = _square_values(D)
+    return _embed_gram(double_center(V), dims, kinds, labels)
 
 
 def pca_biplot(X, s=None, alpha=1.0):
@@ -300,18 +333,27 @@ def cumbia(X, cfg=None, dims=3):
     """End-to-end joint embedding of samples and variables.
 
     SVD, rank-s truncation, joint two-edge-path dissimilarities, classical
-    MDS. Returns the Embedding with the configuration recorded. Raises
+    MDS. Returns the Embedding with the configuration recorded. The joint
+    matrix is the one (N+p)^2 buffer the call allocates: it is squared
+    and double-centered in place into the Gram matrix that eigvalsh and
+    the Lanczos solver read, so classical_mds's copy is not made. Raises
     ParameterError before any work if the estimated resident peak,
-    RESIDENT_PEAK_BUFFERS (N+p)^2 float64 buffers, exceeds physical memory.
+    RESIDENT_PEAK_BUFFERS (N+p)^2 float64 buffers, exceeds physical memory
+    (installed memory, not the memory free at the time of the call).
     """
     if not isinstance(X, DataMatrix):
         X = DataMatrix(X)
     require_finite(X.values)
+    _require_dims(dims)
     _require_memory_for(sum(X.values.shape))
     if cfg is None:
         cfg = CumbiaConfig()
     f = svd(X)
     D = joint_matrix(X, f, cfg)
-    emb = classical_mds(D, dims)
+    C = D.values
+    _require_symmetric(C)
+    np.multiply(C, C, out=C)
+    emb = _embed_gram(_double_center_in_place(C), dims, D.object_kinds,
+                      D.object_labels)
     emb.config = cfg
     return emb

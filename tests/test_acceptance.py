@@ -17,7 +17,6 @@ from cumbia import (
     DataMatrix,
     classical_mds,
     cumbia,
-    graph_oracle,
     joint_matrix,
     pca_biplot,
     shave,
@@ -27,6 +26,8 @@ from cumbia import (
     zscore_variables,
 )
 from cumbia._kernels import pair_mean_k_smallest
+
+from oracle import graph_oracle
 
 
 ACCEPTANCE_LINES = []

@@ -9,13 +9,14 @@ from cumbia import (
     DataMatrix,
     InvariantViolation,
     ParameterError,
-    graph_oracle,
     joint_matrix,
     sample_variable_diss,
     svd,
     within_kind_diss,
     write_dissimilarity,
 )
+
+from oracle import graph_oracle
 
 
 def joint_from(A, k=1, s=None, k_vars=None):
@@ -97,6 +98,20 @@ class TestWithinKindDiss:
                 off = ~np.eye(5, dtype=bool)
                 assert np.all(M[off] >= prev[off] - 1e-15)
             prev = M
+
+    def test_duplicate_groups_zeroed_inside_the_view(self):
+        D_sv = np.abs(np.random.default_rng(8).standard_normal((6, 5)))
+        D_sv[4] = D_sv[1]
+        groups = [[1, 4], [0, 2, 5]]
+        big = np.full((9, 9), np.nan)
+        view = big[3:, 3:]
+        got = within_kind_diss(D_sv, 2, "samples", groups, out=view)
+        assert got is view
+        expect = within_kind_diss(D_sv, 2, "samples", groups)
+        assert view.tobytes() == expect.tobytes()
+        for g in groups:
+            assert np.all(view[np.ix_(g, g)] == 0.0)
+        assert np.isnan(big[:3]).all() and np.isnan(big[:, :3]).all()
 
 
 class TestJointMatrix:

@@ -8,6 +8,7 @@ from cumbia import (
     CumbiaWarning,
     DataMatrix,
     InputError,
+    JointDissimilarity,
     ParameterError,
     classical_mds,
     cumbia,
@@ -83,6 +84,32 @@ class TestDoubleCenter:
         with pytest.raises(InputError, match="symmetric"):
             double_center(D)
 
+
+    def test_nan_rejected_before_the_eigensolver(self):
+        D = np.ones((4, 4)) - np.eye(4)
+        D[0, 2] = D[2, 0] = np.nan
+        with pytest.raises(InputError, match="finite"):
+            double_center(D)
+        with pytest.raises(InputError, match="finite"):
+            classical_mds(D, 2)
+
+    def test_inf_rejected(self):
+        D = np.ones((3, 3)) - np.eye(3)
+        D[1, 2] = D[2, 1] = np.inf
+        with pytest.raises(InputError, match="finite"):
+            double_center(D)
+
+    def test_callers_matrix_left_unchanged(self):
+        pts = np.random.default_rng(14).standard_normal((30, 3))
+        D = pairwise(pts)
+        J = JointDissimilarity(D.copy(), ["object"] * 30,
+                               [f"o{i}" for i in range(30)])
+        before = D.tobytes()
+        double_center(D)
+        classical_mds(D, 2)
+        classical_mds(J, 2)
+        assert D.tobytes() == before
+        assert J.values.tobytes() == before
 
 class TestClassicalMds:
     def test_two_points_at_distance_two(self):
@@ -267,12 +294,12 @@ class TestTopEigenvectors:
 
 class TestMemoryGuard:
     def test_too_large_for_memory_raises_up_front(self, monkeypatch):
-        # 60 x 20,000 needs about 9.9 GiB; refuse before any SVD or kernel
+        # 60 x 20,000 needs about 6.9 GiB; refuse before any SVD or kernel
         monkeypatch.setattr(embedding, "_physical_memory_bytes",
-                            lambda: 7 * 2**30)
+                            lambda: 6 * 2**30)
         monkeypatch.setattr(embedding, "svd", None)
         X = np.zeros((60, 20000))
-        with pytest.raises(ParameterError, match=r"9\.9 GiB.*7\.0 GiB"):
+        with pytest.raises(ParameterError, match=r"6\.9 GiB.*6\.0 GiB"):
             cumbia(X)
 
     def test_estimate_scales_with_squared_object_count(self, monkeypatch):
@@ -403,6 +430,23 @@ class TestCumbiaPipeline:
         e2 = cumbia(A.copy(), CumbiaConfig(), dims=3)
         assert e1.coordinates.tobytes() == e2.coordinates.tobytes()
         assert e1.eigenvalues.tobytes() == e2.eigenvalues.tobytes()
+
+    def test_traced_peak_below_one_point_three_buffers(self):
+        # the joint matrix is built, squared, centered and read by the
+        # eigensolver in one (N+p)^2 buffer; a separate variables block or
+        # Gram matrix would add about one more
+        X = np.random.default_rng(57).standard_normal((40, 960))
+        buffer = 8 * 1000 * 1000
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            emb = cumbia(X, dims=3)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert emb.coordinates.shape == (1000, 3)
+        assert peak <= 1.3 * buffer, f"peak {peak / buffer:.2f} buffers"
 
     def test_rejects_missing_values(self):
         A = np.ones((3, 3))

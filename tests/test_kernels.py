@@ -126,3 +126,30 @@ def test_worker_exception_reraised_on_caller(monkeypatch):
     monkeypatch.setattr(_kernels, "_fill_rows", failing)
     with pytest.raises(MemoryError, match="worker 1"):
         pair_mean_k_smallest(np.ones((10, 4)), 2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_out_view_gets_the_allocating_bytes(monkeypatch, workers):
+    # out is an off-diagonal block of a larger NaN-filled buffer: a strided
+    # view whose diagonal is not the buffer's; every entry of it is written
+    # and nothing outside it
+    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: workers)
+    R = np.abs(np.random.default_rng(5).standard_normal((9, 6)))
+    for K in (1, 3, 6):
+        big = np.full((15, 17), np.nan)
+        view = big[2:11, 5:14]
+        got = pair_mean_k_smallest(R, K, out=view)
+        assert got is view
+        assert view.tobytes() == pair_mean_k_smallest(R, K).tobytes()
+        outside = np.ones(big.shape, dtype=bool)
+        outside[2:11, 5:14] = False
+        assert np.isnan(big[outside]).all()
+
+
+def test_out_of_the_wrong_shape_is_rejected():
+    R = np.ones((4, 3))
+    with pytest.raises(ParameterError, match="4 x 4"):
+        pair_mean_k_smallest(R, 2, out=np.empty((4, 5)))
+    with pytest.raises(ParameterError, match="float64"):
+        pair_mean_k_smallest(R, 2, out=np.empty((4, 4), dtype=np.float32))

@@ -1,0 +1,176 @@
+"""One cumbia() call at expression-data width, timed by stage.
+
+    python3 tools/wide_run.py --out wide.json
+    python3 tools/wide_run.py --out wide.json --shape 100 3000
+
+Runs cumbia() once on z-scored synth_block(N, p, seed=0): by default
+60 x 20,000, or 60 x 16,000 when MemAvailable is below the memory guard's
+estimate for 20,000 variables plus 1 GiB. A shape whose estimate plus
+1 GiB exceeds MemAvailable is skipped, not run. The run's record holds the
+wall time of each stage, the tracemalloc peak and the resident peak
+(ru_maxrss minus the RSS before the call), both in (N+p)^2 float64
+buffers; it is appended to the runs in --out, next to the machine facts.
+ru_maxrss is the peak of the whole process, so each run needs a process
+of its own. Stages are timed by wrapping the module-level functions
+cumbia() calls; the in-place squaring has no function of its own and is
+left in "other". Linux only: it reads /proc/meminfo and /proc/self/statm.
+"""
+
+import argparse
+import json
+import os
+import platform
+import resource
+import sys
+import time
+import tracemalloc
+import warnings
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import numpy as np  # noqa: E402
+
+import cumbia  # noqa: E402
+from cumbia import dissimilarity, embedding  # noqa: E402
+
+WIDE_SHAPES = ((60, 20000), (60, 16000))
+HEADROOM = 2**30
+
+# (module, function, span name; "kind" appends the kind argument)
+STAGES = [
+    (embedding, "svd", "svd"),
+    (embedding, "joint_matrix", "joint_matrix"),
+    (dissimilarity, "sample_variable_diss", "sample_variable_diss"),
+    (dissimilarity, "identical_index_groups", "identical_index_groups"),
+    (dissimilarity, "within_kind_diss", "kind"),
+    (embedding, "_require_symmetric", "symmetry_check"),
+    (embedding, "_double_center_in_place", "double_center_in_place"),
+    (embedding, "_embed_gram", "embed_gram"),
+    (np.linalg, "eigvalsh", "eigvalsh"),
+    (embedding, "_top_eigenvectors", "lanczos"),
+]
+
+
+def meminfo():
+    fields = {}
+    with open("/proc/meminfo") as handle:
+        for line in handle:
+            key, value = line.split(":")
+            fields[key] = int(value.split()[0]) * 1024
+    return fields
+
+
+def rss_bytes():
+    with open("/proc/self/statm") as handle:
+        return int(handle.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+def install_timers(seconds):
+    originals = []
+    for module, name, span in STAGES:
+        func = getattr(module, name)
+        originals.append((module, name, func))
+
+        def timed(*args, _func=func, _span=span, **kwargs):
+            label = ("within_kind_diss." + args[2]) if _span == "kind" else _span
+            t0 = time.perf_counter()
+            try:
+                return _func(*args, **kwargs)
+            finally:
+                seconds[label] = seconds.get(label, 0.0) + (
+                    time.perf_counter() - t0)
+
+        setattr(module, name, timed)
+    return originals
+
+
+def machine_facts(mem):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "MemTotal_gib": mem["MemTotal"] / 2**30,
+    }
+
+
+def run_once(N, p):
+    """Time one cumbia() call on the N x p input; return its record."""
+    X, _ = cumbia.synth_block(N=N, p=p, seed=0)
+    Z = cumbia.zscore_variables(X)
+    del X
+    n = N + p
+    buffer = 8 * n * n
+    seconds = {}
+    originals = install_timers(seconds)
+    before = rss_bytes()
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        emb = cumbia.cumbia(Z, dims=3)
+        total = time.perf_counter() - t0
+        traced = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        for module, name, func in originals:
+            setattr(module, name, func)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    top = ("svd", "joint_matrix", "symmetry_check",
+           "double_center_in_place", "embed_gram")
+    seconds["other"] = total - sum(seconds.get(k, 0.0) for k in top)
+    return {
+        "shape": [N, p],
+        "objects": n,
+        "buffer_gib": buffer / 2**30,
+        "guard_estimate_gib": embedding.RESIDENT_PEAK_BUFFERS * buffer / 2**30,
+        "call_s": total,
+        "stage_s": seconds,
+        "tracemalloc_peak_buffers": traced / buffer,
+        "resident_peak_buffers": (peak - before) / buffer,
+        "pre_call_rss_mib": before / 2**20,
+        "dims_used": emb.dims_used,
+        "top_eigenvalues": emb.eigenvalues[:3].tolist(),
+    }
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--shape", type=int, nargs=2, metavar=("N", "P"))
+    args = parser.parse_args()
+    warnings.simplefilter("ignore", cumbia.CumbiaWarning)
+
+    record = {"runs": [], "skipped": []}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as handle:
+            record = json.load(handle)
+    mem = meminfo()
+    record["machine"] = machine_facts(mem)
+    record["resident_peak_buffers_constant"] = embedding.RESIDENT_PEAK_BUFFERS
+    for N, p in [tuple(args.shape)] if args.shape else WIDE_SHAPES:
+        n = N + p
+        need = embedding.RESIDENT_PEAK_BUFFERS * n * n * 8
+        if mem["MemAvailable"] >= need + HEADROOM:
+            run = run_once(N, p)
+            run["MemAvailable_gib"] = mem["MemAvailable"] / 2**30
+            record["runs"].append(run)
+            break
+        record["skipped"].append({
+            "shape": [N, p],
+            "guard_estimate_gib": need / 2**30,
+            "MemAvailable_gib": mem["MemAvailable"] / 2**30,
+            "reason": "MemAvailable below the guard's estimate plus 1 GiB",
+        })
+    with open(args.out, "w", encoding="utf-8") as handle:
+        json.dump(record, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(json.dumps(record, indent=1, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
