@@ -1,8 +1,10 @@
-"""Atomic file writing and digests for reproducible outputs."""
+"""Atomic file writing, table text and digests for reproducible outputs."""
 
 import hashlib
 import os
 import tempfile
+
+import numpy as np
 
 
 def atomic_write_text(path, text):
@@ -22,6 +24,21 @@ def atomic_write_bytes(path, data):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_table(path, header, first_cells, values, delim, missing="nan"):
+    """Write a header line, then per row its first cell and its values.
+
+    A value is written as repr of its Python float, the shortest text that
+    reads back as the same double; NaN is written as `missing`.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    lines = [delim.join(header)]
+    for first, row, nan in zip(first_cells, values, np.isnan(values).any(axis=1)):
+        row = row.tolist()
+        text = [missing if v != v else repr(v) for v in row] if nan else map(repr, row)
+        lines.append(delim.join([first, *text]))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def sha256_file(path):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from ._fsio import atomic_write_text, sha256_file
+from ._fsio import atomic_write_text, sha256_file, write_table
 from .bicluster import shave
 from .dissimilarity import CumbiaConfig
 from .embedding import cumbia, pca_biplot, scree
@@ -159,26 +159,15 @@ def _require_complete(X):
 
 
 def _write_matrix(X, path, delim):
-    lines = [delim.join(["id"] + list(X.variable_labels))]
-    for label, row in zip(X.sample_labels, X.values):
-        lines.append(delim.join([label] + [_cell(v) for v in row]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _cell(v):
-    if np.isnan(v):
-        return "NA"
-    return repr(float(v))
+    write_table(path, ["id", *X.variable_labels], X.sample_labels, X.values,
+                delim, missing="NA")
 
 
 def _write_coords(labels, kinds, coords, path, delim):
     d = coords.shape[1]
     header = ["object_label", "kind"] + [f"coord_{k + 1}" for k in range(d)]
-    lines = [delim.join(header)]
-    for i, (label, kind) in enumerate(zip(labels, kinds)):
-        row = [label, kind] + [repr(float(v)) for v in coords[i]]
-        lines.append(delim.join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    first = [label + delim + kind for label, kind in zip(labels, kinds)]
+    write_table(path, header, first, coords, delim)
 
 
 def _read_label_file(path, object_labels):
@@ -237,13 +226,12 @@ def cmd_synth(args):
     _write_matrix(X, args.out_path, DELIMS[args.delim])
     run.outputs.append(args.out_path)
     if args.labels:
-        lines = ["object_label,group"]
-        for label, group in zip(X.sample_labels, groups.assignment):
-            lines.append(f"{label},{group}")
         # variables of the planted block are known here too; tag them for plots
-        for j, label in enumerate(X.variable_labels):
-            group = "planted" if j < PLANTED_VARIABLES else "background"
-            lines.append(f"{label},{group}")
+        tags = ["planted" if j < PLANTED_VARIABLES else "background"
+                for j in range(X.n_variables)]
+        lines = ["object_label,group"] + [
+            f"{label},{group}" for label, group in
+            zip(X.sample_labels + X.variable_labels, groups.assignment + tags)]
         atomic_write_text(args.labels, "\n".join(lines) + "\n")
         run.outputs.append(args.labels)
     _manifest(run, args.out_path)
@@ -302,10 +290,8 @@ def cmd_cumbia(args):
                   args.out_path, delim)
     run.outputs.append(args.out_path)
     spectrum_path = args.out_path + ".spectrum.txt"
-    atomic_write_text(
-        spectrum_path,
-        "\n".join(repr(float(v)) for v in emb.eigenvalues) + "\n",
-    )
+    atomic_write_text(spectrum_path,
+                      "\n".join(map(repr, emb.eigenvalues.tolist())) + "\n")
     run.outputs.append(spectrum_path)
     _maybe_plot(args, emb, emb.object_labels, run)
     _manifest(run, args.out_path)
@@ -343,17 +329,15 @@ def cmd_scree(args):
     else:
         emb = cumbia(X, _cfg_from(args), dims=args.dims)
         fractions, negatives = scree(emb.eigenvalues, "eigenvalues")
-    lines = [delim.join(["kind", "index", "value"])]
-    for i, frac in enumerate(fractions, start=1):
-        lines.append(delim.join(["positive_fraction", str(i), repr(float(frac))]))
-    for i, val in enumerate(negatives, start=1):
-        lines.append(delim.join(["negative_eigenvalue", str(i), repr(float(val))]))
+    first = [f"positive_fraction{delim}{i}" for i in range(1, len(fractions) + 1)]
+    first += [f"negative_eigenvalue{delim}{i}" for i in range(1, len(negatives) + 1)]
     run = RunConfig(command="scree", parameters={
         "in": args.in_path, "out": args.out_path, "delim": args.delim,
         "orient": args.orient, "missing": args.missing, "mode": args.mode,
         "k": args.k, "k_vars": args.k_vars, "s": args.s, "dims": args.dims,
     }, input_path=args.in_path)
-    atomic_write_text(args.out_path, "\n".join(lines) + "\n")
+    write_table(args.out_path, ["kind", "index", "value"], first,
+                np.concatenate([fractions, negatives])[:, None], delim)
     run.outputs.append(args.out_path)
     _manifest(run, args.out_path)
     return 0
@@ -366,23 +350,21 @@ def cmd_shave(args):
                   drop_fraction=args.drop_fraction,
                   min_objects=args.min_objects)
     delim = DELIMS[args.delim]
-    lines = [delim.join(["step", "kind", "object_label", "score"])]
+    first, scores = [], []
     for t, step in enumerate(trace.steps):
-        for idx, score in zip(step.sample_indices, step.sample_scores):
-            lines.append(delim.join(
-                [str(t), "sample", X.sample_labels[idx], repr(float(score))]
-            ))
-        for idx, score in zip(step.variable_indices, step.variable_scores):
-            lines.append(delim.join(
-                [str(t), "variable", X.variable_labels[idx], repr(float(score))]
-            ))
+        first += [delim.join([str(t), "sample", X.sample_labels[i]])
+                  for i in step.sample_indices.tolist()]
+        first += [delim.join([str(t), "variable", X.variable_labels[i]])
+                  for i in step.variable_indices.tolist()]
+        scores += [step.sample_scores, step.variable_scores]
     run = RunConfig(command="shave", parameters={
         "in": args.in_path, "out": args.out_path, "delim": args.delim,
         "orient": args.orient, "missing": args.missing, "k": args.k,
         "k_vars": args.k_vars, "s": args.s, "k0": args.k0,
         "drop_fraction": args.drop_fraction, "min_objects": args.min_objects,
     }, input_path=args.in_path)
-    atomic_write_text(args.out_path, "\n".join(lines) + "\n")
+    write_table(args.out_path, ["step", "kind", "object_label", "score"],
+                first, np.concatenate(scores)[:, None], delim)
     run.outputs.append(args.out_path)
     _manifest(run, args.out_path)
     return 0

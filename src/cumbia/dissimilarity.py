@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fsio import write_table
 from ._kernels import pair_mean_k_smallest
 from .errors import CumbiaWarning, InvariantViolation, ParameterError
 from .matrix_core import DataMatrix, truncate
@@ -197,14 +198,6 @@ def write_dissimilarity(D, path, delimiter=","):
     The header row holds object labels prefixed with "s:" or "v:" by kind;
     each body row repeats the prefixed label in the first column.
     """
-    tagged = [
-        ("s:" if kind == "sample" else "v:") + label
-        for kind, label in zip(D.object_kinds, D.object_labels)
-    ]
-    lines = [delimiter.join(["object"] + tagged)]
-    for i, tag in enumerate(tagged):
-        row = [tag] + [repr(float(v)) for v in D.values[i]]
-        lines.append(delimiter.join(row))
-    from ._fsio import atomic_write_text
-
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    tagged = [("s:" if kind == "sample" else "v:") + label
+              for kind, label in zip(D.object_kinds, D.object_labels)]
+    write_table(path, ["object", *tagged], tagged, D.values, delimiter)

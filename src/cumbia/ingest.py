@@ -68,8 +68,7 @@ def load_table(path, delimiter=",", orientation="samples-rows",
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     with handle:
-        rows = list(csv.reader(handle, delimiter=delimiter))
-    rows = [row for row in rows if row]
+        rows = [row for row in csv.reader(handle, delimiter=delimiter) if row]
     if len(rows) < 2:
         raise InputError(f"{path}: need a header row and at least one data row")
     header = [cell.strip() for cell in rows[0]]
@@ -77,22 +76,31 @@ def load_table(path, delimiter=",", orientation="samples-rows",
     if width < 2:
         raise InputError(f"{path}: need a label column and at least one value column")
     column_labels = header[1:]
-    row_labels = []
-    cells = []
+    # float() strips whitespace as the per-cell loop does, so a row it parses
+    # whole reads the same, unless the missing token is a number (say -999)
+    try:
+        float(missing_token)
+        whole_rows = False
+    except (TypeError, ValueError):
+        whole_rows = True
+    row_labels, cells = [], []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != width:
             raise InputError(
                 f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
             )
         row_labels.append(row[0].strip())
+        if whole_rows:
+            try:
+                cells.append(list(map(float, row[1:])))
+                continue
+            except ValueError:
+                pass  # a missing or bad cell: parse this row cell by cell
         parsed = []
         for col, cell in enumerate(row[1:], start=1):
             cell = cell.strip()
-            if cell == missing_token or cell == "":
-                parsed.append(math.nan)
-                continue
             try:
-                parsed.append(float(cell))
+                parsed.append(math.nan if cell in (missing_token, "") else float(cell))
             except ValueError:
                 raise InputError(
                     f"{path}: line {lineno}, column {header[col]!r}: "

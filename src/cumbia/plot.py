@@ -106,8 +106,8 @@ def emit_scatter(obj, component_x=0, component_y=1, color_by=None, out=None):
         f'transform="rotate(-90 18 {_fmt(HEIGHT / 2)})">'
         f'Component {component_y + 1}</text>',
     ]
-    for i in range(len(labels)):
-        px, py = to_px(float(xs[i])), to_py(float(ys[i]))
+    for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+        px, py = to_px(x), to_py(y)
         color = colors[i]
         title = f"<title>{labels[i]}</title>"
         if kinds[i] == "sample":

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from cumbia.cli import main
+from cumbia import DataMatrix, JointDissimilarity, load_table, write_dissimilarity
+from cumbia.cli import _write_coords, _write_matrix, main
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -256,3 +257,66 @@ class TestManifestReproducibility:
         second = run_cli(argv, tmp_path)
         assert second.returncode == 0
         assert (tmp_path / "e.csv").read_bytes() == out
+
+
+# values whose shortest round-trip text is easy to get wrong
+SPECIAL = [-0.0, 5e-324, 1e-300, 1e16, 123456789.123, np.inf, -np.inf, np.nan]
+
+
+def reference_table(header, first_cells, values, delim, missing):
+    """The writers' format, one float() and one isnan per cell."""
+    lines = [delim.join(header)]
+    for first, row in zip(first_cells, values):
+        cells = [missing if np.isnan(v) else repr(float(v)) for v in row]
+        lines.append(delim.join([first] + cells))
+    return "\n".join(lines) + "\n"
+
+
+class TestWritersByteIdentity:
+    @pytest.fixture
+    def values(self):
+        A = np.random.default_rng(5).standard_normal((5, len(SPECIAL)))
+        A[1] = SPECIAL
+        A[2] = SPECIAL[:-1] + [1.0]  # every special value but NaN
+        A[3] = np.roll(SPECIAL, 3)
+        return A
+
+    @pytest.mark.parametrize("delim", [",", "\t"])
+    def test_write_matrix(self, tmp_path, values, delim):
+        X = DataMatrix(values)
+        _write_matrix(X, str(tmp_path / "m"), delim)
+        expected = reference_table(["id"] + X.variable_labels, X.sample_labels,
+                                   values, delim, "NA")
+        assert (tmp_path / "m").read_text() == expected
+
+    @pytest.mark.parametrize("delim", [",", "\t"])
+    def test_write_matrix_loads_back_bit_for_bit(self, tmp_path, values, delim):
+        X = DataMatrix(values)
+        _write_matrix(X, str(tmp_path / "m"), delim)
+        Y = load_table(str(tmp_path / "m"), delimiter=delim)
+        assert Y.values.tobytes() == X.values.tobytes()
+        assert (Y.sample_labels, Y.variable_labels) == (
+            X.sample_labels, X.variable_labels)
+
+    @pytest.mark.parametrize("delim", [",", "\t"])
+    def test_write_coords(self, tmp_path, values, delim):
+        labels = [f"o{i}" for i in range(len(values))]
+        kinds = ["sample", "sample", "variable", "variable", "variable"]
+        _write_coords(labels, kinds, values, str(tmp_path / "c"), delim)
+        header = ["object_label", "kind"] + [
+            f"coord_{k + 1}" for k in range(values.shape[1])]
+        first = [delim.join(pair) for pair in zip(labels, kinds)]
+        expected = reference_table(header, first, values, delim, "nan")
+        assert (tmp_path / "c").read_text() == expected
+
+    def test_write_dissimilarity(self, tmp_path, values):
+        n = values.shape[1]
+        D = np.resize(values, (n, n))
+        kinds = ["sample"] * 3 + ["variable"] * (n - 3)
+        labels = [f"o{i}" for i in range(n)]
+        write_dissimilarity(JointDissimilarity(D, kinds, labels),
+                            str(tmp_path / "d"))
+        tags = [("s:" if k == "sample" else "v:") + l
+                for k, l in zip(kinds, labels)]
+        expected = reference_table(["object"] + tags, tags, D, ",", "nan")
+        assert (tmp_path / "d").read_text() == expected

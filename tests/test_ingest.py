@@ -45,6 +45,31 @@ class TestLoadTable:
         X = load_table(write(tmp_path, "id,g1,g2\ns1,1,\ns2,3,4\n"))
         assert np.isnan(X.values[0, 1])
 
+    @pytest.mark.parametrize("token", ["-999", "0"])
+    def test_numeric_missing_token_becomes_nan(self, tmp_path, token):
+        # float() reads these tokens, padded or not, as numbers
+        text = f"id,g1,g2\ns1,1, {token} \ns2,{token},4\n"
+        X = load_table(write(tmp_path, text), missing_token=token)
+        np.testing.assert_array_equal(X.values, [[1.0, np.nan], [np.nan, 4.0]])
+
+    def test_padded_numbers_and_empty_cells(self, tmp_path):
+        text = "id,g1,g2,g3\ns1, 1.5 ,\t-2e3 ,7\ns2,,3, \n"
+        X = load_table(write(tmp_path, text))
+        np.testing.assert_array_equal(
+            X.values, [[1.5, -2000.0, 7.0], [np.nan, 3.0, np.nan]])
+
+    def test_row_mixing_missing_and_numbers(self, tmp_path):
+        text = "id,g1,g2,g3,g4\ns1,1,2,3,4\ns2,NA,0.5, NA ,-1\ns3,5,6,7,8\n"
+        X = load_table(write(tmp_path, text))
+        np.testing.assert_array_equal(
+            X.values,
+            [[1, 2, 3, 4], [np.nan, 0.5, np.nan, -1], [5, 6, 7, 8]])
+
+    def test_bad_cell_after_clean_rows_names_line_and_column(self, tmp_path):
+        text = "id,g1,g2,g3\ns1,1,2,3\ns2,4,5,6\ns3,7,NA,x9\ns4,1,1,1\n"
+        with pytest.raises(InputError, match=r"line 4, column 'g3': cell 'x9'"):
+            load_table(write(tmp_path, text))
+
     def test_ragged_row_names_line(self, tmp_path):
         with pytest.raises(InputError, match="line 3"):
             load_table(write(tmp_path, "id,g1,g2\ns1,1,2\ns2,3\n"))
