@@ -48,6 +48,23 @@ def _worker_count():
     return os.cpu_count() or 1
 
 
+def _mean_k_smallest(rows, K):
+    """Per row of a 2-D array, the mean of its K smallest values.
+
+    Partitions each row in place; the K values are summed in ascending
+    order and divided by K last.
+    """
+    if K < rows.shape[1]:
+        rows.partition(K - 1, axis=1)
+    part = rows[:, :K]
+    part.sort(axis=1)
+    acc = part[:, 0].copy()
+    for t in range(1, K):
+        acc += part[:, t]
+    acc /= K
+    return acc
+
+
 def _fill_rows(R, K, out, first, step):
     """Rows first, first + step, ... of the upper triangle and their mirror.
 
@@ -59,16 +76,7 @@ def _fill_rows(R, K, out, first, step):
     for i in range(first, n - 1, step):
         sums = buf[:n - 1 - i]
         np.add(R[i], R[i + 1:], out=sums)
-        if K < m:
-            sums.partition(K - 1, axis=1)
-            part = sums[:, :K]
-        else:
-            part = sums
-        part = np.sort(part, axis=1)
-        acc = part[:, 0].copy()
-        for t in range(1, K):
-            acc += part[:, t]
-        acc /= K
+        acc = _mean_k_smallest(sums, K)
         out[i, i + 1:] = acc
         out[i + 1:, i] = acc
 

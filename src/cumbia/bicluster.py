@@ -7,14 +7,14 @@ worst-scoring fraction of each kind. The full trace of nested
 sample-variable sets is returned; no single step is picked as the winner.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from math import ceil
 
 import numpy as np
 
-from .dissimilarity import CumbiaConfig, _blocks
-from .errors import CumbiaWarning, ParameterError
+from ._kernels import _mean_k_smallest
+from .dissimilarity import CumbiaConfig, _blocks, _clamp
+from .errors import ParameterError
 from .matrix_core import DataMatrix, require_finite, svd
 
 
@@ -35,7 +35,7 @@ class ShaveTrace:
     drop_fraction: float = 0.1
 
 
-def _mean_k0_smallest(M, k0, kind, clamp_note):
+def _mean_k0_smallest(M, k0, kind, notes):
     """Per object, mean of its k0 smallest off-diagonal same-kind distances.
 
     Works in place on M, which the caller must not need afterwards.
@@ -43,38 +43,17 @@ def _mean_k0_smallest(M, k0, kind, clamp_note):
     n = M.shape[0]
     if n == 1:
         return np.zeros(1)
-    k = min(k0, n - 1)
-    if k < k0 and kind not in clamp_note:
-        clamp_note.add(kind)
-        warnings.warn(
-            f"K0={k0} exceeds the {n - 1} other {kind}; clamped to {k}",
-            CumbiaWarning,
-            stacklevel=3,
-        )
-    # the diagonal can never be among the k <= n - 1 smallest; the k picked
-    # values are summed in ascending order, as in the kernel
+    k = _clamp(k0, n - 1, "K0", f"other {kind}", notes)
+    # the diagonal can never be among the k <= n - 1 smallest
     np.fill_diagonal(M, np.inf)
-    M.partition(k - 1, axis=1)
-    smallest = M[:, :k]
-    smallest.sort(axis=1)
-    scores = smallest[:, 0].copy()
-    for t in range(1, k):
-        scores += smallest[:, t]
-    scores /= k
-    return scores
+    return _mean_k_smallest(M, k)
 
 
-def _within_blocks(values, cfg, clamp_note):
+def _within_blocks(values, cfg, notes):
     f = svd(values)
-    s = f.r if cfg.s is None else min(cfg.s, f.r)
-    if cfg.s is not None and cfg.s > f.r and "s" not in clamp_note:
-        clamp_note.add("s")
-        warnings.warn(
-            f"s={cfg.s} exceeds submatrix rank {f.r}; clamped",
-            CumbiaWarning,
-            stacklevel=3,
-        )
-    return _blocks(values, f, s, cfg, clamp_note)[1:]
+    s = f.r if cfg.s is None else _clamp(
+        cfg.s, f.r, "s", "nonzero singular values of the submatrix", notes)
+    return _blocks(values, f, s, cfg, notes)[1:]
 
 
 def _worst(scores, count):
@@ -109,12 +88,12 @@ def shave(X, cfg=None, k0=3, drop_fraction=0.1, min_objects=2):
     sample_idx = np.arange(X.n_samples)
     variable_idx = np.arange(X.n_variables)
     trace = ShaveTrace(steps=[], k0=k0, drop_fraction=drop_fraction)
-    clamp_note = set()
+    notes = set()  # clamps already warned about in this run
     while True:
         sub = X.values[np.ix_(sample_idx, variable_idx)]
-        SS, VV = _within_blocks(sub, cfg, clamp_note)
-        s_scores = _mean_k0_smallest(SS, k0, "samples", clamp_note)
-        v_scores = _mean_k0_smallest(VV, k0, "variables", clamp_note)
+        SS, VV = _within_blocks(sub, cfg, notes)
+        s_scores = _mean_k0_smallest(SS, k0, "samples", notes)
+        v_scores = _mean_k0_smallest(VV, k0, "variables", notes)
         trace.steps.append(ShaveStep(
             sample_indices=sample_idx.copy(),
             variable_indices=variable_idx.copy(),

@@ -13,7 +13,6 @@ violation.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,17 +31,6 @@ from .ingest import (
 )
 from .matrix_core import svd
 from .plot import emit_scatter
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: the command plus every parameter that shaped it."""
-
-    command: str
-    parameters: dict = field(default_factory=dict)
-    input_path: str | None = None
-    outputs: list = field(default_factory=list)
-    report: dict | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,43 +176,47 @@ def _read_label_file(path, object_labels):
     return [mapping.get(label, "unlabeled") for label in object_labels]
 
 
-def _manifest(run, out_path):
+def _manifest(args, outputs, report=None):
+    """Write <out>.manifest.json: each parsed flag under its dest name (in
+    and out for the paths), the input digest and each output's digest."""
+    parameters = {key.removesuffix("_path"): value
+                  for key, value in vars(args).items() if key != "command"}
+    source = parameters.get("in")
     payload = {
-        "command": run.command,
-        "parameters": run.parameters,
-        "input_sha256": sha256_file(run.input_path) if run.input_path else None,
-        "outputs": {path: sha256_file(path) for path in run.outputs},
+        "command": args.command,
+        "parameters": parameters,
+        "input_sha256": sha256_file(source) if source else None,
+        "outputs": {path: sha256_file(path) for path in outputs},
         "version": __version__,
     }
-    if run.report is not None:
-        payload["report"] = run.report
-    atomic_write_text(out_path + ".manifest.json",
+    if report is not None:
+        payload["report"] = report
+    atomic_write_text(args.out_path + ".manifest.json",
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _maybe_plot(args, emb_or_biplot, labels_for_colors, run):
-    if not args.plot:
-        return
-    cx, cy = args.component_x - 1, args.component_y - 1
-    if args.component_x < 1 or args.component_y < 1:
+def _check_components(args):
+    if args.plot and min(args.component_x, args.component_y) < 1:
         raise ParameterError("component indices are 1-based and must be >= 1")
+
+
+def _maybe_plot(args, emb_or_biplot, labels_for_colors):
+    """Write <out>.svg when --plot is given; return the paths written."""
+    if not args.plot:
+        return []
     color_by = None
     if args.labels:
         color_by = _read_label_file(args.labels, labels_for_colors)
     path = args.out_path + ".svg"
-    emit_scatter(emb_or_biplot, component_x=cx, component_y=cy,
-                 color_by=color_by, out=path)
-    run.outputs.append(path)
+    emit_scatter(emb_or_biplot, component_x=args.component_x - 1,
+                 component_y=args.component_y - 1, color_by=color_by, out=path)
+    return [path]
 
 
 def cmd_synth(args):
     X, groups = synth_block(seed=args.seed)
-    run = RunConfig(command="synth", parameters={
-        "out": args.out_path, "delim": args.delim, "seed": args.seed,
-        "labels": args.labels,
-    })
     _write_matrix(X, args.out_path, DELIMS[args.delim])
-    run.outputs.append(args.out_path)
+    outputs = [args.out_path]
     if args.labels:
         # variables of the planted block are known here too; tag them for plots
         tags = ["planted" if j < PLANTED_VARIABLES else "background"
@@ -233,8 +225,8 @@ def cmd_synth(args):
             f"{label},{group}" for label, group in
             zip(X.sample_labels + X.variable_labels, groups.assignment + tags)]
         atomic_write_text(args.labels, "\n".join(lines) + "\n")
-        run.outputs.append(args.labels)
-    _manifest(run, args.out_path)
+        outputs.append(args.labels)
+    _manifest(args, outputs)
     return 0
 
 
@@ -262,60 +254,38 @@ def cmd_preprocess(args):
             raise InputError(
                 f"unknown step {step!r}; choose from filter-log2, zscore"
             )
-    run = RunConfig(command="preprocess", parameters={
-        "in": args.in_path, "out": args.out_path, "delim": args.delim,
-        "orient": args.orient, "missing": args.missing, "steps": args.steps,
-        "zero_variance": args.zero_variance,
-    }, input_path=args.in_path, report=report)
     _write_matrix(X, args.out_path, DELIMS[args.delim])
-    run.outputs.append(args.out_path)
-    _manifest(run, args.out_path)
+    _manifest(args, [args.out_path], report)
     return 0
 
 
 def cmd_cumbia(args):
+    _check_components(args)
     X = _load(args)
     _require_complete(X)
-    cfg = _cfg_from(args)
-    emb = cumbia(X, cfg, dims=args.dims)
-    run = RunConfig(command="cumbia", parameters={
-        "in": args.in_path, "out": args.out_path, "delim": args.delim,
-        "orient": args.orient, "missing": args.missing, "k": args.k,
-        "k_vars": args.k_vars, "s": args.s, "dims": args.dims,
-        "plot": args.plot, "component_x": args.component_x,
-        "component_y": args.component_y, "labels": args.labels,
-    }, input_path=args.in_path)
-    delim = DELIMS[args.delim]
+    emb = cumbia(X, _cfg_from(args), dims=args.dims)
+    # the plot first: its checks then fail before any table is written
+    outputs = _maybe_plot(args, emb, emb.object_labels)
     _write_coords(emb.object_labels, emb.object_kinds, emb.coordinates,
-                  args.out_path, delim)
-    run.outputs.append(args.out_path)
+                  args.out_path, DELIMS[args.delim])
     spectrum_path = args.out_path + ".spectrum.txt"
     atomic_write_text(spectrum_path,
                       "\n".join(map(repr, emb.eigenvalues.tolist())) + "\n")
-    run.outputs.append(spectrum_path)
-    _maybe_plot(args, emb, emb.object_labels, run)
-    _manifest(run, args.out_path)
+    _manifest(args, outputs + [args.out_path, spectrum_path])
     return 0
 
 
 def cmd_pca(args):
+    _check_components(args)
     X = _load(args)
     _require_complete(X)
     bp = pca_biplot(X, s=_parse_s(args.s), alpha=args.alpha)
-    run = RunConfig(command="pca", parameters={
-        "in": args.in_path, "out": args.out_path, "delim": args.delim,
-        "orient": args.orient, "missing": args.missing, "s": args.s,
-        "alpha": args.alpha, "plot": args.plot,
-        "component_x": args.component_x, "component_y": args.component_y,
-        "labels": args.labels,
-    }, input_path=args.in_path)
     labels = list(X.sample_labels) + list(X.variable_labels)
+    outputs = _maybe_plot(args, bp, labels)
     kinds = ["sample"] * X.n_samples + ["variable"] * X.n_variables
     coords = np.vstack([bp.sample_coords, bp.variable_coords])
     _write_coords(labels, kinds, coords, args.out_path, DELIMS[args.delim])
-    run.outputs.append(args.out_path)
-    _maybe_plot(args, bp, labels, run)
-    _manifest(run, args.out_path)
+    _manifest(args, outputs + [args.out_path])
     return 0
 
 
@@ -331,15 +301,9 @@ def cmd_scree(args):
         fractions, negatives = scree(emb.eigenvalues, "eigenvalues")
     first = [f"positive_fraction{delim}{i}" for i in range(1, len(fractions) + 1)]
     first += [f"negative_eigenvalue{delim}{i}" for i in range(1, len(negatives) + 1)]
-    run = RunConfig(command="scree", parameters={
-        "in": args.in_path, "out": args.out_path, "delim": args.delim,
-        "orient": args.orient, "missing": args.missing, "mode": args.mode,
-        "k": args.k, "k_vars": args.k_vars, "s": args.s, "dims": args.dims,
-    }, input_path=args.in_path)
     write_table(args.out_path, ["kind", "index", "value"], first,
                 np.concatenate([fractions, negatives])[:, None], delim)
-    run.outputs.append(args.out_path)
-    _manifest(run, args.out_path)
+    _manifest(args, [args.out_path])
     return 0
 
 
@@ -357,16 +321,9 @@ def cmd_shave(args):
         first += [delim.join([str(t), "variable", X.variable_labels[i]])
                   for i in step.variable_indices.tolist()]
         scores += [step.sample_scores, step.variable_scores]
-    run = RunConfig(command="shave", parameters={
-        "in": args.in_path, "out": args.out_path, "delim": args.delim,
-        "orient": args.orient, "missing": args.missing, "k": args.k,
-        "k_vars": args.k_vars, "s": args.s, "k0": args.k0,
-        "drop_fraction": args.drop_fraction, "min_objects": args.min_objects,
-    }, input_path=args.in_path)
     write_table(args.out_path, ["step", "kind", "object_label", "score"],
                 first, np.concatenate(scores)[:, None], delim)
-    run.outputs.append(args.out_path)
-    _manifest(run, args.out_path)
+    _manifest(args, [args.out_path])
     return 0
 
 

@@ -100,20 +100,20 @@ def identical_index_groups(M, axis=0):
     return [g for g in seen.values() if len(g) > 1]
 
 
-def _clamp_k(K, available, context, notes=None):
-    """min(K, available), warning on a clamp; with a notes set, only once
-    per context for the life of that set."""
-    if K <= available:
-        return K
-    if notes is None or context not in notes:
+def _clamp(value, available, name, description, notes=None):
+    """min(value, available), warning on a clamp; with a notes set, only
+    once per (name, description) for the life of that set."""
+    if value <= available:
+        return value
+    if notes is None or (name, description) not in notes:
         warnings.warn(
-            f"K={K} exceeds the {available} available intermediaries for "
-            f"{context}; clamped to {available}",
+            f"{name}={value} exceeds the {available} {description}; "
+            f"clamped to {available}",
             CumbiaWarning,
             stacklevel=3,
         )
     if notes is not None:
-        notes.add(context)
+        notes.add((name, description))
     return available
 
 
@@ -135,7 +135,8 @@ def within_kind_diss(D_sv, K, kind, duplicate_groups=None, out=None):
         raise ParameterError(f"kind must be samples or variables, not {kind!r}")
     if K < 1:
         raise ParameterError(f"K={K} must be >= 1")
-    K = _clamp_k(K, R.shape[1], f"{kind} pairs")
+    K = _clamp(K, R.shape[1], "K",
+               f"available intermediaries for {kind} pairs")
     out = pair_mean_k_smallest(R, K, out=out)
     for group in duplicate_groups or []:
         out[np.ix_(group, group)] = 0.0
@@ -146,7 +147,7 @@ def _blocks(values, f, s, cfg, notes=None, out=None):
     """Sample-variable block and both same-kind blocks at truncation rank s.
 
     values is the matrix f factors, and 1 <= s <= f.r. lambda1 is always
-    the top singular value. K clamps warn through _clamp_k with notes.
+    the top singular value. K clamps warn through _clamp with notes.
     With out, an (N+p) x (N+p) buffer, the same-kind blocks are written
     into its diagonal blocks and returned as views of it.
     """
@@ -156,8 +157,10 @@ def _blocks(values, f, s, cfg, notes=None, out=None):
     X_s = values if s == f.r else truncate(f, s)
     N, p = X_s.shape
     D_sv = sample_variable_diss(X_s, float(f.singular_values[0]))
-    Ks = _clamp_k(cfg.k_samples, p, "samples pairs", notes)
-    Kv = _clamp_k(cfg.resolved_k_variables(), N, "variables pairs", notes)
+    Ks = _clamp(cfg.k_samples, p, "K",
+                "available intermediaries for samples pairs", notes)
+    Kv = _clamp(cfg.resolved_k_variables(), N, "K",
+                "available intermediaries for variables pairs", notes)
     SS = within_kind_diss(D_sv, Ks, "samples",
                           identical_index_groups(X_s, axis=0),
                           out=None if out is None else out[:N, :N])

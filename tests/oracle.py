@@ -6,7 +6,7 @@
 import numpy as np
 
 from cumbia import JointDissimilarity, ParameterError, sample_variable_diss
-from cumbia.dissimilarity import _clamp_k, identical_index_groups
+from cumbia.dissimilarity import _clamp, identical_index_groups
 
 ORACLE_SIZE_LIMIT = 50
 
@@ -41,12 +41,12 @@ def graph_oracle(X_s, lambda1, K):
             total += paths[t][0]
         return total / K
 
-    Ks = _clamp_k(K, p, "samples pairs")
+    Ks = _clamp(K, p, "K", "available intermediaries for samples pairs")
     for i in range(N):
         for j in range(i + 1, N):
             paths = [(w[i, k] + w[j, k], k) for k in range(p)]
             values[i, j] = values[j, i] = k_smallest_mean(paths, Ks)
-    Kv = _clamp_k(K, N, "variables pairs")
+    Kv = _clamp(K, N, "K", "available intermediaries for variables pairs")
     for a in range(p):
         for b in range(a + 1, p):
             paths = [(w[k, a] + w[k, b], k) for k in range(N)]

@@ -122,11 +122,21 @@ def test_k_clamp_warns_once_per_run():
     for _ in range(2):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            # later rounds keep fewer than 6 variables and fewer than 6 samples
-            shave(X, CumbiaConfig(k_samples=6), k0=2, drop_fraction=0.3)
+            # rounds keep 8, 5, 3, 2 samples and 10, 7, 4, 2 variables: K=6
+            # clamps from round 2 on, s=6 above the rank from round 2 on,
+            # K0=4 among 3 or fewer others of each kind from round 3 on
+            trace = shave(X, CumbiaConfig(k_samples=6, s=6), k0=4,
+                          drop_fraction=0.3)
+        assert [step.sample_indices.size for step in trace.steps] \
+            == [8, 5, 3, 2]
         messages = [str(w.message) for w in caught]
         assert sum("samples pairs" in m for m in messages) == 1
         assert sum("variables pairs" in m for m in messages) == 1
+        assert sum(m.startswith("s=6 ") for m in messages) == 1
+        assert sum("K0=4" in m and "other samples" in m for m in messages) == 1
+        assert sum("K0=4" in m and "other variables" in m
+                   for m in messages) == 1
+        assert len(messages) == 5
 
 
 def test_scores_align_with_survivors():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from cumbia import DataMatrix, JointDissimilarity, load_table, write_dissimilarity
-from cumbia.cli import _write_coords, _write_matrix, main
+from cumbia.cli import _write_coords, _write_matrix, build_parser, main
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -81,6 +82,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "surprise" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["pca", "--plot", "--component-x", "0"],
+        ["cumbia", "--plot", "--component-y", "0"],
+        # beyond the embedding's dims: rejected by the plot's range check
+        ["cumbia", "--plot", "--dims", "2", "--component-x", "3"],
+    ])
+    def test_rejected_component_writes_nothing(self, tmp_path, small_table,
+                                               argv):
+        out = str(tmp_path / "b.csv")
+        assert main(argv + ["--in", str(small_table), "--out", out]) == 1
+        assert os.listdir(tmp_path) == ["small.csv"]
 
 
 class TestSynth:
@@ -233,6 +246,15 @@ class TestShaveCommand:
         assert len(first) == 6 + 9
 
 
+def flag_names(command):
+    """The --flags the parser declares for one subcommand, --help aside."""
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {flag for action in sub.choices[command]._actions
+            for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"}
+
+
 class TestManifestReproducibility:
     def rebuild_argv(self, manifest):
         args = [manifest["command"]]
@@ -246,17 +268,39 @@ class TestManifestReproducibility:
                 args.extend([flag, str(value)])
         return args
 
-    def test_rerun_from_manifest_is_identical(self, tmp_path, small_table):
-        first = run_cli(["cumbia", "--in", str(small_table), "--out", "e.csv",
-                         "--k", "2", "--dims", "2"], tmp_path)
-        assert first.returncode == 0
-        out = (tmp_path / "e.csv").read_bytes()
-        manifest = json.loads((tmp_path / "e.csv.manifest.json").read_text())
-        argv = self.rebuild_argv(manifest)
-        os.remove(tmp_path / "e.csv")
-        second = run_cli(argv, tmp_path)
-        assert second.returncode == 0
-        assert (tmp_path / "e.csv").read_bytes() == out
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--out", "m.csv", "--seed", "5", "--labels", "g.csv"],
+        ["preprocess", "--in", "const.csv", "--out", "z.csv",
+         "--steps", "zscore", "--zero-variance", "drop"],
+        ["cumbia", "--in", "small.csv", "--out", "e.csv", "--s", "3",
+         "--k-vars", "2", "--dims", "2", "--plot"],
+        ["pca", "--in", "small.csv", "--out", "b.csv", "--alpha", "0.5",
+         "--plot", "--component-x", "2"],
+        ["scree", "--in", "small.csv", "--out", "sc.txt", "--mode", "pca"],
+        ["scree", "--in", "small.csv", "--out", "sc.txt", "--mode", "cumbia"],
+        ["shave", "--in", "small.csv", "--out", "tr.csv",
+         "--min-objects", "3"],
+    ], ids=["synth", "preprocess", "cumbia", "pca", "scree-pca",
+            "scree-cumbia", "shave"])
+    def test_rerun_from_manifest_is_identical(self, tmp_path, small_table,
+                                              argv):
+        # small.csv with a constant last column, which --zero-variance drops
+        lines = small_table.read_text().splitlines()
+        (tmp_path / "const.csv").write_text("\n".join(
+            [lines[0] + ",c"] + [line + ",1.5" for line in lines[1:]]) + "\n")
+        out = argv[argv.index("--out") + 1]
+        assert run_cli(argv, tmp_path).returncode == 0
+        manifest_path = tmp_path / (out + ".manifest.json")
+        manifest = json.loads(manifest_path.read_text())
+        assert {"--" + key.replace("_", "-") for key in manifest["parameters"]} \
+            == flag_names(argv[0])
+        written = [tmp_path / path for path in manifest["outputs"]]
+        written.append(manifest_path)
+        before = [path.read_bytes() for path in written]
+        for path in written:
+            path.unlink()
+        assert run_cli(self.rebuild_argv(manifest), tmp_path).returncode == 0
+        assert [path.read_bytes() for path in written] == before
 
 
 # values whose shortest round-trip text is easy to get wrong

@@ -5,7 +5,9 @@
 Runs synth, preprocess (filter-log2, zscore and both), pca --plot, scree in
 both modes, cumbia --plot and shave through cumbia.cli.main, in comma and
 tab form, with one input in variables-rows orientation, one with empty,
-missing and whitespace-padded cells and one with a numeric missing token.
+missing and whitespace-padded cells, one with a numeric missing token and
+one with a constant column. Every flag a manifest records is given a
+non-default value at least once.
 Prints one "name sha256" line per output and manifest, sorted by name.
 Manifests record absolute paths, so to compare two checkouts run this
 script from each of them on the same D and compare the printed lines.
@@ -26,9 +28,13 @@ import cumbia.cli  # noqa: E402
 from cumbia._fsio import sha256_file  # noqa: E402
 
 
-def raw_table(seed, N=12, p=40, missing="NA", delim=",", transpose=False):
-    """Positive values with a missing, an empty, a padded and a negative cell."""
+def raw_table(seed, N=12, p=40, missing="NA", delim=",", transpose=False,
+              constant=False):
+    """Positive values with a missing, an empty, a padded and a negative cell,
+    and with constant, a first column that is 4.0 throughout."""
     values = np.exp2(np.random.default_rng(seed).normal(3, 1, (N, p)))
+    if constant:
+        values[:, 0] = 4.0
     cells = [list(map(repr, row)) for row in values.tolist()]
     cells[1][2], cells[4][5], cells[6][7] = missing, "", f" {cells[6][7]} "
     cells[3][9] = "-1.5"
@@ -55,6 +61,7 @@ def chain(d):
         ["preprocess", *io("raw.csv", "log.csv", "--steps", "filter-log2")],
         ["preprocess", *io("log.csv", "z.csv", "--steps", "zscore")],
         ["preprocess", *io("raw999.csv", "z999.csv", "--missing", "-999")],
+        ["preprocess", *io("raw_c.csv", "zc.csv", "--zero-variance", "drop")],
         ["preprocess", *io("raw_t.tsv", "zt.tsv", "--orient", "variables-rows",
                            *tab)],
         ["pca", *io("z.csv", "pca.csv", "--plot", "--alpha", "0.5")],
@@ -62,7 +69,12 @@ def chain(d):
         ["scree", *io("z.csv", "scree_cumbia.txt", "--mode", "cumbia")],
         ["cumbia", *io("z.csv", "emb.csv", "--plot", "--dims", "3")],
         ["cumbia", *io("zt.tsv", "emb_t.tsv", "--k", "2", "--dims", "2", *tab)],
+        ["cumbia", *io("synth_z.csv", "synth_emb.csv", "--plot", "--labels",
+                       os.path.join(d, "groups.csv"), "--component-x", "2",
+                       "--component-y", "3", "--s", "3", "--k-vars", "2")],
         ["shave", *io("z.csv", "shave.csv")],
+        ["shave", *io("z.csv", "shave_s3.csv", "--s", "3", "--k-vars", "2",
+                      "--drop-fraction", "0.25", "--min-objects", "3")],
         ["shave", *io("zt.tsv", "shave_t.tsv", "--k0", "2", *tab)],
     ]
 
@@ -78,6 +90,7 @@ def main():
         "raw.csv": raw_table(1),
         "raw999.csv": raw_table(2, missing="-999"),
         "raw_t.tsv": raw_table(3, delim="\t", transpose=True),
+        "raw_c.csv": raw_table(4, constant=True),
     }
     for name, text in inputs.items():
         with open(os.path.join(d, name), "w", encoding="utf-8") as handle:
