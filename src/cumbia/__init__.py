@@ -46,7 +46,7 @@ from .ingest import (
     t_statistic,
     zscore_variables,
 )
-from .matrix_core import DataMatrix, SvdFactors, frobenius_norm, svd, truncate
+from .matrix_core import DataMatrix, SvdFactors, svd, truncate
 from .plot import emit_scatter
 
 __all__ = [
@@ -72,7 +72,6 @@ __all__ = [
     "emit_scatter",
     "f_statistic",
     "filter_and_log2",
-    "frobenius_norm",
     "joint_matrix",
     "load_table",
     "pca_biplot",

@@ -8,16 +8,16 @@ import numpy as np
 
 
 def atomic_write_text(path, text):
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write(path, (text,))
 
 
-def atomic_write_bytes(path, data):
-    """Write to a temp file in the target directory, then rename over path."""
+def atomic_write(path, chunks):
+    """Write text chunks to a temp file beside path, then rename it over path."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-cumbia-")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(chunks)
         os.chmod(tmp, 0o644)
         os.replace(tmp, path)
     except BaseException:
@@ -30,15 +30,19 @@ def write_table(path, header, first_cells, values, delim, missing="nan"):
     """Write a header line, then per row its first cell and its values.
 
     A value is written as repr of its Python float, the shortest text that
-    reads back as the same double; NaN is written as `missing`.
+    reads back as the same double; NaN is written as `missing`. Each line
+    goes to the file as it is made, so one row of text is held at a time.
     """
+    atomic_write(path, _table_lines(header, first_cells, values, delim, missing))
+
+
+def _table_lines(header, first_cells, values, delim, missing):
     values = np.asarray(values, dtype=np.float64)
-    lines = [delim.join(header)]
+    yield delim.join(header) + "\n"
     for first, row, nan in zip(first_cells, values, np.isnan(values).any(axis=1)):
         row = row.tolist()
         text = [missing if v != v else repr(v) for v in row] if nan else map(repr, row)
-        lines.append(delim.join([first, *text]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        yield delim.join([first, *text]) + "\n"
 
 
 def sha256_file(path):

@@ -63,19 +63,6 @@ def load_table(path, delimiter=",", orientation="samples-rows",
             f"orientation must be samples-rows or variables-rows, "
             f"not {orientation!r}"
         )
-    try:
-        handle = open(path, "r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        rows = [row for row in csv.reader(handle, delimiter=delimiter) if row]
-    if len(rows) < 2:
-        raise InputError(f"{path}: need a header row and at least one data row")
-    header = [cell.strip() for cell in rows[0]]
-    width = len(header)
-    if width < 2:
-        raise InputError(f"{path}: need a label column and at least one value column")
-    column_labels = header[1:]
     # float() strips whitespace as the per-cell loop does, so a row it parses
     # whole reads the same, unless the missing token is a number (say -999)
     try:
@@ -83,30 +70,47 @@ def load_table(path, delimiter=",", orientation="samples-rows",
         whole_rows = False
     except (TypeError, ValueError):
         whole_rows = True
-    row_labels, cells = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise InputError(
-                f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
-            )
-        row_labels.append(row[0].strip())
-        if whole_rows:
-            try:
-                cells.append(list(map(float, row[1:])))
-                continue
-            except ValueError:
-                pass  # a missing or bad cell: parse this row cell by cell
-        parsed = []
-        for col, cell in enumerate(row[1:], start=1):
-            cell = cell.strip()
-            try:
-                parsed.append(math.nan if cell in (missing_token, "") else float(cell))
-            except ValueError:
+    try:
+        handle = open(path, "r", encoding="utf-8-sig", newline="")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    with handle:
+        # each row becomes an array as csv yields it: one row of text at a time
+        rows = filter(None, csv.reader(handle, delimiter=delimiter))
+        header = [cell.strip() for cell in next(rows, [])]
+        width = len(header)
+        column_labels = header[1:]
+        row_labels, cells = [], []
+        for lineno, row in enumerate(rows, start=2):
+            # checked once a data row exists: a lone header reports that first
+            if width < 2:
                 raise InputError(
-                    f"{path}: line {lineno}, column {header[col]!r}: "
-                    f"cell {cell!r} is not numeric"
-                ) from None
-        cells.append(parsed)
+                    f"{path}: need a label column and at least one value column")
+            if len(row) != width:
+                raise InputError(
+                    f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
+                )
+            row_labels.append(row[0].strip())
+            if whole_rows:
+                try:
+                    cells.append(np.array(list(map(float, row[1:]))))
+                    continue
+                except ValueError:
+                    pass  # a missing or bad cell: parse this row cell by cell
+            parsed = []
+            for col, cell in enumerate(row[1:], start=1):
+                cell = cell.strip()
+                try:
+                    parsed.append(
+                        math.nan if cell in (missing_token, "") else float(cell))
+                except ValueError:
+                    raise InputError(
+                        f"{path}: line {lineno}, column {header[col]!r}: "
+                        f"cell {cell!r} is not numeric"
+                    ) from None
+            cells.append(np.array(parsed))
+    if not cells:
+        raise InputError(f"{path}: need a header row and at least one data row")
     values = np.array(cells, dtype=np.float64)
     if orientation == "variables-rows":
         values = values.T.copy()

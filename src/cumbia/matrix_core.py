@@ -119,10 +119,3 @@ def truncate(f, s):
     if not 1 <= s <= f.r:
         raise ParameterError(f"truncation rank {s} outside [1, {f.r}]")
     return (f.U[:, :s] * f.singular_values[:s]) @ f.V[:, :s].T
-
-
-def frobenius_norm(A):
-    """Square root of the sum of squared entries."""
-    M = _as_float_matrix(np.atleast_2d(A))
-    require_finite(M)
-    return float(np.linalg.norm(M))

@@ -3,11 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cumbia import DataMatrix, JointDissimilarity, load_table, write_dissimilarity
+from cumbia import (DataMatrix, JointDissimilarity, load_table, synth_block,
+                    write_dissimilarity, zscore_variables)
+from cumbia._fsio import write_table
 from cumbia.cli import _write_coords, _write_matrix, build_parser, main
 
 
@@ -364,3 +367,33 @@ class TestWritersByteIdentity:
                 for k, l in zip(kinds, labels)]
         expected = reference_table(["object"] + tags, tags, D, ",", "nan")
         assert (tmp_path / "d").read_text() == expected
+
+    def test_failed_write_keeps_target_and_leaves_no_temp(self, tmp_path,
+                                                          values):
+        target = tmp_path / "m"
+        _write_matrix(DataMatrix(values), str(target), ",")
+        before = target.read_bytes()
+        temps = []
+
+        def first_cells():
+            yield from ("r1", "r2")
+            temps.extend(tmp_path.glob(".tmp-cumbia-*"))
+            raise RuntimeError("row 3")
+
+        with pytest.raises(RuntimeError, match="row 3"):
+            write_table(str(target), ["id"] + ["c"] * values.shape[1],
+                        first_cells(), values, ",")
+        assert len(temps) == 1  # the table was being written, row by row
+        assert target.read_bytes() == before
+        assert [path.name for path in tmp_path.iterdir()] == ["m"]
+
+
+def test_write_matrix_peak_memory_below_the_matrix(tmp_path):
+    X = zscore_variables(synth_block(40, 2000, seed=3)[0])
+    tracemalloc.start()
+    try:
+        _write_matrix(X, str(tmp_path / "m.csv"), ",")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= X.values.nbytes, peak / X.values.nbytes

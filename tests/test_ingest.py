@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from cumbia import (
     t_statistic,
     zscore_variables,
 )
+from cumbia._fsio import write_table
 
 
 def write(tmp_path, text, name="t.csv"):
@@ -94,8 +97,52 @@ class TestLoadTable:
             load_table(str(tmp_path / "absent.csv"))
 
     def test_header_only_rejected(self, tmp_path):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="need a header row and at least one"):
             load_table(write(tmp_path, "id,g1\n"))
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "id\n"])
+    def test_no_data_row_rejected(self, tmp_path, text):
+        with pytest.raises(InputError, match="need a header row and at least one"):
+            load_table(write(tmp_path, text))
+
+    def test_label_column_only_rejected(self, tmp_path):
+        with pytest.raises(InputError, match="need a label column and at least"):
+            load_table(write(tmp_path, "id\nx\n"))
+
+    @pytest.mark.parametrize("token", ["NA", "-999"])
+    def test_orientations_read_the_same_cells(self, tmp_path, token):
+        rows = [["id", "g1", "g2", "g3"], ["s1", " 1.5 ", token, "-2e3"],
+                ["s2", "", "0.1", f" {token} "], ["s3", "7", "8", "9"]]
+        a = load_table(write(tmp_path, "".join(",".join(r) + "\n" for r in rows),
+                             "a.csv"), missing_token=token)
+        b = load_table(write(tmp_path, "".join(",".join(r) + "\n"
+                                               for r in zip(*rows)), "b.csv"),
+                       orientation="variables-rows", missing_token=token)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert np.isnan(a.values).sum() == 3
+        assert (a.sample_labels, a.variable_labels) == (
+            b.sample_labels, b.variable_labels)
+
+    @pytest.mark.parametrize("orientation", ["samples-rows", "variables-rows"])
+    def test_peak_memory_is_a_few_matrices(self, tmp_path, orientation):
+        X = zscore_variables(synth_block(40, 2000, seed=3)[0])
+        path = str(tmp_path / "t.csv")
+        if orientation == "samples-rows":
+            write_table(path, ["id", *X.variable_labels], X.sample_labels,
+                        X.values, ",")
+        else:
+            write_table(path, ["id", *X.sample_labels], X.variable_labels,
+                        X.values.T, ",")
+        tracemalloc.start()
+        try:
+            Y = load_table(path, orientation=orientation)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert Y.values.tobytes() == X.values.tobytes()
+        # one row of text at a time: the rows as arrays, the matrix and,
+        # for variables-rows, its transposed copy
+        assert peak <= 4 * X.values.nbytes, peak / X.values.nbytes
 
 
 class TestFilterAndLog2:

