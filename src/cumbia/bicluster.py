@@ -5,6 +5,11 @@ submatrix, scores every object by the mean of its K0 smallest distances to
 objects of the same kind (small score = tightly embedded), and removes the
 worst-scoring fraction of each kind. The full trace of nested
 sample-variable sets is returned; no single step is picked as the winner.
+
+One step's blocks at a time: a step builds its two same-kind blocks,
+scores them in place and keeps only the scores. No block outlives its
+step, so the peak is step 0's blocks, N^2 + p^2 float64 entries, plus
+arrays of N x p entries; two steps' blocks are never held together.
 """
 
 from dataclasses import dataclass, field
@@ -14,8 +19,15 @@ import numpy as np
 
 from ._kernels import _mean_k_smallest
 from .dissimilarity import CumbiaConfig, _blocks, _clamp
+from .embedding import _require_memory_for
 from .errors import ParameterError
 from .matrix_core import DataMatrix, require_finite, svd
+
+# resident peak of shave() in (N^2 + p^2) float64 buffers: the step-0
+# blocks plus the N x p arrays and kernel row buffers around them;
+# measured 1.10 above the pre-call RSS at 60 x 6000 and 1.22 at 60 x 3000,
+# falling with p (tools/wide_run.py --shave)
+RESIDENT_PEAK_BUFFERS = 1.1
 
 
 @dataclass
@@ -49,11 +61,14 @@ def _mean_k0_smallest(M, k0, kind, notes):
     return _mean_k_smallest(M, k)
 
 
-def _within_blocks(values, cfg, notes):
+def _step_scores(values, cfg, k0, notes):
+    """Sample and variable scores of one step; its blocks die on return."""
     f = svd(values)
     s = f.r if cfg.s is None else _clamp(
         cfg.s, f.r, "s", "nonzero singular values of the submatrix", notes)
-    return _blocks(values, f, s, cfg, notes)[1:]
+    _, SS, VV = _blocks(values, f, s, cfg, notes)
+    return (_mean_k0_smallest(SS, k0, "samples", notes),
+            _mean_k0_smallest(VV, k0, "variables", notes))
 
 
 def _worst(scores, count):
@@ -69,6 +84,9 @@ def shave(X, cfg=None, k0=3, drop_fraction=0.1, min_objects=2):
     scores computed on that submatrix. Removal per round is
     ceil(drop_fraction * count) of each kind, clamped so neither kind
     falls below min_objects; the loop stops once either kind reaches it.
+    Raises ParameterError before any SVD if the estimated resident peak,
+    RESIDENT_PEAK_BUFFERS (N^2 + p^2) float64 buffers, exceeds physical
+    memory.
     """
     if not isinstance(X, DataMatrix):
         X = DataMatrix(X)
@@ -84,6 +102,8 @@ def shave(X, cfg=None, k0=3, drop_fraction=0.1, min_objects=2):
         )
     if min_objects < 2:
         raise ParameterError(f"min_objects={min_objects} must be >= 2")
+    _require_memory_for(f"shaving {X.n_samples} x {X.n_variables}",
+                        RESIDENT_PEAK_BUFFERS, *X.values.shape)
 
     sample_idx = np.arange(X.n_samples)
     variable_idx = np.arange(X.n_variables)
@@ -91,9 +111,7 @@ def shave(X, cfg=None, k0=3, drop_fraction=0.1, min_objects=2):
     notes = set()  # clamps already warned about in this run
     while True:
         sub = X.values[np.ix_(sample_idx, variable_idx)]
-        SS, VV = _within_blocks(sub, cfg, notes)
-        s_scores = _mean_k0_smallest(SS, k0, "samples", notes)
-        v_scores = _mean_k0_smallest(VV, k0, "variables", notes)
+        s_scores, v_scores = _step_scores(sub, cfg, k0, notes)
         trace.steps.append(ShaveStep(
             sample_indices=sample_idx.copy(),
             variable_indices=variable_idx.copy(),

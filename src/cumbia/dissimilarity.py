@@ -87,7 +87,7 @@ def sample_variable_diss(X_s, lambda1):
             "bound the matrix entries"
         )
     np.maximum(rad, 0.0, out=rad)
-    return np.sqrt(rad)
+    return np.sqrt(rad, out=rad)
 
 
 def identical_index_groups(M, axis=0):

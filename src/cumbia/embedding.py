@@ -317,14 +317,17 @@ def _physical_memory_bytes():
         return None
 
 
-def _require_memory_for(n):
-    """Raise ParameterError if an n-object embedding cannot fit in memory."""
-    need = RESIDENT_PEAK_BUFFERS * n * n * 8
+def _require_memory_for(what, buffers, *sides):
+    """Raise ParameterError if what, whose measured resident peak is
+    buffers float64 arrays of sum(n^2 for n in sides) entries, cannot fit
+    in physical memory."""
+    need = buffers * sum(n * n for n in sides) * 8
     have = _physical_memory_bytes()
     if have is not None and need > have:
+        squares = " + ".join(f"{n}^2" for n in sides)
         raise ParameterError(
-            f"embedding {n} objects needs about {need / 2**30:.1f} GiB "
-            f"({RESIDENT_PEAK_BUFFERS} x {n}^2 float64), more than the "
+            f"{what} needs about {need / 2**30:.1f} GiB "
+            f"({buffers} x ({squares}) float64), more than the "
             f"{have / 2**30:.1f} GiB of physical memory"
         )
 
@@ -345,7 +348,8 @@ def cumbia(X, cfg=None, dims=3):
         X = DataMatrix(X)
     require_finite(X.values)
     _require_dims(dims)
-    _require_memory_for(sum(X.values.shape))
+    n = sum(X.values.shape)
+    _require_memory_for(f"embedding {n} objects", RESIDENT_PEAK_BUFFERS, n)
     if cfg is None:
         cfg = CumbiaConfig()
     f = svd(X)

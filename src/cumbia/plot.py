@@ -24,13 +24,14 @@ def _fmt(x):
     return f"{x:.4f}"
 
 
-def _gather(obj):
+def _gather(obj, component_x, component_y):
+    """The two plotted columns (copied alone), kinds and labels."""
     if isinstance(obj, Embedding):
-        coords = obj.coordinates
+        blocks = [obj.coordinates]
         kinds = list(obj.object_kinds)
         labels = list(obj.object_labels)
     elif isinstance(obj, BiplotCoordinates):
-        coords = np.vstack([obj.sample_coords, obj.variable_coords])
+        blocks = [obj.sample_coords, obj.variable_coords]
         n, p = obj.sample_coords.shape[0], obj.variable_coords.shape[0]
         kinds = ["sample"] * n + ["variable"] * p
         labels = [f"s{i + 1}" for i in range(n)] + [f"v{j + 1}" for j in range(p)]
@@ -38,7 +39,15 @@ def _gather(obj):
         raise ParameterError(
             "emit_scatter accepts an Embedding or BiplotCoordinates"
         )
-    return coords, kinds, labels
+    dims = blocks[0].shape[1]
+    for name, idx in (("component_x", component_x), ("component_y", component_y)):
+        if not 0 <= idx < dims:
+            raise ParameterError(
+                f"{name}={idx} out of range for {dims} available components"
+            )
+    xs = np.concatenate([b[:, component_x] for b in blocks])
+    ys = np.concatenate([b[:, component_y] for b in blocks])
+    return xs, ys, kinds, labels
 
 
 def _axis_scale(lo, hi, pixel_lo, pixel_hi):
@@ -60,19 +69,11 @@ def emit_scatter(obj, component_x=0, component_y=1, color_by=None, out=None):
     categories are assigned palette colors in sorted order. Without it,
     samples and variables get one hue each.
     """
-    coords, kinds, labels = _gather(obj)
-    dims = coords.shape[1]
-    for name, idx in (("component_x", component_x), ("component_y", component_y)):
-        if not 0 <= idx < dims:
-            raise ParameterError(
-                f"{name}={idx} out of range for {dims} available components"
-            )
+    xs, ys, kinds, labels = _gather(obj, component_x, component_y)
     if color_by is not None and len(color_by) != len(labels):
         raise ParameterError(
             f"{len(color_by)} colors for {len(labels)} objects"
         )
-    xs = coords[:, component_x]
-    ys = coords[:, component_y]
     to_px = _axis_scale(float(xs.min()), float(xs.max()),
                         MARGIN_LEFT, WIDTH - MARGIN_RIGHT)
     to_py = _axis_scale(float(ys.min()), float(ys.max()),
@@ -122,8 +123,8 @@ def emit_scatter(obj, component_x=0, component_y=1, color_by=None, out=None):
                 f'<path class="marker" d="{d}" stroke="{color}" '
                 f'stroke-width="1.4" fill="none">{title}</path>'
             )
-    parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    text = "\n".join(parts)
     if out is None:
         raise ParameterError("an output path is required")
     atomic_write_text(out, text)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,10 +9,16 @@ from cumbia import (
     CumbiaWarning,
     DataMatrix,
     ParameterError,
+    bicluster,
+    embedding,
+    sample_variable_diss,
     shave,
+    svd,
     synth_block,
+    within_kind_diss,
 )
 from cumbia.bicluster import _mean_k0_smallest
+from cumbia.dissimilarity import identical_index_groups
 
 
 def test_trace_is_strictly_nested():
@@ -173,3 +180,56 @@ def test_planted_block_recovered_on_small_instance():
     assert hit is not None
     planted = (np.sum(hit.sample_indices < 5) + np.sum(hit.variable_indices < 12))
     assert planted / 17 >= 0.8
+
+
+def test_scores_match_public_functions_on_each_step():
+    X, _ = synth_block(N=12, p=30, n_planted=3, p_planted=6, seed=13)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CumbiaWarning)
+        trace = shave(X, CumbiaConfig(), k0=3, drop_fraction=0.2)
+        for step in trace.steps:
+            sub = X.values[np.ix_(step.sample_indices, step.variable_indices)]
+            D_sv = sample_variable_diss(sub, float(svd(sub).singular_values[0]))
+            for kind, axis, got in (("samples", 0, step.sample_scores),
+                                    ("variables", 1, step.variable_scores)):
+                M = within_kind_diss(D_sv, 3, kind,
+                                     identical_index_groups(sub, axis=axis))
+                expect = _k0_row_loop(M, 3)
+                assert got.tobytes() == expect.tobytes(), kind
+
+
+def test_peak_holds_one_step_of_blocks():
+    # the step-0 variables block is one p^2 buffer; holding step 1's
+    # blocks while step 0's are alive would make it about two
+    X, _ = synth_block(N=20, p=600, seed=0)
+    p = X.n_variables
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        shave(X)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * p * p * 8, f"peak {peak / (p * p * 8):.2f} p^2 buffers"
+
+
+class TestMemoryGuard:
+    def test_too_large_for_memory_raises_before_any_svd(self, monkeypatch):
+        # 60 x 20,000 needs about 3.3 GiB
+        monkeypatch.setattr(embedding, "_physical_memory_bytes",
+                            lambda: 3 * 2**30)
+        monkeypatch.setattr(bicluster, "svd", None)
+        with pytest.raises(ParameterError, match=r"3\.3 GiB.*3\.0 GiB"):
+            shave(np.zeros((60, 20000)))
+
+    def test_estimate_counts_both_square_blocks(self, monkeypatch):
+        X, _ = synth_block(N=6, p=8, n_planted=2, p_planted=2, seed=0)
+        need = bicluster.RESIDENT_PEAK_BUFFERS * (6 * 6 + 8 * 8) * 8
+        monkeypatch.setattr(embedding, "_physical_memory_bytes",
+                            lambda: int(need) - 1)
+        with pytest.raises(ParameterError, match="physical memory"):
+            shave(X)
+        monkeypatch.setattr(embedding, "_physical_memory_bytes",
+                            lambda: int(need) + 1)
+        assert len(shave(X).steps) > 1

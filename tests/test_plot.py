@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cumbia import (
+    BiplotCoordinates,
     CumbiaConfig,
     ParameterError,
     classical_mds,
@@ -67,6 +68,18 @@ def test_biplot_input(tmp_path):
     out = tmp_path / "bp.svg"
     emit_scatter(bp, 0, 1, out=str(out))
     assert out.read_text().count('class="marker"') == 7
+
+
+def test_biplot_columns_beyond_the_plotted_two_do_not_matter(tmp_path):
+    bp = pca_biplot(np.random.default_rng(5).standard_normal((6, 9)))
+    assert bp.s == 6
+    cut = BiplotCoordinates(bp.sample_coords[:, :2].copy(),
+                            bp.variable_coords[:, :2].copy(), bp.alpha, 2)
+    wide, narrow = tmp_path / "wide.svg", tmp_path / "narrow.svg"
+    emit_scatter(bp, 0, 1, out=str(wide))
+    emit_scatter(cut, 0, 1, out=str(narrow))
+    assert wide.read_bytes() == narrow.read_bytes()
+    assert wide.read_text().endswith("</svg>\n")
 
 
 def test_degenerate_range_still_renders(tmp_path):

@@ -1,18 +1,21 @@
-"""One cumbia() call at expression-data width, timed by stage.
+"""One cumbia() or shave() call at expression-data width, timed by stage.
 
     python3 tools/wide_run.py --out wide.json
     python3 tools/wide_run.py --out wide.json --shape 100 3000
+    python3 tools/wide_run.py --out wide.json --shave
 
-Runs cumbia() once on z-scored synth_block(N, p, seed=0): by default
-60 x 20,000, or 60 x 16,000 when MemAvailable is below the memory guard's
-estimate for 20,000 variables plus 1 GiB. A shape whose estimate plus
-1 GiB exceeds MemAvailable is skipped, not run. The run's record holds the
-wall time of each stage, the tracemalloc peak and the resident peak
-(ru_maxrss minus the RSS before the call), both in (N+p)^2 float64
-buffers; it is appended to the runs in --out, next to the machine facts.
-ru_maxrss is the peak of the whole process, so each run needs a process
-of its own. Stages are timed by wrapping the module-level functions
-cumbia() calls; the in-place squaring has no function of its own and is
+Runs cumbia(), or with --shave shave() at its defaults, once on z-scored
+synth_block(N, p, seed=0): by default 60 x 20,000, or 60 x 16,000 when
+MemAvailable is below the memory guard's estimate for 20,000 variables
+plus 1 GiB. A shape whose estimate plus 1 GiB exceeds MemAvailable is
+skipped, not run. The run's record holds the wall time of each stage, the
+tracemalloc peak and the resident peak (ru_maxrss minus the RSS before the
+call), both in float64 buffers of the size the call's memory guard counts:
+(N+p)^2 entries for cumbia(), N^2 + p^2 for shave(). It is appended to
+the runs in --out, next to the machine facts. ru_maxrss is the peak of the
+whole process, so each run needs a process of its own. Stages are timed
+by wrapping the module-level functions the call makes; cumbia()'s in-place
+squaring and shave()'s bookkeeping have no function of their own and are
 left in "other". Linux only: it reads /proc/meminfo and /proc/self/statm.
 """
 
@@ -32,23 +35,36 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 
 import cumbia  # noqa: E402
-from cumbia import dissimilarity, embedding  # noqa: E402
+from cumbia import bicluster, dissimilarity, embedding  # noqa: E402
 
 WIDE_SHAPES = ((60, 20000), (60, 16000))
 HEADROOM = 2**30
 
-# (module, function, span name; "kind" appends the kind argument)
+# (module, function, span name); a span name ending in "." gets the kind
+# argument appended
 STAGES = [
     (embedding, "svd", "svd"),
     (embedding, "joint_matrix", "joint_matrix"),
     (dissimilarity, "sample_variable_diss", "sample_variable_diss"),
     (dissimilarity, "identical_index_groups", "identical_index_groups"),
-    (dissimilarity, "within_kind_diss", "kind"),
+    (dissimilarity, "within_kind_diss", "within_kind_diss."),
     (embedding, "_require_symmetric", "symmetry_check"),
     (embedding, "_double_center_in_place", "double_center_in_place"),
     (embedding, "_embed_gram", "embed_gram"),
     (np.linalg, "eigvalsh", "eigvalsh"),
     (embedding, "_top_eigenvectors", "lanczos"),
+]
+# the stages no other stage of cumbia() calls; "other" is the rest
+TOP = ("svd", "joint_matrix", "symmetry_check", "double_center_in_place",
+       "embed_gram")
+# shave()'s stages call one another only through _blocks, which is not
+# timed, so every one of them is top-level
+SHAVE_STAGES = [
+    (bicluster, "svd", "svd"),
+    (dissimilarity, "sample_variable_diss", "sample_variable_diss"),
+    (dissimilarity, "identical_index_groups", "identical_index_groups"),
+    (dissimilarity, "within_kind_diss", "within_kind_diss."),
+    (bicluster, "_mean_k0_smallest", "k0_scores."),
 ]
 
 
@@ -66,14 +82,14 @@ def rss_bytes():
         return int(handle.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
-def install_timers(seconds):
+def install_timers(stages, seconds):
     originals = []
-    for module, name, span in STAGES:
+    for module, name, span in stages:
         func = getattr(module, name)
         originals.append((module, name, func))
 
         def timed(*args, _func=func, _span=span, **kwargs):
-            label = ("within_kind_diss." + args[2]) if _span == "kind" else _span
+            label = _span + args[2] if _span.endswith(".") else _span
             t0 = time.perf_counter()
             try:
                 return _func(*args, **kwargs)
@@ -99,20 +115,17 @@ def machine_facts(mem):
     }
 
 
-def run_once(N, p):
-    """Time one cumbia() call on the N x p input; return its record."""
-    X, _ = cumbia.synth_block(N=N, p=p, seed=0)
-    Z = cumbia.zscore_variables(X)
-    del X
-    n = N + p
-    buffer = 8 * n * n
+def timed_call(call, Z, stages, top, buffer):
+    """Run call(Z) once under the stage timers and tracemalloc; return its
+    result and the record of its time and memory, in buffers of buffer
+    bytes. top names the stages whose times "other" excludes."""
     seconds = {}
-    originals = install_timers(seconds)
+    originals = install_timers(stages, seconds)
     before = rss_bytes()
     tracemalloc.start()
     try:
         t0 = time.perf_counter()
-        emb = cumbia.cumbia(Z, dims=3)
+        result = call(Z)
         total = time.perf_counter() - t0
         traced = tracemalloc.get_traced_memory()[1]
     finally:
@@ -120,21 +133,57 @@ def run_once(N, p):
         for module, name, func in originals:
             setattr(module, name, func)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    top = ("svd", "joint_matrix", "symmetry_check",
-           "double_center_in_place", "embed_gram")
-    seconds["other"] = total - sum(seconds.get(k, 0.0) for k in top)
-    return {
-        "shape": [N, p],
-        "objects": n,
-        "buffer_gib": buffer / 2**30,
-        "guard_estimate_gib": embedding.RESIDENT_PEAK_BUFFERS * buffer / 2**30,
+    seconds["other"] = total - sum(
+        t for label, t in seconds.items() if label.split(".")[0] in top)
+    return result, {
         "call_s": total,
         "stage_s": seconds,
         "tracemalloc_peak_buffers": traced / buffer,
         "resident_peak_buffers": (peak - before) / buffer,
         "pre_call_rss_mib": before / 2**20,
+    }
+
+
+def wide_input(N, p):
+    X, _ = cumbia.synth_block(N=N, p=p, seed=0)
+    return cumbia.zscore_variables(X)
+
+
+def run_once(N, p):
+    """Time one cumbia() call on the N x p input; return its record."""
+    n = N + p
+    buffer = 8 * n * n
+    emb, timing = timed_call(lambda Z: cumbia.cumbia(Z, dims=3),
+                             wide_input(N, p), STAGES, TOP, buffer)
+    return {
+        "workload": "cumbia",
+        "shape": [N, p],
+        "objects": n,
+        "buffer_gib": buffer / 2**30,
+        "guard_estimate_gib": embedding.RESIDENT_PEAK_BUFFERS * buffer / 2**30,
+        **timing,
         "dims_used": emb.dims_used,
         "top_eigenvalues": emb.eigenvalues[:3].tolist(),
+    }
+
+
+def run_shave(N, p):
+    """Time one shave() call at its defaults on the N x p input; return
+    its record."""
+    buffer = 8 * (N * N + p * p)
+    top = [span.rstrip(".") for _, _, span in SHAVE_STAGES]
+    trace, timing = timed_call(cumbia.shave, wide_input(N, p), SHAVE_STAGES,
+                               top, buffer)
+    last = trace.steps[-1]
+    return {
+        "workload": "shave",
+        "shape": [N, p],
+        "buffer_gib": buffer / 2**30,
+        "guard_estimate_gib": bicluster.RESIDENT_PEAK_BUFFERS * buffer / 2**30,
+        **timing,
+        "steps": len(trace.steps),
+        "last_step_shape": [last.sample_indices.size,
+                            last.variable_indices.size],
     }
 
 
@@ -142,8 +191,16 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True)
     parser.add_argument("--shape", type=int, nargs=2, metavar=("N", "P"))
+    parser.add_argument("--shave", action="store_true",
+                        help="run shave() instead of cumbia()")
     args = parser.parse_args()
     warnings.simplefilter("ignore", cumbia.CumbiaWarning)
+    if args.shave:
+        run, guard = run_shave, bicluster.RESIDENT_PEAK_BUFFERS
+        cells = lambda N, p: N * N + p * p  # noqa: E731
+    else:
+        run, guard = run_once, embedding.RESIDENT_PEAK_BUFFERS
+        cells = lambda N, p: (N + p) ** 2  # noqa: E731
 
     record = {"runs": [], "skipped": []}
     if os.path.exists(args.out):
@@ -151,16 +208,17 @@ def main():
             record = json.load(handle)
     mem = meminfo()
     record["machine"] = machine_facts(mem)
-    record["resident_peak_buffers_constant"] = embedding.RESIDENT_PEAK_BUFFERS
+    key = "shave_" if args.shave else ""
+    record[key + "resident_peak_buffers_constant"] = guard
     for N, p in [tuple(args.shape)] if args.shape else WIDE_SHAPES:
-        n = N + p
-        need = embedding.RESIDENT_PEAK_BUFFERS * n * n * 8
+        need = guard * cells(N, p) * 8
         if mem["MemAvailable"] >= need + HEADROOM:
-            run = run_once(N, p)
-            run["MemAvailable_gib"] = mem["MemAvailable"] / 2**30
-            record["runs"].append(run)
+            result = run(N, p)
+            result["MemAvailable_gib"] = mem["MemAvailable"] / 2**30
+            record["runs"].append(result)
             break
         record["skipped"].append({
+            "workload": "shave" if args.shave else "cumbia",
             "shape": [N, p],
             "guard_estimate_gib": need / 2**30,
             "MemAvailable_gib": mem["MemAvailable"] / 2**30,
