@@ -9,18 +9,23 @@ The K smallest values are summed in ascending order and divided by K last,
 so every entry is a fixed sequence of floating-point operations and the
 result does not depend on how the selection is carried out.
 
+Each finished row of the upper triangle, i and the entries (i, j) for
+j > i, goes to a consumer. pair_mean_k_smallest's consumer writes the row
+and its mirror into the n x n result. pair_mean_k0_smallest's consumer
+keeps only each object's running k0 smallest entries, so the n x n matrix
+is never stored.
+
 Rows are split over one thread per CPU the process may run on, as long as
 each thread gets at least MIN_SUMS_PER_WORKER pair sums; smaller inputs run
 on the calling thread. Worker w of T handles the rows i with i % T == w,
 which interleaves long and short rows of the upper triangle so the workers
-get similar shares. The calling thread zeroes the diagonal first; row i
-fills out[i, i+1:] and out[i+1:, i] and nothing else, so no two workers
-write the same entry, and each entry is computed by the same arithmetic
-whichever worker computes it: the output bytes do not depend on the thread
-count. The threads overlap because np.add, np.partition and np.sort
-release the interpreter lock. They are started and joined inside each
-call, so no pool outlives a call, survives a fork or is shared by
-concurrent callers.
+get similar shares. Each entry is computed by the same arithmetic whichever
+worker computes it. The writer's workers write disjoint entries; the
+running lists are per worker and merged as a multiset at the end. So for
+either consumer the output bytes do not depend on the thread count. The
+threads overlap because np.add, np.partition and np.sort release the
+interpreter lock. They are started and joined inside each call, so no pool
+outlives a call, survives a fork or is shared by concurrent callers.
 """
 
 import os
@@ -34,6 +39,9 @@ from .errors import ParameterError
 # starting threads and handing the interpreter lock between them costs
 # more than the work they share
 MIN_SUMS_PER_WORKER = 1_000_000
+# rows a running-lists consumer buffers before merging them into its lists
+# with one partition
+PANEL_ROWS = 16
 
 
 def backend_name():
@@ -65,10 +73,11 @@ def _mean_k_smallest(rows, K):
     return acc
 
 
-def _fill_rows(R, K, out, first, step):
-    """Rows first, first + step, ... of the upper triangle and their mirror.
+def _fill_rows(R, K, consume, first, step):
+    """Hand rows first, first + step, ... of the upper triangle to consume.
 
-    One (n - 1) x m buffer holds each row's pair sums and is partitioned in
+    consume(i, acc) gets acc[j - i - 1] = entry (i, j) for j > i. One
+    (n - 1) x m buffer holds each row's pair sums and is partitioned in
     place, so a worker allocates it once instead of twice per row.
     """
     n, m = R.shape
@@ -76,9 +85,44 @@ def _fill_rows(R, K, out, first, step):
     for i in range(first, n - 1, step):
         sums = buf[:n - 1 - i]
         np.add(R[i], R[i + 1:], out=sums)
-        acc = _mean_k_smallest(sums, K)
-        out[i, i + 1:] = acc
-        out[i + 1:, i] = acc
+        consume(i, _mean_k_smallest(sums, K))
+
+
+def _run_rows(R, K, make_consumer):
+    """Compute every row of the upper triangle of R; return the consumers.
+
+    Starts one thread per CPU, as long as each gets MIN_SUMS_PER_WORKER
+    pair sums, and at least one. Consumer w of T, made by make_consumer(),
+    gets the rows i with i % T == w, on a thread of its own when T > 1.
+    """
+    R = np.ascontiguousarray(R, dtype=np.float64)
+    n, m = R.shape
+    if not 1 <= K <= m:
+        raise ParameterError(f"K={K} outside [1, {m}]")
+    pair_sums = n * (n - 1) // 2 * m
+    workers = max(1, min(_worker_count(), n - 1,
+                         pair_sums // MIN_SUMS_PER_WORKER))
+    consumers = [make_consumer() for _ in range(workers)]
+    if workers == 1:
+        _fill_rows(R, K, consumers[0], 0, 1)
+        return consumers
+    errors = []
+
+    def work(first):
+        try:
+            _fill_rows(R, K, consumers[first], first, workers)
+        except BaseException as exc:  # re-raised on the caller below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,))
+               for w in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return consumers
 
 
 def pair_mean_k_smallest(R, K, out=None):
@@ -91,10 +135,7 @@ def pair_mean_k_smallest(R, K, out=None):
     entry of out is written and out is returned; its prior contents do
     not matter.
     """
-    R = np.ascontiguousarray(R, dtype=np.float64)
-    n, m = R.shape
-    if not 1 <= K <= m:
-        raise ParameterError(f"K={K} outside [1, {m}]")
+    n = len(R)
     if out is None:
         out = np.empty((n, n), dtype=np.float64)
     elif out.shape != (n, n) or out.dtype != np.float64:
@@ -102,26 +143,77 @@ def pair_mean_k_smallest(R, K, out=None):
             f"out must be a {n} x {n} float64 array, got {out.shape} "
             f"{out.dtype}")
     np.fill_diagonal(out, 0.0)
-    pair_sums = n * (n - 1) // 2 * m
-    workers = max(1, min(_worker_count(), n - 1,
-                         pair_sums // MIN_SUMS_PER_WORKER))
-    if workers == 1:
-        _fill_rows(R, K, out, 0, 1)
-        return out
-    errors = []
 
-    def work(first):
-        try:
-            _fill_rows(R, K, out, first, workers)
-        except BaseException as exc:  # re-raised on the caller below
-            errors.append(exc)
+    def write(i, acc):
+        out[i, i + 1:] = acc
+        out[i + 1:, i] = acc
 
-    threads = [threading.Thread(target=work, args=(w,))
-               for w in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
+    _run_rows(R, K, lambda: write)
     return out
+
+
+class _RunningSmallest:
+    """One worker's running k0 smallest entries per object.
+
+    Rows are buffered in a PANEL_ROWS x n panel, inf where j <= i and 0
+    on the duplicate pairs that zero lists. A full panel is merged with
+    one partition: its transpose joins the running lists of the later
+    objects j. Each panel row's own k0 smallest go to row i of own, which
+    the workers share and write at disjoint rows.
+    """
+
+    def __init__(self, n, k0, zero, own):
+        self.k0 = k0
+        self.zero = zero
+        self.own = own
+        self.lists = np.full((n, k0 + PANEL_ROWS), np.inf)
+        self.panel = np.full((PANEL_ROWS, n), np.inf)
+        self.rows = []
+
+    def __call__(self, i, acc):
+        row = self.panel[len(self.rows)]
+        row[i + 1:] = acc
+        later = self.zero.get(i)
+        if later is not None:
+            row[later] = 0.0
+        self.rows.append(i)
+        if len(self.rows) == PANEL_ROWS:
+            self.flush()
+
+    def flush(self):
+        k0, b = self.k0, len(self.rows)
+        panel = self.panel[:b]
+        merged = self.lists[:, :k0 + b]
+        merged[:, k0:] = panel.T
+        merged.partition(k0 - 1, axis=1)
+        panel.partition(k0 - 1, axis=1)
+        self.own[self.rows] = panel[:, :k0]
+        panel.fill(np.inf)
+        self.rows = []
+
+
+def pair_mean_k0_smallest(R, K, k0, zero_groups=()):
+    """Per row i of R, the mean of its k0 smallest pair entries.
+
+    The entries are those of pair_mean_k_smallest(R, K) off the diagonal,
+    with the pairs inside each group of zero_groups set to 0. Equal to
+    _mean_k_smallest of that matrix with an inf diagonal, byte for byte,
+    without storing it: each object keeps a running list of its k0
+    smallest entries, and the k0 smallest of a multiset union of lists
+    are the k0 smallest of the whole row. Needs 1 <= k0 <= n - 1.
+    """
+    n = len(R)
+    if not 1 <= k0 <= n - 1:
+        raise ParameterError(f"K0={k0} outside [1, {n - 1}]")
+    zero = {}
+    for group in zero_groups:
+        group = sorted(group)
+        for t, i in enumerate(group[:-1]):
+            zero[i] = np.array(group[t + 1:])
+    own = np.full((n, k0), np.inf)
+    consumers = _run_rows(R, K, lambda: _RunningSmallest(n, k0, zero, own))
+    for c in consumers:
+        c.flush()
+    return _mean_k_smallest(
+        np.concatenate([own] + [c.lists[:, :k0] for c in consumers], axis=1),
+        k0)

@@ -6,10 +6,12 @@ objects of the same kind (small score = tightly embedded), and removes the
 worst-scoring fraction of each kind. The full trace of nested
 sample-variable sets is returned; no single step is picked as the winner.
 
-One step's blocks at a time: a step builds its two same-kind blocks,
-scores them in place and keeps only the scores. No block outlives its
-step, so the peak is step 0's blocks, N^2 + p^2 float64 entries, plus
-arrays of N x p entries; two steps' blocks are never held together.
+No same-kind block is built: the kernel hands each of its rows to
+running lists of every object's K0 smallest distances, and the scores come
+from those lists, byte for byte what scoring the stored blocks would give.
+The peak is a few N x p float64 arrays (the submatrix, its SVD factors,
+the sample-variable block and its transpose, one kernel row buffer per
+thread) plus the lists, a few dozen entries per object per thread.
 """
 
 from dataclasses import dataclass, field
@@ -17,17 +19,18 @@ from math import ceil
 
 import numpy as np
 
-from ._kernels import _mean_k_smallest
-from .dissimilarity import CumbiaConfig, _blocks, _clamp
+from ._kernels import pair_mean_k0_smallest
+from .dissimilarity import CumbiaConfig, _clamp, _kind_inputs
 from .embedding import _require_memory_for
 from .errors import ParameterError
 from .matrix_core import DataMatrix, require_finite, svd
 
-# resident peak of shave() in (N^2 + p^2) float64 buffers: the step-0
-# blocks plus the N x p arrays and kernel row buffers around them;
-# measured 1.10 above the pre-call RSS at 60 x 6000 and 1.22 at 60 x 3000,
-# falling with p (tools/wide_run.py --shave)
-RESIDENT_PEAK_BUFFERS = 1.1
+# resident peak of shave() in N x p float64 buffers: the step-0 N x p
+# arrays, and per kernel thread a row buffer and the running lists;
+# measured above the pre-call RSS at the default K0 = 3 with 2 threads:
+# 15.9 at 60 x 1500, 12.7 at 60 x 6000 and 11.4 at 60 x 20,000
+# (tools/wide_run.py --shave, BENCH_11.json)
+RESIDENT_PEAK_BUFFERS = 12
 
 
 @dataclass
@@ -47,28 +50,21 @@ class ShaveTrace:
     drop_fraction: float = 0.1
 
 
-def _mean_k0_smallest(M, k0, kind, notes):
-    """Per object, mean of its k0 smallest off-diagonal same-kind distances.
-
-    Works in place on M, which the caller must not need afterwards.
-    """
-    n = M.shape[0]
-    if n == 1:
-        return np.zeros(1)
-    k = _clamp(k0, n - 1, "K0", f"other {kind}", notes)
-    # the diagonal can never be among the k <= n - 1 smallest
-    np.fill_diagonal(M, np.inf)
-    return _mean_k_smallest(M, k)
+def _kind_scores(D_sv, K, kind, groups, k0, notes):
+    """Per object of kind, mean of its k0 smallest same-kind distances."""
+    R = D_sv if kind == "samples" else D_sv.T
+    k = _clamp(k0, R.shape[0] - 1, "K0", f"other {kind}", notes)
+    return pair_mean_k0_smallest(R, K, k, groups)
 
 
 def _step_scores(values, cfg, k0, notes):
-    """Sample and variable scores of one step; its blocks die on return."""
+    """Sample and variable scores of one step."""
     f = svd(values)
     s = f.r if cfg.s is None else _clamp(
         cfg.s, f.r, "s", "nonzero singular values of the submatrix", notes)
-    _, SS, VV = _blocks(values, f, s, cfg, notes)
-    return (_mean_k0_smallest(SS, k0, "samples", notes),
-            _mean_k0_smallest(VV, k0, "variables", notes))
+    D_sv, sides = _kind_inputs(values, f, s, cfg, notes)
+    return tuple(_kind_scores(D_sv, K, kind, groups, k0, notes)
+                 for kind, K, groups in sides)
 
 
 def _worst(scores, count):
@@ -85,8 +81,7 @@ def shave(X, cfg=None, k0=3, drop_fraction=0.1, min_objects=2):
     ceil(drop_fraction * count) of each kind, clamped so neither kind
     falls below min_objects; the loop stops once either kind reaches it.
     Raises ParameterError before any SVD if the estimated resident peak,
-    RESIDENT_PEAK_BUFFERS (N^2 + p^2) float64 buffers, exceeds physical
-    memory.
+    RESIDENT_PEAK_BUFFERS N x p float64 buffers, exceeds physical memory.
     """
     if not isinstance(X, DataMatrix):
         X = DataMatrix(X)
@@ -103,7 +98,7 @@ def shave(X, cfg=None, k0=3, drop_fraction=0.1, min_objects=2):
     if min_objects < 2:
         raise ParameterError(f"min_objects={min_objects} must be >= 2")
     _require_memory_for(f"shaving {X.n_samples} x {X.n_variables}",
-                        RESIDENT_PEAK_BUFFERS, *X.values.shape)
+                        RESIDENT_PEAK_BUFFERS, X.values.shape)
 
     sample_idx = np.arange(X.n_samples)
     variable_idx = np.arange(X.n_variables)

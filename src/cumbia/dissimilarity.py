@@ -143,13 +143,13 @@ def within_kind_diss(D_sv, K, kind, duplicate_groups=None, out=None):
     return out
 
 
-def _blocks(values, f, s, cfg, notes=None, out=None):
-    """Sample-variable block and both same-kind blocks at truncation rank s.
+def _kind_inputs(values, f, s, cfg, notes=None):
+    """Sample-variable block at truncation rank s and what each kind's
+    same-kind distances need.
 
     values is the matrix f factors, and 1 <= s <= f.r. lambda1 is always
-    the top singular value. K clamps warn through _clamp with notes.
-    With out, an (N+p) x (N+p) buffer, the same-kind blocks are written
-    into its diagonal blocks and returned as views of it.
+    the top singular value. Returns D_sv and, for samples then variables,
+    (kind, K, duplicate groups), with K clamped through _clamp with notes.
     """
     # rank-r truncation of X is X itself; reconstructing it through the
     # factors would only add rounding noise and break bitwise duplicate
@@ -161,13 +161,8 @@ def _blocks(values, f, s, cfg, notes=None, out=None):
                 "available intermediaries for samples pairs", notes)
     Kv = _clamp(cfg.resolved_k_variables(), N, "K",
                 "available intermediaries for variables pairs", notes)
-    SS = within_kind_diss(D_sv, Ks, "samples",
-                          identical_index_groups(X_s, axis=0),
-                          out=None if out is None else out[:N, :N])
-    VV = within_kind_diss(D_sv, Kv, "variables",
-                          identical_index_groups(X_s, axis=1),
-                          out=None if out is None else out[N:, N:])
-    return D_sv, SS, VV
+    return D_sv, (("samples", Ks, identical_index_groups(X_s, axis=0)),
+                  ("variables", Kv, identical_index_groups(X_s, axis=1)))
 
 
 def joint_matrix(X, f, cfg):
@@ -186,7 +181,10 @@ def joint_matrix(X, f, cfg):
         raise ParameterError(f"truncation rank s={s} outside [1, {f.r}]")
     N, p = X.values.shape
     values = np.empty((N + p, N + p), dtype=np.float64)
-    D_sv = _blocks(X.values, f, s, cfg, out=values)[0]
+    D_sv, sides = _kind_inputs(X.values, f, s, cfg)
+    for (kind, K, groups), block in zip(sides, (values[:N, :N],
+                                                values[N:, N:])):
+        within_kind_diss(D_sv, K, kind, groups, out=block)
     values[:N, N:] = D_sv
     values[N:, :N] = D_sv.T
     kinds = ["sample"] * N + ["variable"] * p

@@ -17,6 +17,7 @@ it to the same eigensolver step: at N+p = 3100 its tracemalloc peak is
 buffer being eigvalsh's internal copy of the Gram matrix.
 """
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -90,13 +91,15 @@ def _tile_pairs(n):
 def _require_symmetric(V):
     """Raise InputError unless V is square, finite and symmetric within
     1e-12, checked tile by tile (a NaN or inf entry makes its tile's
-    difference NaN or inf, which fails the comparison)."""
+    difference NaN or inf, which fails the comparison; numpy's warning
+    for inf - inf is silenced, since the error says it)."""
     if V.ndim != 2 or V.shape[0] != V.shape[1]:
         raise InputError("dissimilarity matrix must be square")
-    for rows, cols in _tile_pairs(V.shape[0]):
-        if not np.max(np.abs(V[rows, cols] - V[cols, rows].T)) <= 1e-12:
-            raise InputError("dissimilarity matrix is not finite and "
-                             "symmetric within 1e-12")
+    with np.errstate(invalid="ignore", over="ignore"):
+        for rows, cols in _tile_pairs(V.shape[0]):
+            if not np.max(np.abs(V[rows, cols] - V[cols, rows].T)) <= 1e-12:
+                raise InputError("dissimilarity matrix is not finite and "
+                                 "symmetric within 1e-12")
 
 
 def _double_center_in_place(C):
@@ -317,19 +320,24 @@ def _physical_memory_bytes():
         return None
 
 
-def _require_memory_for(what, buffers, *sides):
+def _require_memory_for(what, buffers, shape):
     """Raise ParameterError if what, whose measured resident peak is
-    buffers float64 arrays of sum(n^2 for n in sides) entries, cannot fit
-    in physical memory."""
-    need = buffers * sum(n * n for n in sides) * 8
+    buffers float64 arrays of the given shape, cannot fit in physical
+    memory."""
+    need = buffers * math.prod(shape) * 8
     have = _physical_memory_bytes()
     if have is not None and need > have:
-        squares = " + ".join(f"{n}^2" for n in sides)
         raise ParameterError(
-            f"{what} needs about {need / 2**30:.1f} GiB "
-            f"({buffers} x ({squares}) float64), more than the "
-            f"{have / 2**30:.1f} GiB of physical memory"
+            f"{what} needs about {_size(need)} ({buffers} x "
+            f"{' x '.join(map(str, shape))} float64), more than the "
+            f"{_size(have)} of physical memory"
         )
+
+
+def _size(nbytes):
+    if nbytes < 2**30:
+        return f"{nbytes / 2**20:.0f} MiB"
+    return f"{nbytes / 2**30:.1f} GiB"
 
 
 def cumbia(X, cfg=None, dims=3):
@@ -349,7 +357,8 @@ def cumbia(X, cfg=None, dims=3):
     require_finite(X.values)
     _require_dims(dims)
     n = sum(X.values.shape)
-    _require_memory_for(f"embedding {n} objects", RESIDENT_PEAK_BUFFERS, n)
+    _require_memory_for(f"embedding {n} objects", RESIDENT_PEAK_BUFFERS,
+                        (n, n))
     if cfg is None:
         cfg = CumbiaConfig()
     f = svd(X)

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import warnings
 
@@ -17,7 +18,9 @@ from cumbia import (
     synth_block,
     within_kind_diss,
 )
-from cumbia.bicluster import _mean_k0_smallest
+from cumbia import _kernels
+from cumbia._kernels import pair_mean_k0_smallest
+from cumbia.bicluster import _kind_scores
 from cumbia.dissimilarity import identical_index_groups
 
 
@@ -104,6 +107,18 @@ def _k0_row_loop(M, k0):
     return scores
 
 
+def _rows_for(M):
+    # R whose K=1 pair values are exactly M off the diagonal: one column
+    # per pair (a, b) holding M[a, b] / 2 in rows a and b and 10 elsewhere,
+    # above every level, so min_k R[a, k] + R[b, k] = M[a, b]
+    n = M.shape[0]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    R = np.full((n, len(pairs)), 10.0)
+    for col, (a, b) in enumerate(pairs):
+        R[a, col] = R[b, col] = M[a, b] / 2
+    return R
+
+
 @pytest.mark.parametrize("k0", [1, 2, 3, 8, 20, 29, 40])
 def test_mean_k0_smallest_matches_row_loop(k0):
     n = 30
@@ -113,15 +128,51 @@ def test_mean_k0_smallest_matches_row_loop(k0):
     M = levels[rng.integers(0, levels.size, size=(n, n))]
     M = M + M.T
     np.fill_diagonal(M, 0.0)
+    R = _rows_for(M)
+    assert within_kind_diss(R, 1, "samples").tobytes() == M.tobytes()
     # objects 0, 3 and 5 are duplicates: zero distance among them
     for a, b in ((0, 3), (0, 5), (3, 5)):
         M[a, b] = M[b, a] = 0.0
     expect = _k0_row_loop(M, k0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = _mean_k0_smallest(M.copy(), k0, "samples", set())
+        got = _kind_scores(R, 1, "samples", [[0, 3, 5]], k0, set())
     assert got.tobytes() == expect.tobytes()
     assert len(caught) == (1 if k0 >= n else 0)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_k0_scores_independent_of_worker_count(monkeypatch, workers):
+    # 70 rows over panels of 4: full and partial panels on every worker
+    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
+    monkeypatch.setattr(_kernels, "PANEL_ROWS", 4)
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: workers)
+    rng = np.random.default_rng(17)
+    R = np.array([0.0, 0.25, 0.5, 1.0])[rng.integers(0, 4, size=(70, 6))]
+    R[9] = R[2]
+    R[40] = R[2]
+    groups = identical_index_groups(R)
+    assert [2, 9, 40] in groups
+    # switch threads often, so a lost write to the shared lists would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for K in (1, 2, 6):
+            M = within_kind_diss(R, K, "samples", groups)
+            for k0 in (1, 2, 3, 8, 69):
+                got = pair_mean_k0_smallest(R, K, k0, groups)
+                assert got.tobytes() == _k0_row_loop(M, k0).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_k0_out_of_range_rejected():
+    R = np.ones((5, 3))
+    for k0 in (0, 5):
+        with pytest.raises(ParameterError, match="K0"):
+            pair_mean_k0_smallest(R, 2, k0)
+    with pytest.raises(ParameterError, match="K="):
+        pair_mean_k0_smallest(R, 4, 2)
 
 
 def test_k_clamp_warns_once_per_run():
@@ -198,11 +249,13 @@ def test_scores_match_public_functions_on_each_step():
                 assert got.tobytes() == expect.tobytes(), kind
 
 
-def test_peak_holds_one_step_of_blocks():
-    # the step-0 variables block is one p^2 buffer; holding step 1's
-    # blocks while step 0's are alive would make it about two
+def test_peak_holds_one_step_of_blocks(monkeypatch):
+    # no p x p block: the peak is a few N x p arrays plus, per kernel
+    # thread, a row buffer and running lists. Storing the step-0 variables
+    # block alone would be p / N = 30 such buffers
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)
     X, _ = synth_block(N=20, p=600, seed=0)
-    p = X.n_variables
+    Np = X.n_samples * X.n_variables
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -211,21 +264,21 @@ def test_peak_holds_one_step_of_blocks():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 1.4 * p * p * 8, f"peak {peak / (p * p * 8):.2f} p^2 buffers"
+    assert peak <= 13 * Np * 8, f"peak {peak / (Np * 8):.2f} N x p buffers"
 
 
 class TestMemoryGuard:
     def test_too_large_for_memory_raises_before_any_svd(self, monkeypatch):
-        # 60 x 20,000 needs about 3.3 GiB
+        # 60 x 20,000 needs about 110 MiB
         monkeypatch.setattr(embedding, "_physical_memory_bytes",
-                            lambda: 3 * 2**30)
+                            lambda: 100 * 2**20)
         monkeypatch.setattr(bicluster, "svd", None)
-        with pytest.raises(ParameterError, match=r"3\.3 GiB.*3\.0 GiB"):
+        with pytest.raises(ParameterError, match=r"110 MiB.*100 MiB"):
             shave(np.zeros((60, 20000)))
 
-    def test_estimate_counts_both_square_blocks(self, monkeypatch):
+    def test_estimate_counts_the_n_by_p_buffers(self, monkeypatch):
         X, _ = synth_block(N=6, p=8, n_planted=2, p_planted=2, seed=0)
-        need = bicluster.RESIDENT_PEAK_BUFFERS * (6 * 6 + 8 * 8) * 8
+        need = bicluster.RESIDENT_PEAK_BUFFERS * 6 * 8 * 8
         monkeypatch.setattr(embedding, "_physical_memory_bytes",
                             lambda: int(need) - 1)
         with pytest.raises(ParameterError, match="physical memory"):

@@ -11,7 +11,7 @@ plus 1 GiB. A shape whose estimate plus 1 GiB exceeds MemAvailable is
 skipped, not run. The run's record holds the wall time of each stage, the
 tracemalloc peak and the resident peak (ru_maxrss minus the RSS before the
 call), both in float64 buffers of the size the call's memory guard counts:
-(N+p)^2 entries for cumbia(), N^2 + p^2 for shave(). It is appended to
+(N+p)^2 entries for cumbia(), N x p for shave(). It is appended to
 the runs in --out, next to the machine facts. ru_maxrss is the peak of the
 whole process, so each run needs a process of its own. Stages are timed
 by wrapping the module-level functions the call makes; cumbia()'s in-place
@@ -57,14 +57,14 @@ STAGES = [
 # the stages no other stage of cumbia() calls; "other" is the rest
 TOP = ("svd", "joint_matrix", "symmetry_check", "double_center_in_place",
        "embed_gram")
-# shave()'s stages call one another only through _blocks, which is not
-# timed, so every one of them is top-level
+# shave()'s stages call one another only through _kind_inputs, which is
+# not timed, so every one of them is top-level; k0_scores is the kernel
+# with its running K0-smallest lists
 SHAVE_STAGES = [
     (bicluster, "svd", "svd"),
     (dissimilarity, "sample_variable_diss", "sample_variable_diss"),
     (dissimilarity, "identical_index_groups", "identical_index_groups"),
-    (dissimilarity, "within_kind_diss", "within_kind_diss."),
-    (bicluster, "_mean_k0_smallest", "k0_scores."),
+    (bicluster, "_kind_scores", "k0_scores."),
 ]
 
 
@@ -170,7 +170,7 @@ def run_once(N, p):
 def run_shave(N, p):
     """Time one shave() call at its defaults on the N x p input; return
     its record."""
-    buffer = 8 * (N * N + p * p)
+    buffer = 8 * N * p
     top = [span.rstrip(".") for _, _, span in SHAVE_STAGES]
     trace, timing = timed_call(cumbia.shave, wide_input(N, p), SHAVE_STAGES,
                                top, buffer)
@@ -197,7 +197,7 @@ def main():
     warnings.simplefilter("ignore", cumbia.CumbiaWarning)
     if args.shave:
         run, guard = run_shave, bicluster.RESIDENT_PEAK_BUFFERS
-        cells = lambda N, p: N * N + p * p  # noqa: E731
+        cells = lambda N, p: N * p  # noqa: E731
     else:
         run, guard = run_once, embedding.RESIDENT_PEAK_BUFFERS
         cells = lambda N, p: (N + p) ** 2  # noqa: E731
