@@ -18,7 +18,6 @@ from .dissimilarity import (
     joint_matrix,
     sample_variable_diss,
     within_kind_diss,
-    write_dissimilarity,
 )
 from .embedding import (
     BiplotCoordinates,
@@ -83,6 +82,5 @@ __all__ = [
     "t_statistic",
     "truncate",
     "within_kind_diss",
-    "write_dissimilarity",
     "zscore_variables",
 ]

@@ -9,9 +9,8 @@ sample-variable sets is returned; no single step is picked as the winner.
 No same-kind block is built: the kernel hands each of its rows to
 running lists of every object's K0 smallest distances, and the scores come
 from those lists, byte for byte what scoring the stored blocks would give.
-The peak is a few N x p float64 arrays (the submatrix, its SVD factors,
-the sample-variable block and its transpose, one kernel row buffer per
-thread) plus the lists, a few dozen entries per object per thread.
+The peak is a few N x p float64 arrays plus, per kernel thread, a row
+buffer and the lists (_peak_buffers).
 """
 
 from dataclasses import dataclass, field
@@ -19,18 +18,19 @@ from math import ceil
 
 import numpy as np
 
-from ._kernels import pair_mean_k0_smallest
+from . import _kernels
+from ._kernels import PANEL_ROWS, pair_mean_k0_smallest
 from .dissimilarity import CumbiaConfig, _clamp, _kind_inputs
 from .embedding import _require_memory_for
 from .errors import ParameterError
 from .matrix_core import DataMatrix, require_finite, svd
 
-# resident peak of shave() in N x p float64 buffers: the step-0 N x p
-# arrays, and per kernel thread a row buffer and the running lists;
-# measured above the pre-call RSS at the default K0 = 3 with 2 threads:
-# 15.9 at 60 x 1500, 12.7 at 60 x 6000 and 11.4 at 60 x 20,000
-# (tools/wide_run.py --shave, BENCH_11.json)
-RESIDENT_PEAK_BUFFERS = 12
+# _peak_buffers' measured parts, fixed and per kernel thread (a row buffer
+# and what the thread's allocator keeps), from the resident peak at K0 = 3
+# with 1 and 2 threads, lists apart: 2.8 + 4.5 per thread at 60 x 6000 and
+# 2.5 + 4.2 at 60 x 20,000 (BENCH_12.json), 1.2 + 5.3 in a 6000 repeat
+FIXED_PEAK_BUFFERS = 2.5
+THREAD_PEAK_BUFFERS = 5.5
 
 
 @dataclass
@@ -67,6 +67,16 @@ def _step_scores(values, cfg, k0, notes):
                  for kind, K, groups in sides)
 
 
+def _peak_buffers(shape, k0):
+    """shave()'s estimated resident peak in N x p float64 buffers: the
+    measured parts plus, per object of the larger kind, the entries of the
+    running lists (K0 + 2 PANEL_ROWS per thread) and of their final merge
+    (K0 per thread, and 2 K0 for the shared own lists and their copy)."""
+    threads = _kernels._worker_count()
+    lists = (threads * (2 * k0 + 2 * PANEL_ROWS) + 2 * k0) / min(shape)
+    return FIXED_PEAK_BUFFERS + threads * THREAD_PEAK_BUFFERS + lists
+
+
 def _worst(scores, count):
     # ties broken by index ascending: lexsort's last key dominates
     order = np.lexsort((np.arange(scores.size), -scores))
@@ -81,7 +91,7 @@ def shave(X, cfg=None, k0=3, drop_fraction=0.1, min_objects=2):
     ceil(drop_fraction * count) of each kind, clamped so neither kind
     falls below min_objects; the loop stops once either kind reaches it.
     Raises ParameterError before any SVD if the estimated resident peak,
-    RESIDENT_PEAK_BUFFERS N x p float64 buffers, exceeds physical memory.
+    _peak_buffers N x p float64 buffers, exceeds physical memory.
     """
     if not isinstance(X, DataMatrix):
         X = DataMatrix(X)
@@ -98,7 +108,7 @@ def shave(X, cfg=None, k0=3, drop_fraction=0.1, min_objects=2):
     if min_objects < 2:
         raise ParameterError(f"min_objects={min_objects} must be >= 2")
     _require_memory_for(f"shaving {X.n_samples} x {X.n_variables}",
-                        RESIDENT_PEAK_BUFFERS, X.values.shape)
+                        _peak_buffers(X.values.shape, k0), X.values.shape)
 
     sample_idx = np.arange(X.n_samples)
     variable_idx = np.arange(X.n_variables)

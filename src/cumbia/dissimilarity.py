@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fsio import write_table
 from ._kernels import pair_mean_k_smallest
 from .errors import CumbiaWarning, InvariantViolation, ParameterError
 from .matrix_core import DataMatrix, truncate
@@ -64,10 +63,6 @@ class JointDissimilarity:
             raise ParameterError("dissimilarity matrix must be square")
         if len(self.object_kinds) != n or len(self.object_labels) != n:
             raise ParameterError("kind and label lists must match matrix size")
-
-    @property
-    def n_objects(self):
-        return self.values.shape[0]
 
 
 def sample_variable_diss(X_s, lambda1):
@@ -191,14 +186,3 @@ def joint_matrix(X, f, cfg):
     labels = list(X.sample_labels) + list(X.variable_labels)
     return JointDissimilarity(values=values, object_kinds=kinds,
                               object_labels=labels)
-
-
-def write_dissimilarity(D, path, delimiter=","):
-    """Export the full symmetric matrix as delimited text.
-
-    The header row holds object labels prefixed with "s:" or "v:" by kind;
-    each body row repeats the prefixed label in the first column.
-    """
-    tagged = [("s:" if kind == "sample" else "v:") + label
-              for kind, label in zip(D.object_kinds, D.object_labels)]
-    write_table(path, ["object", *tagged], tagged, D.values, delimiter)

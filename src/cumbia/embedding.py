@@ -328,7 +328,7 @@ def _require_memory_for(what, buffers, shape):
     have = _physical_memory_bytes()
     if have is not None and need > have:
         raise ParameterError(
-            f"{what} needs about {_size(need)} ({buffers} x "
+            f"{what} needs about {_size(need)} ({buffers:.3g} x "
             f"{' x '.join(map(str, shape))} float64), more than the "
             f"{_size(have)} of physical memory"
         )

@@ -166,6 +166,22 @@ def test_k0_scores_independent_of_worker_count(monkeypatch, workers):
         sys.setswitchinterval(interval)
 
 
+def test_k0_scores_with_rows_longer_than_sort_columns():
+    # n - 1 > SORT_COLUMNS: each panel row is partitioned, while the
+    # merged running lists, k0 + PANEL_ROWS entries, are sorted whole
+    n = _kernels.SORT_COLUMNS + 44
+    assert _kernels.PANEL_ROWS + 3 <= _kernels.SORT_COLUMNS
+    rng = np.random.default_rng(19)
+    R = np.array([0.0, 0.25, 0.5, 1.0])[rng.integers(0, 4, size=(n, 5))]
+    R[200] = R[7]
+    groups = identical_index_groups(R)
+    for K in (1, 3):
+        M = within_kind_diss(R, K, "samples", groups)
+        for k0 in (1, 3):
+            got = pair_mean_k0_smallest(R, K, k0, groups)
+            assert got.tobytes() == _k0_row_loop(M, k0).tobytes()
+
+
 def test_k0_out_of_range_rejected():
     R = np.ones((5, 3))
     for k0 in (0, 5):
@@ -269,16 +285,18 @@ def test_peak_holds_one_step_of_blocks(monkeypatch):
 
 class TestMemoryGuard:
     def test_too_large_for_memory_raises_before_any_svd(self, monkeypatch):
-        # 60 x 20,000 needs about 110 MiB
+        # 60 x 20,000 needs about 136 MiB with two kernel threads
+        monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)
         monkeypatch.setattr(embedding, "_physical_memory_bytes",
                             lambda: 100 * 2**20)
         monkeypatch.setattr(bicluster, "svd", None)
-        with pytest.raises(ParameterError, match=r"110 MiB.*100 MiB"):
+        with pytest.raises(ParameterError, match=r"136 MiB.*100 MiB"):
             shave(np.zeros((60, 20000)))
 
     def test_estimate_counts_the_n_by_p_buffers(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)
         X, _ = synth_block(N=6, p=8, n_planted=2, p_planted=2, seed=0)
-        need = bicluster.RESIDENT_PEAK_BUFFERS * 6 * 8 * 8
+        need = bicluster._peak_buffers((6, 8), 3) * 6 * 8 * 8
         monkeypatch.setattr(embedding, "_physical_memory_bytes",
                             lambda: int(need) - 1)
         with pytest.raises(ParameterError, match="physical memory"):
@@ -286,3 +304,31 @@ class TestMemoryGuard:
         monkeypatch.setattr(embedding, "_physical_memory_bytes",
                             lambda: int(need) + 1)
         assert len(shave(X).steps) > 1
+
+    @pytest.mark.parametrize("small, large", [((1, 3), (2, 3)),
+                                              ((2, 3), (3, 3)),
+                                              ((2, 3), (2, 200))])
+    def test_estimate_grows_with_threads_and_k0(self, monkeypatch, small,
+                                                large):
+        # physical memory between the (threads, K0) estimates: the larger
+        # one is refused before any SVD, the smaller one reaches the SVD
+        X = np.zeros((60, 20000))
+
+        def use_threads(threads):
+            monkeypatch.setattr(_kernels, "_worker_count", lambda: threads)
+
+        def need(threads, k0):
+            use_threads(threads)
+            return bicluster._peak_buffers(X.shape, k0) * X.size * 8
+
+        have = (need(*small) + need(*large)) / 2
+        assert need(*small) < have < need(*large)
+        monkeypatch.setattr(embedding, "_physical_memory_bytes",
+                            lambda: int(have))
+        monkeypatch.setattr(bicluster, "svd", None)
+        use_threads(large[0])
+        with pytest.raises(ParameterError, match="physical memory"):
+            shave(X, k0=large[1])
+        use_threads(small[0])
+        with pytest.raises(TypeError, match="not callable"):
+            shave(X, k0=small[1])

@@ -8,8 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cumbia import (DataMatrix, JointDissimilarity, load_table, synth_block,
-                    write_dissimilarity, zscore_variables)
+from cumbia import DataMatrix, load_table, synth_block, zscore_variables
 from cumbia._fsio import write_table
 from cumbia.cli import _write_coords, _write_matrix, build_parser, main
 
@@ -355,18 +354,6 @@ class TestWritersByteIdentity:
         first = [delim.join(pair) for pair in zip(labels, kinds)]
         expected = reference_table(header, first, values, delim, "nan")
         assert (tmp_path / "c").read_text() == expected
-
-    def test_write_dissimilarity(self, tmp_path, values):
-        n = values.shape[1]
-        D = np.resize(values, (n, n))
-        kinds = ["sample"] * 3 + ["variable"] * (n - 3)
-        labels = [f"o{i}" for i in range(n)]
-        write_dissimilarity(JointDissimilarity(D, kinds, labels),
-                            str(tmp_path / "d"))
-        tags = [("s:" if k == "sample" else "v:") + l
-                for k, l in zip(kinds, labels)]
-        expected = reference_table(["object"] + tags, tags, D, ",", "nan")
-        assert (tmp_path / "d").read_text() == expected
 
     def test_failed_write_keeps_target_and_leaves_no_temp(self, tmp_path,
                                                           values):

@@ -13,7 +13,6 @@ from cumbia import (
     sample_variable_diss,
     svd,
     within_kind_diss,
-    write_dissimilarity,
 )
 
 from oracle import graph_oracle
@@ -229,13 +228,3 @@ class TestGraphOracle:
     def test_size_guard(self):
         with pytest.raises(ParameterError, match="limited"):
             graph_oracle(np.zeros((51, 3)) + 1.0, 10.0, 1)
-
-
-def test_write_dissimilarity_roundtrip_labels(tmp_path):
-    J = joint_from(np.eye(2), k=1)
-    out = tmp_path / "d.csv"
-    write_dissimilarity(J, str(out))
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("object,s:")
-    assert "v:" in lines[0]
-    assert len(lines) == 1 + J.n_objects

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cumbia import _kernels
-from cumbia._kernels import pair_mean_k_smallest
+from cumbia._kernels import pair_mean_k0_smallest, pair_mean_k_smallest
 from cumbia.errors import ParameterError
 
 
@@ -153,3 +153,36 @@ def test_out_of_the_wrong_shape_is_rejected():
         pair_mean_k_smallest(R, 2, out=np.empty((4, 5)))
     with pytest.raises(ParameterError, match="float64"):
         pair_mean_k_smallest(R, 2, out=np.empty((4, 4), dtype=np.float32))
+
+
+@pytest.mark.parametrize("m", [_kernels.SORT_COLUMNS,
+                               _kernels.SORT_COLUMNS + 1])
+def test_both_selection_branches_match_reference(m):
+    # rows of SORT_COLUMNS sums are sorted whole, one more is partitioned;
+    # four levels make exact ties at every selection boundary, and distinct
+    # values make the summation order show
+    rng = np.random.default_rng(m)
+    ties = np.array([0.1, 0.25, 0.5, 3e-17])[rng.integers(0, 4, size=(5, m))]
+    for R in (ties, rng.random((5, m))):
+        for K in (1, 3, m // 2, m):
+            got = pair_mean_k_smallest(R, K)
+            assert got.tobytes() == reference(R, K).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_selection_branch_does_not_change_bytes(monkeypatch, workers):
+    # every row sorted whole, then every row partitioned: same bytes
+    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: workers)
+    rng = np.random.default_rng(6)
+    R = np.abs(rng.standard_normal((40, 30)))
+    R[:, 7] = R[:, 3]  # ties at the selection boundary
+    R[11] = R[2]
+    got = {}
+    for columns in (0, 10**9):
+        monkeypatch.setattr(_kernels, "SORT_COLUMNS", columns)
+        got[columns] = [pair_mean_k_smallest(R, K).tobytes()
+                        for K in (1, 3, 30)]
+        got[columns] += [pair_mean_k0_smallest(R, K, k0, [[2, 11]]).tobytes()
+                         for K in (1, 3) for k0 in (1, 3, 39)]
+    assert got[0] == got[10**9]

@@ -11,7 +11,8 @@ plus 1 GiB. A shape whose estimate plus 1 GiB exceeds MemAvailable is
 skipped, not run. The run's record holds the wall time of each stage, the
 tracemalloc peak and the resident peak (ru_maxrss minus the RSS before the
 call), both in float64 buffers of the size the call's memory guard counts:
-(N+p)^2 entries for cumbia(), N x p for shave(). It is appended to
+(N+p)^2 entries for cumbia(), N x p for shave(); a shave() record also
+holds the kernel thread count, which taskset can lower. It is appended to
 the runs in --out, next to the machine facts. ru_maxrss is the peak of the
 whole process, so each run needs a process of its own. Stages are timed
 by wrapping the module-level functions the call makes; cumbia()'s in-place
@@ -35,10 +36,11 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 
 import cumbia  # noqa: E402
-from cumbia import bicluster, dissimilarity, embedding  # noqa: E402
+from cumbia import _kernels, bicluster, dissimilarity, embedding  # noqa: E402
 
 WIDE_SHAPES = ((60, 20000), (60, 16000))
 HEADROOM = 2**30
+SHAVE_K0 = 3  # shave()'s default
 
 # (module, function, span name); a span name ending in "." gets the kind
 # argument appended
@@ -167,6 +169,10 @@ def run_once(N, p):
     }
 
 
+def shave_guard_buffers(N, p):
+    return bicluster._peak_buffers((N, p), SHAVE_K0)
+
+
 def run_shave(N, p):
     """Time one shave() call at its defaults on the N x p input; return
     its record."""
@@ -179,7 +185,9 @@ def run_shave(N, p):
         "workload": "shave",
         "shape": [N, p],
         "buffer_gib": buffer / 2**30,
-        "guard_estimate_gib": bicluster.RESIDENT_PEAK_BUFFERS * buffer / 2**30,
+        "kernel_threads": _kernels._worker_count(),
+        "guard_buffers": shave_guard_buffers(N, p),
+        "guard_estimate_gib": shave_guard_buffers(N, p) * buffer / 2**30,
         **timing,
         "steps": len(trace.steps),
         "last_step_shape": [last.sample_indices.size,
@@ -196,10 +204,10 @@ def main():
     args = parser.parse_args()
     warnings.simplefilter("ignore", cumbia.CumbiaWarning)
     if args.shave:
-        run, guard = run_shave, bicluster.RESIDENT_PEAK_BUFFERS
+        run, guard = run_shave, shave_guard_buffers
         cells = lambda N, p: N * p  # noqa: E731
     else:
-        run, guard = run_once, embedding.RESIDENT_PEAK_BUFFERS
+        run, guard = run_once, lambda N, p: embedding.RESIDENT_PEAK_BUFFERS
         cells = lambda N, p: (N + p) ** 2  # noqa: E731
 
     record = {"runs": [], "skipped": []}
@@ -208,10 +216,14 @@ def main():
             record = json.load(handle)
     mem = meminfo()
     record["machine"] = machine_facts(mem)
-    key = "shave_" if args.shave else ""
-    record[key + "resident_peak_buffers_constant"] = guard
+    if args.shave:
+        record["shave_fixed_peak_buffers"] = bicluster.FIXED_PEAK_BUFFERS
+        record["shave_thread_peak_buffers"] = bicluster.THREAD_PEAK_BUFFERS
+    else:
+        record["resident_peak_buffers_constant"] = \
+            embedding.RESIDENT_PEAK_BUFFERS
     for N, p in [tuple(args.shape)] if args.shape else WIDE_SHAPES:
-        need = guard * cells(N, p) * 8
+        need = guard(N, p) * cells(N, p) * 8
         if mem["MemAvailable"] >= need + HEADROOM:
             result = run(N, p)
             result["MemAvailable_gib"] = mem["MemAvailable"] / 2**30
