@@ -36,13 +36,10 @@ from .errors import (
     ParameterError,
 )
 from .ingest import (
-    GroupLabels,
     PreprocessReport,
-    f_statistic,
     filter_and_log2,
     load_table,
     synth_block,
-    t_statistic,
     zscore_variables,
 )
 from .matrix_core import DataMatrix, SvdFactors, svd, truncate
@@ -56,7 +53,6 @@ __all__ = [
     "CumbiaWarning",
     "DataMatrix",
     "Embedding",
-    "GroupLabels",
     "InputError",
     "InvariantViolation",
     "JointDissimilarity",
@@ -69,7 +65,6 @@ __all__ = [
     "cumbia",
     "double_center",
     "emit_scatter",
-    "f_statistic",
     "filter_and_log2",
     "joint_matrix",
     "load_table",
@@ -79,7 +74,6 @@ __all__ = [
     "shave",
     "svd",
     "synth_block",
-    "t_statistic",
     "truncate",
     "within_kind_diss",
     "zscore_variables",

@@ -90,8 +90,9 @@ def shave(X, cfg=None, k0=3, drop_fraction=0.1, min_objects=2):
     scores computed on that submatrix. Removal per round is
     ceil(drop_fraction * count) of each kind, clamped so neither kind
     falls below min_objects; the loop stops once either kind reaches it.
-    Raises ParameterError before any SVD if the estimated resident peak,
-    _peak_buffers N x p float64 buffers, exceeds physical memory.
+    Raises ParameterError before any SVD if X has fewer than 2 samples or
+    2 variables, or if the estimated resident peak, _peak_buffers N x p
+    float64 buffers, exceeds physical memory.
     """
     if not isinstance(X, DataMatrix):
         X = DataMatrix(X)
@@ -107,6 +108,11 @@ def shave(X, cfg=None, k0=3, drop_fraction=0.1, min_objects=2):
         )
     if min_objects < 2:
         raise ParameterError(f"min_objects={min_objects} must be >= 2")
+    if min(X.values.shape) < 2:
+        raise ParameterError(
+            "shave needs at least 2 samples and 2 variables, "
+            f"got {X.n_samples} x {X.n_variables}"
+        )
     _require_memory_for(f"shaving {X.n_samples} x {X.n_variables}",
                         _peak_buffers(X.values.shape, k0), X.values.shape)
 

@@ -223,7 +223,7 @@ def cmd_synth(args):
                 for j in range(X.n_variables)]
         lines = ["object_label,group"] + [
             f"{label},{group}" for label, group in
-            zip(X.sample_labels + X.variable_labels, groups.assignment + tags)]
+            zip(X.sample_labels + X.variable_labels, groups + tags)]
         atomic_write_text(args.labels, "\n".join(lines) + "\n")
         outputs.append(args.labels)
     _manifest(args, outputs)

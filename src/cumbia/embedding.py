@@ -26,7 +26,7 @@ import numpy as np
 
 from .dissimilarity import CumbiaConfig, JointDissimilarity, joint_matrix
 from .errors import CumbiaWarning, InputError, ParameterError
-from .matrix_core import DataMatrix, require_finite, svd
+from .matrix_core import DataMatrix, _fix_column_signs, require_finite, svd
 
 POSITIVE_EIGENVALUE_CUTOFF = 1e-10
 # Lanczos stops once every wanted Ritz residual is below RITZ_RESIDUAL_TOL
@@ -139,14 +139,6 @@ def double_center(D):
     V, _, _ = _square_values(D)
     _require_symmetric(V)
     return _double_center_in_place(V * V)
-
-
-def _fix_column_signs(M):
-    for k in range(M.shape[1]):
-        i = int(np.argmax(np.abs(M[:, k])))
-        if M[i, k] < 0:
-            M[:, k] = -M[:, k]
-    return M
 
 
 def _orthogonalize(w, basis):

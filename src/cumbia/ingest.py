@@ -1,10 +1,9 @@
-"""Loading, preprocessing, selection statistics, and the synthetic benchmark.
+"""Loading, preprocessing, and the synthetic benchmark.
 
 The preprocessing mirrors a common expression-data pipeline: drop variables
 with missing values, drop variables with nonpositive values, log2-transform
-what remains, then z-score each variable across samples. t_statistic and
-f_statistic rank variables for selection; synth_block generates the seeded
-planted-block benchmark used throughout the tests.
+what remains, then z-score each variable across samples. synth_block
+generates the seeded planted-block benchmark used throughout the tests.
 """
 
 import csv
@@ -25,28 +24,6 @@ PLANTED_VARIABLES = 25
 class PreprocessReport:
     dropped_missing: int = 0
     dropped_negative: int = 0
-    zscored: bool = False
-    log2: bool = False
-
-
-@dataclass
-class GroupLabels:
-    """Per-sample group assignment for selection statistics."""
-
-    assignment: list
-
-    def __post_init__(self):
-        self.assignment = [str(g) for g in self.assignment]
-
-    def mask(self, group):
-        return np.array([g == group for g in self.assignment], dtype=bool)
-
-    def groups(self):
-        seen = []
-        for g in self.assignment:
-            if g not in seen:
-                seen.append(g)
-        return seen
 
 
 def load_table(path, delimiter=",", orientation="samples-rows",
@@ -133,8 +110,6 @@ def filter_and_log2(X):
     report = PreprocessReport(
         dropped_missing=int(missing.sum()),
         dropped_negative=int(nonpositive.sum()),
-        zscored=False,
-        log2=True,
     )
     out = DataMatrix(values=np.log2(final), sample_labels=list(X.sample_labels),
                      variable_labels=final_labels)
@@ -175,78 +150,13 @@ def zscore_variables(X, zero_variance_policy="error"):
                       variable_labels=labels)
 
 
-def t_statistic(X, groups, target_group):
-    """Pooled-variance two-sample t per variable: target group vs the rest.
-
-    Zero pooled variance degenerates to +/-Inf by the sign of the mean
-    difference, or 0 when the means are equal too.
-    """
-    require_finite(X.values)
-    if len(groups.assignment) != X.n_samples:
-        raise ParameterError("group assignment length must equal sample count")
-    mask = groups.mask(target_group)
-    n_a = int(mask.sum())
-    n_b = X.n_samples - n_a
-    if n_a < 2 or n_b < 2:
-        raise ParameterError(
-            f"need >= 2 samples on each side, got {n_a} vs {n_b}"
-        )
-    A = X.values[mask]
-    B = X.values[~mask]
-    diff = A.mean(axis=0) - B.mean(axis=0)
-    pooled = ((n_a - 1) * A.var(axis=0, ddof=1)
-              + (n_b - 1) * B.var(axis=0, ddof=1)) / (n_a + n_b - 2)
-    scale = np.sqrt(pooled * (1.0 / n_a + 1.0 / n_b))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = diff / scale
-    degenerate = scale == 0.0
-    t[degenerate & (diff > 0.0)] = np.inf
-    t[degenerate & (diff < 0.0)] = -np.inf
-    t[degenerate & (diff == 0.0)] = 0.0
-    return t
-
-
-def f_statistic(X, groups):
-    """One-way ANOVA F per variable: between-group over within-group mean square.
-
-    Zero within-group variance gives +Inf when group means differ and 0
-    when they do not.
-    """
-    require_finite(X.values)
-    if len(groups.assignment) != X.n_samples:
-        raise ParameterError("group assignment length must equal sample count")
-    names = groups.groups()
-    g = len(names)
-    N = X.n_samples
-    if g < 2:
-        raise ParameterError("F-statistic needs at least 2 groups")
-    if N <= g:
-        raise ParameterError(f"need more samples ({N}) than groups ({g})")
-    grand = X.values.mean(axis=0)
-    ss_between = np.zeros(X.n_variables)
-    ss_within = np.zeros(X.n_variables)
-    for name in names:
-        block = X.values[groups.mask(name)]
-        m = block.mean(axis=0)
-        ss_between += block.shape[0] * (m - grand) ** 2
-        ss_within += ((block - m) ** 2).sum(axis=0)
-    ms_between = ss_between / (g - 1)
-    ms_within = ss_within / (N - g)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        F = ms_between / ms_within
-    degenerate = ms_within == 0.0
-    F[degenerate] = np.inf
-    F[degenerate & (ms_between == 0.0)] = 0.0
-    return F
-
-
 def synth_block(N=60, p=1500, n_planted=6, p_planted=PLANTED_VARIABLES,
                 shift=2.0, seed=0):
     """Seeded Gaussian matrix with a mean-shifted top-left block.
 
     Entries are Normal(0, 1) except the n_planted x p_planted corner, which
-    is Normal(shift, 1). Returns the matrix and per-sample group labels
-    ("planted" / "background").
+    is Normal(shift, 1). Returns the matrix and a list of per-sample group
+    labels ("planted" / "background").
     """
     if N < 1 or p < 1:
         raise ParameterError("matrix dimensions must be positive")
@@ -257,8 +167,5 @@ def synth_block(N=60, p=1500, n_planted=6, p_planted=PLANTED_VARIABLES,
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((N, p))
     values[:n_planted, :p_planted] += shift
-    X = DataMatrix(values=values)
-    labels = GroupLabels(
-        assignment=["planted"] * n_planted + ["background"] * (N - n_planted)
-    )
-    return X, labels
+    groups = ["planted"] * n_planted + ["background"] * (N - n_planted)
+    return DataMatrix(values=values), groups

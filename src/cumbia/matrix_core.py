@@ -1,4 +1,4 @@
-"""Dense matrix container, thin SVD, rank truncation, and norm helpers.
+"""Dense matrix container, thin SVD, and rank truncation.
 
 Everything downstream (dissimilarities, embeddings, biclustering) consumes
 the two types defined here: DataMatrix for labeled data and SvdFactors for
@@ -10,6 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ParameterError
+
+# svd's numerical rank counts singular values above this fraction of the largest
+RANK_TOLERANCE = 1e-12
 
 
 def _as_float_matrix(X):
@@ -45,12 +48,11 @@ class DataMatrix:
         n, p = self.values.shape
         if n < 1 or p < 1:
             raise InputError("matrix must have at least one row and one column")
-        if not self.sample_labels:
-            self.sample_labels = [f"s{i + 1}" for i in range(n)]
-        if not self.variable_labels:
-            self.variable_labels = [f"v{j + 1}" for j in range(p)]
-        self.sample_labels = [str(x) for x in self.sample_labels]
-        self.variable_labels = [str(x) for x in self.variable_labels]
+        # listed before the emptiness test: a label array has no truth value
+        self.sample_labels = ([str(x) for x in self.sample_labels]
+                              or [f"s{i + 1}" for i in range(n)])
+        self.variable_labels = ([str(x) for x in self.variable_labels]
+                                or [f"v{j + 1}" for j in range(p)])
         if len(self.sample_labels) != n:
             raise InputError(
                 f"{len(self.sample_labels)} sample labels for {n} rows"
@@ -86,31 +88,36 @@ class SvdFactors:
     r: int
 
 
-def svd(X, rank_tolerance=1e-12):
+def _fix_column_signs(M, *others):
+    """Flip each column of M whose largest-magnitude entry is negative, and
+    the same column of each array in others; return M."""
+    for k in range(M.shape[1]):
+        i = int(np.argmax(np.abs(M[:, k])))
+        if M[i, k] < 0:
+            for A in (M, *others):
+                A[:, k] = -A[:, k]
+    return M
+
+
+def svd(X):
     """Decompose X into SvdFactors.
 
     The numerical rank r counts singular values above
-    rank_tolerance * (largest singular value); factors are sliced to r
+    RANK_TOLERANCE * (largest singular value); factors are sliced to r
     columns. Each singular-vector pair is sign-fixed so that the
     largest-magnitude entry of the U column is positive, which makes the
     output deterministic.
     """
     A = X.values if isinstance(X, DataMatrix) else _as_float_matrix(X)
     require_finite(A)
-    if rank_tolerance < 0:
-        raise ParameterError("rank_tolerance must be nonnegative")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s[0] == 0.0:
         raise InputError("rank zero, no decomposition")
-    r = int(np.sum(s > rank_tolerance * s[0]))
+    r = int(np.sum(s > RANK_TOLERANCE * s[0]))
     U = U[:, :r].copy()
     s = s[:r].copy()
     V = Vt[:r].T.copy()
-    for k in range(r):
-        i = int(np.argmax(np.abs(U[:, k])))
-        if U[i, k] < 0:
-            U[:, k] = -U[:, k]
-            V[:, k] = -V[:, k]
+    _fix_column_signs(U, V)
     return SvdFactors(U=U, singular_values=s, V=V, r=r)
 
 

@@ -61,8 +61,8 @@ def _axis_scale(lo, hi, pixel_lo, pixel_hi):
     return to_pixel
 
 
-def emit_scatter(obj, component_x=0, component_y=1, color_by=None, out=None):
-    """Write an SVG scatter of two embedding components.
+def emit_scatter(obj, component_x=0, component_y=1, color_by=None, *, out):
+    """Write an SVG scatter of two embedding components to the path out.
 
     component_x and component_y are zero-based column indices. color_by,
     when given, is a sequence of category names aligned with the objects;
@@ -124,8 +124,5 @@ def emit_scatter(obj, component_x=0, component_y=1, color_by=None, out=None):
                 f'stroke-width="1.4" fill="none">{title}</path>'
             )
     parts.append("</svg>\n")
-    text = "\n".join(parts)
-    if out is None:
-        raise ParameterError("an output path is required")
-    atomic_write_text(out, text)
+    atomic_write_text(out, "\n".join(parts))
     return out

@@ -118,7 +118,13 @@ def test_criterion_3_mds_recovery():
         d = int(rng.integers(1, 5))
         pts = rng.standard_normal((n, d))
         D = pairwise(pts)
-        emb = classical_mds(D, dims=d)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            emb = classical_mds(D, dims=d)
+        # n centred points span n - 1 dimensions: asking for more warns
+        assert [str(w.message) for w in caught] == (
+            [f"only {n - 1} positive eigenvalues for {d} requested dimensions"]
+            if n <= d else [])
         worst = max(worst, np.abs(pairwise(emb.coordinates) - D).max())
     elapsed = time.time() - start
     ok = worst < 1e-8 and elapsed < 5

@@ -23,7 +23,17 @@ from cumbia._kernels import pair_mean_k0_smallest
 from cumbia.bicluster import _kind_scores
 from cumbia.dissimilarity import identical_index_groups
 
+# the last steps of shave on these small inputs keep 2 samples, fewer than
+# K=3 intermediaries for variable pairs and than K0 other samples: those
+# clamps are expected, and any other warning still shows
+CLAMPS_AT_TWO_SAMPLES = pytest.mark.filterwarnings(
+    "ignore:K=3 exceeds the 2 available intermediaries for variables pairs"
+    ":cumbia.CumbiaWarning",
+    "ignore:K0=[23] exceeds the [12] other samples:cumbia.CumbiaWarning",
+)
 
+
+@CLAMPS_AT_TWO_SAMPLES
 def test_trace_is_strictly_nested():
     X, _ = synth_block(N=15, p=30, n_planted=3, p_planted=5, seed=1)
     trace = shave(X, CumbiaConfig(), k0=2, drop_fraction=0.2)
@@ -34,6 +44,7 @@ def test_trace_is_strictly_nested():
     assert trace.steps[-1].variable_indices.size >= 2
 
 
+@CLAMPS_AT_TWO_SAMPLES
 def test_identical_inputs_identical_traces():
     X, _ = synth_block(N=12, p=20, n_planted=3, p_planted=4, seed=3)
     t1 = shave(X, CumbiaConfig(), k0=3, drop_fraction=0.15)
@@ -46,6 +57,7 @@ def test_identical_inputs_identical_traces():
         assert a.variable_scores.tobytes() == b.variable_scores.tobytes()
 
 
+@CLAMPS_AT_TWO_SAMPLES
 def test_tiny_drop_fraction_removes_one_per_step():
     X, _ = synth_block(N=8, p=10, n_planted=2, p_planted=3, seed=5)
     trace = shave(X, CumbiaConfig(k_samples=2), k0=2, drop_fraction=0.01)
@@ -213,6 +225,7 @@ def test_k_clamp_warns_once_per_run():
         assert len(messages) == 5
 
 
+@CLAMPS_AT_TWO_SAMPLES
 def test_scores_align_with_survivors():
     X, _ = synth_block(N=10, p=14, n_planted=2, p_planted=3, seed=11)
     trace = shave(X, CumbiaConfig(), k0=2, drop_fraction=0.25)
@@ -235,6 +248,18 @@ def test_parameter_validation():
         shave(X, CumbiaConfig(), min_objects=1)
 
 
+@pytest.mark.parametrize("shape", [(1, 10), (10, 1)])
+def test_too_few_samples_or_variables_rejected(shape):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParameterError, match=(
+                "shave needs at least 2 samples and 2 variables, "
+                f"got {shape[0]} x {shape[1]}")):
+            shave(np.arange(1.0, 11.0).reshape(shape))
+    assert caught == []
+
+
+@CLAMPS_AT_TWO_SAMPLES
 def test_planted_block_recovered_on_small_instance():
     X, _ = synth_block(N=20, p=60, n_planted=5, p_planted=12, shift=3.0, seed=2)
     trace = shave(X, CumbiaConfig(), k0=3, drop_fraction=0.1)
@@ -265,6 +290,7 @@ def test_scores_match_public_functions_on_each_step():
                 assert got.tobytes() == expect.tobytes(), kind
 
 
+@CLAMPS_AT_TWO_SAMPLES
 def test_peak_holds_one_step_of_blocks(monkeypatch):
     # no p x p block: the peak is a few N x p arrays plus, per kernel
     # thread, a row buffer and running lists. Storing the step-0 variables
@@ -293,6 +319,7 @@ class TestMemoryGuard:
         with pytest.raises(ParameterError, match=r"136 MiB.*100 MiB"):
             shave(np.zeros((60, 20000)))
 
+    @CLAMPS_AT_TWO_SAMPLES
     def test_estimate_counts_the_n_by_p_buffers(self, monkeypatch):
         monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)
         X, _ = synth_block(N=6, p=8, n_planted=2, p_planted=2, seed=0)

@@ -247,6 +247,19 @@ class TestShaveCommand:
         first = [l for l in lines[1:] if l.startswith("0,")]
         assert len(first) == 6 + 9
 
+    @pytest.mark.parametrize("shape", [(1, 10), (10, 1)])
+    def test_too_few_samples_or_variables_rejected(self, tmp_path, capsys,
+                                                   shape):
+        path = tmp_path / "thin.csv"
+        _write_matrix(DataMatrix(np.arange(1.0, 11.0).reshape(shape)),
+                      str(path), ",")
+        code = main(["shave", "--in", str(path), "--out",
+                     str(tmp_path / "tr.csv")])
+        assert code == 1
+        assert (f"shave needs at least 2 samples and 2 variables, "
+                f"got {shape[0]} x {shape[1]}") in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["thin.csv"]
+
 
 def flag_names(command):
     """The --flags the parser declares for one subcommand, --help aside."""

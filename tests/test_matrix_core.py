@@ -17,6 +17,23 @@ def test_datamatrix_generates_default_labels():
     assert X.variable_labels == ["v1", "v2", "v3"]
 
 
+def test_datamatrix_accepts_label_arrays():
+    values = np.ones((2, 3))
+    expect = DataMatrix(values, sample_labels=["a", "b"],
+                        variable_labels=["x", "y", "z"])
+    for samples, variables in ((np.array(["a", "b"]), np.array(["x", "y", "z"])),
+                               (("a", "b"), ("x", "y", "z"))):
+        X = DataMatrix(values, sample_labels=samples, variable_labels=variables)
+        assert X.sample_labels == expect.sample_labels
+        assert X.variable_labels == expect.variable_labels
+    X = DataMatrix(values, sample_labels=np.array([]),
+                   variable_labels=np.array([]))
+    assert X.sample_labels == ["s1", "s2"]
+    assert X.variable_labels == ["v1", "v2", "v3"]
+    assert DataMatrix(np.ones((1, 1)), sample_labels=np.array([""])) \
+        .sample_labels == [""]
+
+
 def test_datamatrix_rejects_duplicate_labels():
     with pytest.raises(InputError, match="duplicate sample"):
         DataMatrix(np.ones((2, 2)), sample_labels=["a", "a"])
