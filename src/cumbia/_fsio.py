@@ -27,22 +27,32 @@ def atomic_write(path, chunks):
 
 
 def write_table(path, header, first_cells, values, delim, missing="nan"):
-    """Write a header line, then per row its first cell and its values.
+    """Write a header line, then per row its leading cells and its values.
 
-    A value is written as repr of its Python float, the shortest text that
-    reads back as the same double; NaN is written as `missing`. Each line
-    goes to the file as it is made, so one row of text is held at a time.
+    first_cells holds a tuple of leading text cells per row. Header and
+    leading cells are quoted by _quote. A value is written as repr of its
+    Python float, the shortest text that reads back as the same double;
+    NaN is written as `missing`. Each line goes to the file as it is made,
+    so one row of text is held at a time.
     """
     atomic_write(path, _table_lines(header, first_cells, values, delim, missing))
 
 
+def _quote(cell, delim):
+    """cell as csv.reader reads it back: in double quotes, inner ones
+    doubled, when it holds the delimiter, a double quote, CR or LF."""
+    if delim in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _table_lines(header, first_cells, values, delim, missing):
     values = np.asarray(values, dtype=np.float64)
-    yield delim.join(header) + "\n"
+    yield delim.join([_quote(cell, delim) for cell in header]) + "\n"
     for first, row, nan in zip(first_cells, values, np.isnan(values).any(axis=1)):
         row = row.tolist()
         text = [missing if v != v else repr(v) for v in row] if nan else map(repr, row)
-        yield delim.join([first, *text]) + "\n"
+        yield delim.join([*(_quote(cell, delim) for cell in first), *text]) + "\n"
 
 
 def sha256_file(path):

@@ -10,23 +10,26 @@ so every entry is a fixed sequence of floating-point operations and the
 result does not depend on how the selection is carried out. Short rows
 are sorted whole, longer ones partitioned first (_smallest_first).
 
-Each finished row of the upper triangle, i and the entries (i, j) for
-j > i, goes to a consumer. pair_mean_k_smallest's consumer writes the row
-and its mirror into the n x n result. pair_mean_k0_smallest's consumer
-keeps only each object's running k0 smallest entries, so the n x n matrix
-is never stored.
+One producer (_fill_rows) makes the rows of the upper triangle, i and
+the entries (i, j) for j > i, and hands them to a consumer a panel of up
+to PANEL_ROWS rows at a time. It also zeroes, in the panel, the pairs of
+objects with identical profiles. pair_mean_k_smallest's consumer copies
+each panel row and its mirror into the n x n result;
+pair_mean_k0_smallest's merges each panel into running lists of every
+object's k0 smallest entries, so the n x n matrix is never stored.
 
-Rows are split over one thread per CPU the process may run on, as long as
-each thread gets at least MIN_SUMS_PER_WORKER pair sums; smaller inputs run
-on the calling thread. Worker w of T handles the rows i with i % T == w,
-which interleaves long and short rows of the upper triangle so the workers
-get similar shares. Each entry is computed by the same arithmetic whichever
-worker computes it. The writer's workers write disjoint entries; the
-running lists are per worker and merged as a multiset at the end. So for
-either consumer the output bytes do not depend on the thread count. The
-threads overlap because np.add, np.partition and np.sort release the
-interpreter lock. They are started and joined inside each call, so no pool
-outlives a call, survives a fork or is shared by concurrent callers.
+Rows are split over one worker per CPU the process may run on, as long as
+each gets at least MIN_SUMS_PER_WORKER pair sums (_workers_for). Worker w
+of T handles the rows i with i % T == w, which interleaves long and short
+rows so the workers get similar shares. Worker 0 is the calling thread,
+so a call starts T - 1 threads, none for small inputs. Each entry is
+computed by the same arithmetic whichever worker computes it; the
+writer's workers write disjoint entries, and the running lists are per
+worker and merged as a multiset at the end, so the output bytes do not
+depend on the worker count. The threads overlap because np.add,
+np.partition and np.sort release the interpreter lock. They are started
+and joined inside each call, so no pool outlives a call, survives a fork
+or is shared by concurrent callers.
 """
 
 import os
@@ -40,8 +43,8 @@ from .errors import ParameterError
 # starting threads and handing the interpreter lock between them costs
 # more than the work they share
 MIN_SUMS_PER_WORKER = 1_000_000
-# rows a running-lists consumer buffers before merging them into its lists
-# with one selection
+# rows a worker hands its consumer at once; the running lists merge a
+# panel with one selection
 PANEL_ROWS = 16
 # longest row _smallest_first sorts whole; speed only, never bytes. Sort
 # / partition time, K = 3, numpy 2.4.6, AVX-512: 0.73-0.80 up to 256
@@ -55,7 +58,7 @@ def backend_name():
 
 
 def _worker_count():
-    """CPUs this process may run on, the most threads a call starts."""
+    """CPUs this process may run on, the most workers a call uses."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -81,69 +84,87 @@ def _mean_k_smallest(rows, K):
     return acc
 
 
-def _fill_rows(R, K, consume, first, step):
-    """Hand rows first, first + step, ... of the upper triangle to consume.
+def _workers_for(n, m):
+    """Workers for an n x m R: one per CPU, as long as each gets
+    MIN_SUMS_PER_WORKER pair sums, and at least one."""
+    pair_sums = n * (n - 1) // 2 * m
+    return max(1, min(_worker_count(), n - 1,
+                      pair_sums // MIN_SUMS_PER_WORKER))
 
-    consume(i, acc) gets acc[j - i - 1] = entry (i, j) for j > i. One
-    (n - 1) x m buffer holds each row's pair sums and is reordered in
+
+def _fill_rows(R, K, consume, first, step, zero):
+    """Hand rows first, first + step, ... of the upper triangle to consume,
+    a panel at a time.
+
+    Panel row t holds row i = rows[t]: entry (i, j) at column j > i, 0 at
+    the later members j of i's duplicate group (zero[i]) and inf elsewhere.
+    consume(first, rows, panel) gets every PANEL_ROWS rows and the rest at
+    the end; it may reorder the panel, which is inf-filled again after.
+    One (n - 1) x m buffer holds each row's pair sums and is reordered in
     place, so a worker allocates it once instead of twice per row.
     """
     n, m = R.shape
     buf = np.empty((max(n - 1, 0), m), dtype=np.float64)
+    panel = np.full((PANEL_ROWS, n), np.inf)
+    rows = []
     for i in range(first, n - 1, step):
         sums = buf[:n - 1 - i]
         np.add(R[i], R[i + 1:], out=sums)
-        consume(i, _mean_k_smallest(sums, K))
+        row = panel[len(rows)]
+        row[i + 1:] = _mean_k_smallest(sums, K)
+        if i in zero:
+            row[zero[i]] = 0.0
+        rows.append(i)
+        if len(rows) == PANEL_ROWS or i + step >= n - 1:
+            consume(first, rows, panel[:len(rows)])
+            panel.fill(np.inf)
+            rows = []
 
 
-def _run_rows(R, K, make_consumer):
-    """Compute every row of the upper triangle of R; return the consumers.
+def _run_rows(R, K, consume, workers, zero_groups):
+    """Compute every row of the upper triangle of R and hand it to consume.
 
-    Starts one thread per CPU, as long as each gets MIN_SUMS_PER_WORKER
-    pair sums, and at least one. Consumer w of T, made by make_consumer(),
-    gets the rows i with i % T == w, on a thread of its own when T > 1.
+    Worker w of workers gets the rows i with i % workers == w (_fill_rows).
+    Worker 0 is the calling thread, every other worker a thread of its own.
+    The pairs inside each group of zero_groups are 0. An exception in any
+    worker is re-raised on the caller once every thread is joined.
     """
     R = np.ascontiguousarray(R, dtype=np.float64)
-    n, m = R.shape
+    m = R.shape[1]
     if not 1 <= K <= m:
         raise ParameterError(f"K={K} outside [1, {m}]")
-    pair_sums = n * (n - 1) // 2 * m
-    workers = max(1, min(_worker_count(), n - 1,
-                         pair_sums // MIN_SUMS_PER_WORKER))
-    consumers = [make_consumer() for _ in range(workers)]
-    if workers == 1:
-        _fill_rows(R, K, consumers[0], 0, 1)
-        return consumers
+    zero = {i: np.array(group[t + 1:]) for group in map(sorted, zero_groups)
+            for t, i in enumerate(group[:-1])}
     errors = []
 
     def work(first):
         try:
-            _fill_rows(R, K, consumers[first], first, workers)
+            _fill_rows(R, K, consume, first, workers, zero)
         except BaseException as exc:  # re-raised on the caller below
             errors.append(exc)
 
     threads = [threading.Thread(target=work, args=(w,))
-               for w in range(workers)]
+               for w in range(1, workers)]
     for t in threads:
         t.start()
+    work(0)
     for t in threads:
         t.join()
     if errors:
         raise errors[0]
-    return consumers
 
 
-def pair_mean_k_smallest(R, K, out=None):
+def pair_mean_k_smallest(R, K, out=None, zero_groups=()):
     """Symmetric n x n matrix of K-smallest-sum averages over row pairs.
 
     Entry (i, j) is the mean of the K smallest values of R[i] + R[j]
-    (elementwise sums over the m columns); the diagonal is zero. K must
-    already be clamped to at most m by the caller. With out, an n x n
-    float64 array that may be a strided view into a larger buffer, every
-    entry of out is written and out is returned; its prior contents do
-    not matter.
+    (elementwise sums over the m columns); the diagonal and the pairs
+    inside each group of zero_groups are zero. K must already be clamped
+    to at most m by the caller. With out, an n x n float64 array that may
+    be a strided view into a larger buffer, every entry of out is written
+    and out is returned; its prior contents do not matter.
     """
-    n = len(R)
+    n, m = np.shape(R)
     if out is None:
         out = np.empty((n, n), dtype=np.float64)
     elif out.shape != (n, n) or out.dtype != np.float64:
@@ -152,76 +173,42 @@ def pair_mean_k_smallest(R, K, out=None):
             f"{out.dtype}")
     np.fill_diagonal(out, 0.0)
 
-    def write(i, acc):
-        out[i, i + 1:] = acc
-        out[i + 1:, i] = acc
+    def write(w, rows, panel):
+        for i, row in zip(rows, panel):
+            out[i, i + 1:] = row[i + 1:]
+            out[i + 1:, i] = row[i + 1:]
 
-    _run_rows(R, K, lambda: write)
+    _run_rows(R, K, write, _workers_for(n, m), zero_groups)
     return out
-
-
-class _RunningSmallest:
-    """One worker's running k0 smallest entries per object.
-
-    Rows are buffered in a PANEL_ROWS x n panel, inf where j <= i and 0
-    on the duplicate pairs that zero lists. A full panel is merged with
-    one _smallest_first: its transpose joins the running lists of the later
-    objects j. Each panel row's own k0 smallest go to row i of own, which
-    the workers share and write at disjoint rows.
-    """
-
-    def __init__(self, n, k0, zero, own):
-        self.k0 = k0
-        self.zero = zero
-        self.own = own
-        self.lists = np.full((n, k0 + PANEL_ROWS), np.inf)
-        self.panel = np.full((PANEL_ROWS, n), np.inf)
-        self.rows = []
-
-    def __call__(self, i, acc):
-        row = self.panel[len(self.rows)]
-        row[i + 1:] = acc
-        later = self.zero.get(i)
-        if later is not None:
-            row[later] = 0.0
-        self.rows.append(i)
-        if len(self.rows) == PANEL_ROWS:
-            self.flush()
-
-    def flush(self):
-        k0, b = self.k0, len(self.rows)
-        panel = self.panel[:b]
-        merged = self.lists[:, :k0 + b]
-        merged[:, k0:] = panel.T
-        _smallest_first(merged, k0)
-        _smallest_first(panel, k0)
-        self.own[self.rows] = panel[:, :k0]
-        panel.fill(np.inf)
-        self.rows = []
 
 
 def pair_mean_k0_smallest(R, K, k0, zero_groups=()):
     """Per row i of R, the mean of its k0 smallest pair entries.
 
-    The entries are those of pair_mean_k_smallest(R, K) off the diagonal,
-    with the pairs inside each group of zero_groups set to 0. Equal to
-    _mean_k_smallest of that matrix with an inf diagonal, byte for byte,
-    without storing it: each object keeps a running list of its k0
-    smallest entries, and the k0 smallest of a multiset union of lists
-    are the k0 smallest of the whole row. Needs 1 <= k0 <= n - 1.
+    The entries are those of pair_mean_k_smallest(R, K, zero_groups=
+    zero_groups) off the diagonal. Equal to _mean_k_smallest of that
+    matrix with an inf diagonal, byte for byte, without storing it: each
+    worker keeps per object a running list of its k0 smallest entries,
+    and the k0 smallest of a multiset union of lists are the k0 smallest
+    of the whole row. Needs 1 <= k0 <= n - 1.
     """
-    n = len(R)
+    n, m = np.shape(R)
     if not 1 <= k0 <= n - 1:
         raise ParameterError(f"K0={k0} outside [1, {n - 1}]")
-    zero = {}
-    for group in zero_groups:
-        group = sorted(group)
-        for t, i in enumerate(group[:-1]):
-            zero[i] = np.array(group[t + 1:])
+    workers = _workers_for(n, m)
     own = np.full((n, k0), np.inf)
-    consumers = _run_rows(R, K, lambda: _RunningSmallest(n, k0, zero, own))
-    for c in consumers:
-        c.flush()
-    return _mean_k_smallest(
-        np.concatenate([own] + [c.lists[:, :k0] for c in consumers], axis=1),
-        k0)
+    lists = np.full((workers, n, k0 + PANEL_ROWS), np.inf)
+
+    def merge(w, rows, panel):
+        # the panel's transpose joins the lists of the later objects j; each
+        # panel row's own k0 smallest go to its row of own, which the
+        # workers write at disjoint rows
+        merged = lists[w, :, :k0 + len(rows)]
+        merged[:, k0:] = panel.T
+        _smallest_first(merged, k0)
+        _smallest_first(panel, k0)
+        own[rows] = panel[:, :k0]
+
+    _run_rows(R, K, merge, workers, zero_groups)
+    return _mean_k_smallest(np.concatenate([own, *lists[:, :, :k0]], axis=1),
+                            k0)

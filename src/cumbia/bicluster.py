@@ -9,7 +9,7 @@ sample-variable sets is returned; no single step is picked as the winner.
 No same-kind block is built: the kernel hands each of its rows to
 running lists of every object's K0 smallest distances, and the scores come
 from those lists, byte for byte what scoring the stored blocks would give.
-The peak is a few N x p float64 arrays plus, per kernel thread, a row
+The peak is a few N x p float64 arrays plus, per kernel worker, a row
 buffer and the lists (_peak_buffers).
 """
 
@@ -46,8 +46,6 @@ class ShaveStep:
 @dataclass
 class ShaveTrace:
     steps: list = field(default_factory=list)
-    k0: int = 3
-    drop_fraction: float = 0.1
 
 
 def _kind_scores(D_sv, K, kind, groups, k0, notes):
@@ -118,7 +116,7 @@ def shave(X, cfg=None, k0=3, drop_fraction=0.1, min_objects=2):
 
     sample_idx = np.arange(X.n_samples)
     variable_idx = np.arange(X.n_variables)
-    trace = ShaveTrace(steps=[], k0=k0, drop_fraction=drop_fraction)
+    trace = ShaveTrace()
     notes = set()  # clamps already warned about in this run
     while True:
         sub = X.values[np.ix_(sample_idx, variable_idx)]

@@ -147,15 +147,14 @@ def _require_complete(X):
 
 
 def _write_matrix(X, path, delim):
-    write_table(path, ["id", *X.variable_labels], X.sample_labels, X.values,
-                delim, missing="NA")
+    write_table(path, ["id", *X.variable_labels], zip(X.sample_labels),
+                X.values, delim, missing="NA")
 
 
 def _write_coords(labels, kinds, coords, path, delim):
     d = coords.shape[1]
     header = ["object_label", "kind"] + [f"coord_{k + 1}" for k in range(d)]
-    first = [label + delim + kind for label, kind in zip(labels, kinds)]
-    write_table(path, header, first, coords, delim)
+    write_table(path, header, zip(labels, kinds), coords, delim)
 
 
 def _read_label_file(path, object_labels):
@@ -200,13 +199,13 @@ def _check_components(args):
         raise ParameterError("component indices are 1-based and must be >= 1")
 
 
-def _maybe_plot(args, emb_or_biplot, labels_for_colors):
+def _maybe_plot(args, emb_or_biplot):
     """Write <out>.svg when --plot is given; return the paths written."""
     if not args.plot:
         return []
     color_by = None
     if args.labels:
-        color_by = _read_label_file(args.labels, labels_for_colors)
+        color_by = _read_label_file(args.labels, emb_or_biplot.object_labels)
     path = args.out_path + ".svg"
     emit_scatter(emb_or_biplot, component_x=args.component_x - 1,
                  component_y=args.component_y - 1, color_by=color_by, out=path)
@@ -265,7 +264,7 @@ def cmd_cumbia(args):
     _require_complete(X)
     emb = cumbia(X, _cfg_from(args), dims=args.dims)
     # the plot first: its checks then fail before any table is written
-    outputs = _maybe_plot(args, emb, emb.object_labels)
+    outputs = _maybe_plot(args, emb)
     _write_coords(emb.object_labels, emb.object_kinds, emb.coordinates,
                   args.out_path, DELIMS[args.delim])
     spectrum_path = args.out_path + ".spectrum.txt"
@@ -280,11 +279,10 @@ def cmd_pca(args):
     X = _load(args)
     _require_complete(X)
     bp = pca_biplot(X, s=_parse_s(args.s), alpha=args.alpha)
-    labels = list(X.sample_labels) + list(X.variable_labels)
-    outputs = _maybe_plot(args, bp, labels)
-    kinds = ["sample"] * X.n_samples + ["variable"] * X.n_variables
+    outputs = _maybe_plot(args, bp)
     coords = np.vstack([bp.sample_coords, bp.variable_coords])
-    _write_coords(labels, kinds, coords, args.out_path, DELIMS[args.delim])
+    _write_coords(bp.object_labels, bp.object_kinds, coords, args.out_path,
+                  DELIMS[args.delim])
     _manifest(args, outputs + [args.out_path])
     return 0
 
@@ -292,17 +290,18 @@ def cmd_pca(args):
 def cmd_scree(args):
     X = _load(args)
     _require_complete(X)
-    delim = DELIMS[args.delim]
     if args.mode == "pca":
         f = svd(X)
         fractions, negatives = scree(f.singular_values, "singular-values")
     else:
         emb = cumbia(X, _cfg_from(args), dims=args.dims)
         fractions, negatives = scree(emb.eigenvalues, "eigenvalues")
-    first = [f"positive_fraction{delim}{i}" for i in range(1, len(fractions) + 1)]
-    first += [f"negative_eigenvalue{delim}{i}" for i in range(1, len(negatives) + 1)]
+    first = [("positive_fraction", str(i)) for i in range(1, len(fractions) + 1)]
+    first += [("negative_eigenvalue", str(i))
+              for i in range(1, len(negatives) + 1)]
     write_table(args.out_path, ["kind", "index", "value"], first,
-                np.concatenate([fractions, negatives])[:, None], delim)
+                np.concatenate([fractions, negatives])[:, None],
+                DELIMS[args.delim])
     _manifest(args, [args.out_path])
     return 0
 
@@ -313,16 +312,15 @@ def cmd_shave(args):
     trace = shave(X, _cfg_from(args), k0=args.k0,
                   drop_fraction=args.drop_fraction,
                   min_objects=args.min_objects)
-    delim = DELIMS[args.delim]
     first, scores = [], []
     for t, step in enumerate(trace.steps):
-        first += [delim.join([str(t), "sample", X.sample_labels[i]])
+        first += [(str(t), "sample", X.sample_labels[i])
                   for i in step.sample_indices.tolist()]
-        first += [delim.join([str(t), "variable", X.variable_labels[i]])
+        first += [(str(t), "variable", X.variable_labels[i])
                   for i in step.variable_indices.tolist()]
         scores += [step.sample_scores, step.variable_scores]
     write_table(args.out_path, ["step", "kind", "object_label", "score"],
-                first, np.concatenate(scores)[:, None], delim)
+                first, np.concatenate(scores)[:, None], DELIMS[args.delim])
     _manifest(args, [args.out_path])
     return 0
 

@@ -116,8 +116,8 @@ def within_kind_diss(D_sv, K, kind, duplicate_groups=None, out=None):
     """Square distance matrix among samples or among variables.
 
     Entry (i, j) is the mean of the K smallest two-edge paths through the
-    other kind; the diagonal is zero, and pairs listed in duplicate_groups
-    (objects with identical profiles) are forced to zero afterwards. With
+    other kind; the diagonal and the pairs inside each group of
+    duplicate_groups (objects with identical profiles) are zero. With
     out, a square float64 array or view of the result's size, the matrix
     is written there and out is returned.
     """
@@ -132,10 +132,8 @@ def within_kind_diss(D_sv, K, kind, duplicate_groups=None, out=None):
         raise ParameterError(f"K={K} must be >= 1")
     K = _clamp(K, R.shape[1], "K",
                f"available intermediaries for {kind} pairs")
-    out = pair_mean_k_smallest(R, K, out=out)
-    for group in duplicate_groups or []:
-        out[np.ix_(group, group)] = 0.0
-    return out
+    return pair_mean_k_smallest(R, K, out=out,
+                                zero_groups=duplicate_groups or ())
 
 
 def _kind_inputs(values, f, s, cfg, notes=None):
@@ -182,7 +180,6 @@ def joint_matrix(X, f, cfg):
         within_kind_diss(D_sv, K, kind, groups, out=block)
     values[:N, N:] = D_sv
     values[N:, :N] = D_sv.T
-    kinds = ["sample"] * N + ["variable"] * p
-    labels = list(X.sample_labels) + list(X.variable_labels)
+    kinds, labels = X.objects()
     return JointDissimilarity(values=values, object_kinds=kinds,
                               object_labels=labels)

@@ -70,6 +70,8 @@ class BiplotCoordinates:
     variable_coords: np.ndarray
     alpha: float
     s: int
+    object_kinds: list
+    object_labels: list
 
 
 def _square_values(D):
@@ -257,6 +259,8 @@ def pca_biplot(X, s=None, alpha=1.0):
     """
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"alpha={alpha} outside [0, 1]")
+    if not isinstance(X, DataMatrix):
+        X = DataMatrix(X)
     f = svd(X)
     if s is None:
         s = f.r
@@ -265,12 +269,8 @@ def pca_biplot(X, s=None, alpha=1.0):
     lam = f.singular_values[:s]
     sample_coords = f.U[:, :s] * lam**alpha
     variable_coords = f.V[:, :s] * lam ** (1.0 - alpha)
-    return BiplotCoordinates(
-        sample_coords=sample_coords,
-        variable_coords=variable_coords,
-        alpha=float(alpha),
-        s=int(s),
-    )
+    return BiplotCoordinates(sample_coords, variable_coords, float(alpha),
+                             int(s), *X.objects())
 
 
 def scree(spectrum, mode):

@@ -77,6 +77,11 @@ class DataMatrix:
     def n_variables(self):
         return self.values.shape[1]
 
+    def objects(self):
+        """Kinds and labels of the mapped objects: samples, then variables."""
+        return (["sample"] * self.n_samples + ["variable"] * self.n_variables,
+                [*self.sample_labels, *self.variable_labels])
+
 
 @dataclass
 class SvdFactors:

@@ -28,13 +28,8 @@ def _gather(obj, component_x, component_y):
     """The two plotted columns (copied alone), kinds and labels."""
     if isinstance(obj, Embedding):
         blocks = [obj.coordinates]
-        kinds = list(obj.object_kinds)
-        labels = list(obj.object_labels)
     elif isinstance(obj, BiplotCoordinates):
         blocks = [obj.sample_coords, obj.variable_coords]
-        n, p = obj.sample_coords.shape[0], obj.variable_coords.shape[0]
-        kinds = ["sample"] * n + ["variable"] * p
-        labels = [f"s{i + 1}" for i in range(n)] + [f"v{j + 1}" for j in range(p)]
     else:
         raise ParameterError(
             "emit_scatter accepts an Embedding or BiplotCoordinates"
@@ -47,7 +42,7 @@ def _gather(obj, component_x, component_y):
             )
     xs = np.concatenate([b[:, component_x] for b in blocks])
     ys = np.concatenate([b[:, component_y] for b in blocks])
-    return xs, ys, kinds, labels
+    return xs, ys, obj.object_kinds, obj.object_labels
 
 
 def _axis_scale(lo, hi, pixel_lo, pixel_hi):

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -13,8 +14,8 @@ from cumbia._fsio import write_table
 from cumbia.cli import _write_coords, _write_matrix, build_parser, main
 
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def run_cli(args, cwd):
@@ -211,6 +212,16 @@ class TestPcaCommand:
         X = load_table(str(small_table))
         assert np.abs(S @ V.T - X.values).max() < 1e-6
 
+    def test_plot_titles_are_the_table_labels(self, tmp_path, small_table):
+        out = tmp_path / "bp.csv"
+        assert main(["pca", "--in", str(small_table), "--out", str(out),
+                     "--plot"]) == 0
+        svg = (tmp_path / "bp.csv.svg").read_text()
+        titles = [part.split("</title>")[0] for part in svg.split("<title>")[1:]]
+        X = load_table(str(small_table))
+        assert titles == X.sample_labels + X.variable_labels
+        assert titles[0] == "s1" and titles[6] == "g1"
+
 
 class TestScreeCommand:
     def test_pca_mode_fractions(self, tmp_path, small_table):
@@ -358,6 +369,49 @@ class TestWritersByteIdentity:
             X.sample_labels, X.variable_labels)
 
     @pytest.mark.parametrize("delim", [",", "\t"])
+    def test_labels_holding_delimiters_and_quotes_load_back(self, tmp_path,
+                                                            values, delim):
+        # the input is quoted by the standard library's csv writer
+        samples = ["a,b", "tab\there", 'say "hi"', '"x"', "plain"]
+        variables = ["g,1", "g\t2", 'g"3', "g4", "", "g 6", "g7"][
+            :values.shape[1] - 1] + ['end"']
+        source = tmp_path / "in"
+        with open(source, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, delimiter=delim, lineterminator="\n")
+            writer.writerow(["id", *variables])
+            for label, row in zip(samples, values.tolist()):
+                writer.writerow([label, *map(repr, row)])
+        X = load_table(str(source), delimiter=delim)
+        assert (X.sample_labels, X.variable_labels) == (samples, variables)
+        _write_matrix(X, str(tmp_path / "m"), delim)
+        Y = load_table(str(tmp_path / "m"), delimiter=delim)
+        assert (Y.sample_labels, Y.variable_labels) == (samples, variables)
+        assert Y.values.tobytes() == X.values.tobytes()
+
+    def test_quoted_labels_through_the_commands(self, tmp_path, small_table):
+        text = small_table.read_text().replace("g2,", '"gene,A",', 1)
+        text = text.replace("s3,", '"s ""3""",', 1)
+        source = tmp_path / "quoted.csv"
+        source.write_text(text)
+        z, bp = str(tmp_path / "z.csv"), str(tmp_path / "bp.csv")
+        assert main(["preprocess", "--in", str(source), "--out", z,
+                     "--steps", "zscore"]) == 0
+        assert main(["pca", "--in", z, "--out", bp]) == 0
+        assert main(["shave", "--in", z, "--out", str(tmp_path / "tr.csv"),
+                     "--min-objects", "4"]) == 0
+        labels = load_table(str(source)).sample_labels
+        assert labels[2] == 's "3"'
+        assert load_table(z).variable_labels[1] == "gene,A"
+        with open(bp, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert [row[0] for row in rows[1:7]] == labels
+        assert rows[8][:2] == ["gene,A", "variable"]
+        with open(tmp_path / "tr.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[3][:3] == ["0", "sample", 's "3"']
+        assert rows[8][:3] == ["0", "variable", "gene,A"]
+
+    @pytest.mark.parametrize("delim", [",", "\t"])
     def test_write_coords(self, tmp_path, values, delim):
         labels = [f"o{i}" for i in range(len(values))]
         kinds = ["sample", "sample", "variable", "variable", "variable"]
@@ -376,7 +430,7 @@ class TestWritersByteIdentity:
         temps = []
 
         def first_cells():
-            yield from ("r1", "r2")
+            yield from (("r1",), ("r2",))
             temps.extend(tmp_path.glob(".tmp-cumbia-*"))
             raise RuntimeError("row 3")
 
@@ -397,3 +451,16 @@ def test_write_matrix_peak_memory_below_the_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= X.values.nbytes, peak / X.values.nbytes
+
+
+def test_cli_digests_tool_runs_the_whole_chain(tmp_path):
+    # tools/cli_digests.py is how CLI byte identity is checked between two
+    # checkouts; it must keep running and naming every output it makes
+    res = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "cli_digests.py"),
+         "--dir", str(tmp_path)], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    names = {line.split(" ")[0] for line in lines}
+    assert len(lines) == len(names) == 44
+    assert all(len(line.split(" ")[1]) == 64 for line in lines)

@@ -125,10 +125,10 @@ class TestLoadTable:
         X = zscore_variables(synth_block(40, 2000, seed=3)[0])
         path = str(tmp_path / "t.csv")
         if orientation == "samples-rows":
-            write_table(path, ["id", *X.variable_labels], X.sample_labels,
+            write_table(path, ["id", *X.variable_labels], zip(X.sample_labels),
                         X.values, ",")
         else:
-            write_table(path, ["id", *X.sample_labels], X.variable_labels,
+            write_table(path, ["id", *X.sample_labels], zip(X.variable_labels),
                         X.values.T, ",")
         tracemalloc.start()
         try:

@@ -1,3 +1,5 @@
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -116,10 +118,10 @@ def test_small_input_runs_on_the_caller_thread(monkeypatch):
 def test_worker_exception_reraised_on_caller(monkeypatch):
     fill_rows = _kernels._fill_rows
 
-    def failing(R, K, out, first, step):
+    def failing(R, K, consume, first, step, zero):
         if first == 1:
             raise MemoryError("worker 1")
-        fill_rows(R, K, out, first, step)
+        fill_rows(R, K, consume, first, step, zero)
 
     monkeypatch.setattr(_kernels, "_worker_count", lambda: 3)
     monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
@@ -186,3 +188,92 @@ def test_selection_branch_does_not_change_bytes(monkeypatch, workers):
         got[columns] += [pair_mean_k0_smallest(R, K, k0, [[2, 11]]).tobytes()
                          for K in (1, 3) for k0 in (1, 3, 39)]
     assert got[0] == got[10**9]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_panels_and_duplicate_groups_match_the_zeroed_reference(monkeypatch,
+                                                                workers):
+    # panels of 4 rows, so each worker hands over full panels and a short
+    # last one; the groups' members fall to different workers
+    monkeypatch.setattr(_kernels, "PANEL_ROWS", 4)
+    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: workers)
+    rng = np.random.default_rng(7)
+    R = np.abs(rng.standard_normal((23, 5)))
+    groups = [[0, 7, 13, 22], [4, 5], [20, 9]]
+    for group in groups:
+        R[group[1:]] = R[group[0]]
+    for K in (1, 3, 5):
+        expected = reference(R, K)
+        for group in groups:
+            expected[np.ix_(group, group)] = 0.0
+        got = pair_mean_k_smallest(R, K, zero_groups=groups)
+        assert got.tobytes() == expected.tobytes()
+
+
+class CountingThreads:
+    """Stands in for the threading module and keeps every thread made."""
+
+    def __init__(self):
+        self.made = []
+
+    def Thread(self, *args, **kwargs):
+        thread = threading.Thread(*args, **kwargs)
+        self.made.append(thread)
+        return thread
+
+
+def test_the_caller_is_worker_zero(monkeypatch):
+    # three workers: the calling thread and two threads of their own
+    counting = CountingThreads()
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 3)
+    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
+    monkeypatch.setattr(_kernels, "threading", counting)
+    R = np.abs(np.random.default_rng(8).standard_normal((10, 4)))
+    assert pair_mean_k_smallest(R, 2).tobytes() == reference(R, 2).tobytes()
+    assert len(counting.made) == 2
+    assert pair_mean_k0_smallest(R, 2, 3).shape == (10,)
+    assert len(counting.made) == 4
+
+
+def test_caller_exception_reraised_after_the_threads_end(monkeypatch):
+    fill_rows = _kernels._fill_rows
+    counting = CountingThreads()
+
+    def failing(R, K, consume, first, step, zero):
+        if first == 0:
+            raise MemoryError("worker 0")
+        fill_rows(R, K, consume, first, step, zero)
+
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 3)
+    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
+    monkeypatch.setattr(_kernels, "_fill_rows", failing)
+    monkeypatch.setattr(_kernels, "threading", counting)
+    with pytest.raises(MemoryError, match="worker 0"):
+        pair_mean_k_smallest(np.ones((150, 300)), 2)
+    assert len(counting.made) == 2
+    assert not any(thread.is_alive() for thread in counting.made)
+
+
+def test_many_workers_switching_often_keep_the_bytes(monkeypatch):
+    # more workers than cores, and the interpreter switching threads as often
+    # as it can: the writer's entries and each worker's lists stay its own
+    monkeypatch.setattr(_kernels, "PANEL_ROWS", 2)
+    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
+    R = np.abs(np.random.default_rng(9).standard_normal((60, 7)))
+    groups = [[1, 30, 59], [3, 2]]
+
+    def both():
+        return (pair_mean_k_smallest(R, 3, zero_groups=groups).tobytes(),
+                pair_mean_k0_smallest(R, 3, 4, groups).tobytes())
+
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 1)
+    expected = both()
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert both() == expected
+    finally:
+        sys.setswitchinterval(interval)

@@ -74,7 +74,8 @@ def test_biplot_columns_beyond_the_plotted_two_do_not_matter(tmp_path):
     bp = pca_biplot(np.random.default_rng(5).standard_normal((6, 9)))
     assert bp.s == 6
     cut = BiplotCoordinates(bp.sample_coords[:, :2].copy(),
-                            bp.variable_coords[:, :2].copy(), bp.alpha, 2)
+                            bp.variable_coords[:, :2].copy(), bp.alpha, 2,
+                            bp.object_kinds, bp.object_labels)
     wide, narrow = tmp_path / "wide.svg", tmp_path / "narrow.svg"
     emit_scatter(bp, 0, 1, out=str(wide))
     emit_scatter(cut, 0, 1, out=str(narrow))

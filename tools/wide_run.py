@@ -12,7 +12,7 @@ skipped, not run. The run's record holds the wall time of each stage, the
 tracemalloc peak and the resident peak (ru_maxrss minus the RSS before the
 call), both in float64 buffers of the size the call's memory guard counts:
 (N+p)^2 entries for cumbia(), N x p for shave(); a shave() record also
-holds the kernel thread count, which taskset can lower. It is appended to
+holds the kernel's worker count, which taskset can lower. It is appended to
 the runs in --out, next to the machine facts. ru_maxrss is the peak of the
 whole process, so each run needs a process of its own. Stages are timed
 by wrapping the module-level functions the call makes; cumbia()'s in-place
