@@ -11,6 +11,7 @@ violation.
 """
 
 import argparse
+import csv
 import json
 import sys
 
@@ -158,7 +159,9 @@ def _write_coords(labels, kinds, coords, path, delim):
 
 
 def _read_label_file(path, object_labels):
-    """Label file: one 'object_label,category' line per object, header optional."""
+    """Label file: one 'object_label,category' line per object, header
+    optional. A line holding a tab is tab-separated, any other one
+    comma-separated; cells may be quoted as in the CLI's own tables."""
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
             raw = [line.strip() for line in handle if line.strip()]
@@ -166,7 +169,8 @@ def _read_label_file(path, object_labels):
         raise InputError(f"cannot read label file {path}: {exc}") from exc
     mapping = {}
     for line in raw:
-        parts = [p.strip() for p in line.replace("\t", ",").split(",")]
+        delimiter = "\t" if "\t" in line else ","
+        parts = [p.strip() for p in next(csv.reader([line], delimiter=delimiter))]
         if len(parts) != 2:
             raise InputError(f"label file {path}: malformed line {line!r}")
         mapping[parts[0]] = parts[1]

@@ -1,9 +1,9 @@
 """Classical MDS, the PCA/SVD biplot, scree spectra, and the full pipeline.
 
 classical_mds embeds objects from a dissimilarity matrix through the
-double-centered squared dissimilarities: eigvalsh gives their whole
-signed spectrum, and a Lanczos solver with full reorthogonalization gives
-only the eigenvectors the coordinates use, those of the top dims positive
+double-centered squared dissimilarities. One LAPACK pass in the Gram
+matrix's own buffer gives their whole signed spectrum and only the
+eigenvectors the coordinates use, those of the top dims positive
 eigenvalues. Negative eigenvalues are never used for coordinates but stay
 in the reported spectrum, because their presence (and sign pattern) is
 informative for joint sample-variable matrices. cumbia() chains SVD,
@@ -12,11 +12,13 @@ truncation, the joint dissimilarity, and MDS into the end-to-end method.
 double_center and classical_mds leave their argument as it is and put the
 Gram matrix in a new buffer. cumbia() owns its joint matrix, so it squares
 and double-centers that buffer in place with the same routine and hands
-it to the same eigensolver step: at N+p = 3100 its tracemalloc peak is
-1.16 (N+p)^2 float64 buffers and its resident peak 2.28, the second
-buffer being eigvalsh's internal copy of the Gram matrix.
+it to the same eigensolver step, which reduces it in place: at
+N+p = 3100 its tracemalloc peak is 1.16 (N+p)^2 float64 buffers and its
+resident peak 1.28, both set while the joint matrix is built.
 """
 
+import ctypes
+import functools
 import math
 import os
 import warnings
@@ -25,26 +27,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dissimilarity import CumbiaConfig, JointDissimilarity, joint_matrix
-from .errors import CumbiaWarning, InputError, ParameterError
+from .errors import (CumbiaWarning, InputError, InvariantViolation,
+                     ParameterError)
 from .matrix_core import DataMatrix, _fix_column_signs, require_finite, svd
 
 POSITIVE_EIGENVALUE_CUTOFF = 1e-10
-# Lanczos stops once every wanted Ritz residual is below RITZ_RESIDUAL_TOL
-# and every wanted Ritz value is within RITZ_VALUE_TOL of eigvalsh's, both
-# relative to the largest |eigenvalue|
-RITZ_RESIDUAL_TOL = 1e-12
-RITZ_VALUE_TOL = 1e-9
-# rows the Lanczos basis starts with; it doubles when full
-LANCZOS_CHUNK = 64
-# after a failed convergence check at Lanczos step k the next one comes at
-# step k + 1 + k // RITZ_CHECK_SPACING: at most 1/16 more steps, and the
-# k x k eigh calls of the checks cost O(k^3) in all instead of O(k^4)
-RITZ_CHECK_SPACING = 16
 # resident peak of cumbia() in (N+p)^2 float64 buffers: the joint matrix,
-# centered in place into the Gram matrix, and eigvalsh's internal copy of
-# it, plus its workspace; measured 2.28 above the pre-call RSS at
-# N+p = 3100 and 2.13 at N+p = 6200 (tools/wide_run.py --shape)
-RESIDENT_PEAK_BUFFERS = 2.3
+# later the Gram matrix that dsytrd reduces in place, plus the kernel's and
+# SVD's O((N+p) N) arrays; measured 1.28 above the pre-call RSS at
+# N+p = 3100 and 1.12 at N+p = 6200 (tools/wide_run.py --shape)
+RESIDENT_PEAK_BUFFERS = 1.3
+# the same where the np.linalg.eigh fallback runs: the Gram matrix, eigh's
+# copy of it, its eigenvectors and dsyevd's 2 (N+p)^2 workspace; measured
+# 5.33 at N+p = 3100 and 5.15 at N+p = 6200
+EIGH_RESIDENT_PEAK_BUFFERS = 5.4
+# the bound LAPACK routines: (one-letter flags, arguments), every argument
+# a pointer as Fortran takes it, followed by one hidden length per flag
+LAPACK_ROUTINES = {"dsytrd": (1, 10), "dsterf": (0, 4), "dstemr": (2, 21),
+                   "dormtr": (3, 13)}
 # edge of the square tiles double_center checks and symmetrizes in place
 SYMMETRY_TILE = 256
 
@@ -143,63 +143,104 @@ def double_center(D):
     return _double_center_in_place(V * V)
 
 
-def _orthogonalize(w, basis):
-    """Remove from w its components along the rows of basis, in two
-    classical Gram-Schmidt passes (one pass leaves rounding-level
-    components that grow over many Lanczos steps)."""
-    for _ in range(2):
-        w -= (basis @ w) @ basis
-    return w
+@functools.cache
+def _lapack():
+    """LAPACK_ROUTINES from the 64-bit-integer OpenBLAS that numpy's wheels
+    bundle in numpy.libs, bound on the first call, or None where numpy
+    links another LAPACK."""
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                        "numpy.libs", "libscipy_openblas64_*")
+    try:
+        lib = ctypes.CDLL(glob.glob(libs)[0])
+        routines = {name: getattr(lib, f"scipy_{name}_64_")
+                    for name in LAPACK_ROUTINES}
+    except (IndexError, OSError, AttributeError):
+        return None
+    for name, (flags, count) in LAPACK_ROUTINES.items():
+        routines[name].argtypes = ([ctypes.c_void_p] * count
+                                   + [ctypes.c_size_t] * flags)
+        routines[name].restype = None
+    return routines
 
 
-def _top_eigenvectors(C, top, scale):
-    """Eigenvectors of the symmetric C for its top len(top) eigenvalues.
+def _int(value):
+    return ctypes.byref(ctypes.c_int64(value))
 
-    top holds those eigenvalues, descending, as eigvalsh computed them;
-    scale is the largest |eigenvalue|. Lanczos from a fixed seeded start
-    vector with full reorthogonalization; the basis is kept as rows that
-    grow in chunks. On breakdown (the Krylov space is invariant) the
-    iteration restarts from a fresh random vector orthogonal to the basis,
-    so every copy of a repeated eigenvalue is found. It stops when each
-    wanted Ritz pair has residual |beta_k s_k| <= RITZ_RESIDUAL_TOL * scale
-    and the wanted Ritz values match top within RITZ_VALUE_TOL * scale
-    (a missed copy of a repeated eigenvalue fails the second test), or
-    when the basis spans the whole space. Returns an n x len(top) array.
+
+def _lapack_call(lapack, name, flags, *args, work=()):
+    """Call name with its one-letter flags, args, one (WORK, LWORK) pair
+    per dtype in work, INFO and the flags' hidden lengths; raise
+    InvariantViolation unless INFO comes back 0. Workspaces are sized by a
+    query first: the minimum sizes force dsytrd's slower unblocked
+    reduction."""
+    info = ctypes.c_int64()
+
+    def call(buffers, size):
+        lapack[name](*(f.encode() for f in flags), *args,
+                     *(x for b in buffers for x in (b.ctypes, _int(size(b)))),
+                     ctypes.byref(info), *(1 for _ in flags))
+        if info.value != 0:
+            raise InvariantViolation(f"LAPACK {name} returned "
+                                     f"info={info.value}")
+
+    buffers = [np.zeros(1, dtype) for dtype in work]
+    if work:
+        call(buffers, lambda b: -1)
+        buffers = [np.empty(max(1, int(b[0])), b.dtype) for b in buffers]
+    call(buffers, len)
+
+
+def _used_dims(eigenvalues, dims):
+    """min(dims, the count of eigenvalues above the positive cutoff)."""
+    cutoff = POSITIVE_EIGENVALUE_CUTOFF * abs(eigenvalues[0])
+    return min(dims, int(np.sum(eigenvalues > cutoff)))
+
+
+def _eigen_in_place(C, dims):
+    """The whole spectrum of the symmetric C, descending, and the n x d
+    eigenvectors of its top d = min(dims, positive count) eigenvalues.
+
+    C is consumed: dsytrd reduces it in place to tridiagonal T = Q^T C Q,
+    keeping Q's reflectors in it. dsterf gives T's spectrum (eigvalsh runs
+    the same two routines, so the bytes are eigvalsh's), dstemr the d
+    eigenvectors of T and dormtr maps them back through Q. Where numpy's
+    LAPACK lacks these, one np.linalg.eigh call gives both.
     """
+    lapack = _lapack()
+    if lapack is None:
+        values, vectors = np.linalg.eigh(C)
+        eigenvalues = values[::-1].copy()
+        return eigenvalues, vectors[:, ::-1][:, :_used_dims(eigenvalues, dims)]
+    if not (C.flags.c_contiguous and C.flags.writeable
+            and C.dtype == np.float64):
+        raise InvariantViolation("the eigensolver needs a writeable "
+                                 "C-contiguous float64 matrix")
     n = C.shape[0]
-    d = top.size
-    rng = np.random.default_rng(0)
-    basis = np.empty((min(n, LANCZOS_CHUNK), n))
-    alphas, betas = [], []
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    k, next_check = 0, d
-    while True:
-        if k == basis.shape[0]:
-            grown = np.empty((min(n, 2 * k), n))
-            grown[:k] = basis
-            basis = grown
-        basis[k] = q
-        w = C @ q
-        alphas.append(float(q @ w))
-        k += 1
-        w = _orthogonalize(w, basis[:k])
-        beta = float(np.linalg.norm(w))
-        if k >= next_check or k == n:
-            next_check = k + 1 + k // RITZ_CHECK_SPACING
-            T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-            theta, S = np.linalg.eigh(T)
-            theta, S = theta[::-1][:d], S[:, ::-1][:, :d]
-            if k == n or (
-                    np.all(np.abs(beta * S[-1]) <= RITZ_RESIDUAL_TOL * scale)
-                    and np.all(np.abs(theta - top) <= RITZ_VALUE_TOL * scale)):
-                return basis[:k].T @ S
-        if beta <= RITZ_RESIDUAL_TOL * scale:
-            # invariant subspace: restart orthogonal to it, uncoupled in T
-            w = _orthogonalize(rng.standard_normal(n), basis[:k])
-            beta = 0.0
-        q = w / np.linalg.norm(w)
-        betas.append(beta)
+    diag, off, tau = np.empty(n), np.zeros(n), np.empty(max(1, n - 1))
+    _lapack_call(lapack, "dsytrd", "L", _int(n), C.ctypes, _int(n),
+                 diag.ctypes, off.ctypes, tau.ctypes, work=[np.float64])
+    spectrum = diag.copy()
+    _lapack_call(lapack, "dsterf", "", _int(n), spectrum.ctypes,
+                 off.copy().ctypes)
+    eigenvalues = spectrum[::-1].copy()
+    d = _used_dims(eigenvalues, dims)
+    Z = np.empty((d, n))  # Fortran's n x d matrix, eigenvalues ascending
+    if d:
+        found, bound = ctypes.c_int64(), ctypes.byref(ctypes.c_double())
+        _lapack_call(lapack, "dstemr", "VI", _int(n), diag.ctypes,
+                     off.ctypes, bound, bound, _int(n - d + 1), _int(n),
+                     ctypes.byref(found), np.empty(n).ctypes, Z.ctypes,
+                     _int(n), _int(d), np.empty(2 * d, np.int64).ctypes,
+                     _int(0), work=[np.float64, np.int64])
+        if found.value != d:
+            raise InvariantViolation(
+                f"LAPACK dstemr found {found.value} of {d} eigenvectors")
+        _lapack_call(lapack, "dormtr", "LLN", _int(n), _int(d), C.ctypes,
+                     _int(n), tau.ctypes, Z.ctypes, _int(n),
+                     work=[np.float64])
+    return eigenvalues, Z[::-1].T
 
 
 def _require_dims(dims):
@@ -208,13 +249,9 @@ def _require_dims(dims):
 
 
 def _embed_gram(C, dims, kinds, labels):
-    """Embedding from the Gram matrix C, which is read, never written."""
-    eigenvalues = np.linalg.eigvalsh(C)[::-1].copy()
-    scale = max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
-    cutoff = POSITIVE_EIGENVALUE_CUTOFF * abs(eigenvalues[0])
-    n_positive = int(np.sum(eigenvalues > cutoff))
-    d = min(dims, n_positive)
-    vectors = _top_eigenvectors(C, eigenvalues[:d], scale)
+    """Embedding from the Gram matrix C, which the eigensolver consumes."""
+    eigenvalues, vectors = _eigen_in_place(C, dims)
+    d = vectors.shape[1]
     coords = _fix_column_signs(vectors * np.sqrt(eigenvalues[:d]))
     shortfall = d < dims
     if shortfall:
@@ -236,14 +273,14 @@ def _embed_gram(C, dims, kinds, labels):
 def classical_mds(D, dims):
     """Embed a dissimilarity matrix in at most dims dimensions.
 
-    The whole signed spectrum of the double-centered matrix comes from
-    eigvalsh and is kept, descending, in the eigenvalues field.
-    Coordinates use only eigenvalues above 1e-10 * |largest eigenvalue|;
-    their eigenvectors come from a Lanczos solver (_top_eigenvectors), so
-    only the d used ones are computed, and each is scaled by the square
-    root of its eigvalsh eigenvalue. If fewer than dims eigenvalues
-    qualify, all available are returned and the shortfall flag is set.
-    D is left as it is: the Gram matrix goes into a new buffer.
+    The whole signed spectrum of the double-centered matrix is kept,
+    descending, in the eigenvalues field (eigvalsh's bytes, unless the
+    eigh fallback runs). Coordinates use only eigenvalues above
+    1e-10 * |largest eigenvalue|; _eigen_in_place computes only the d used
+    eigenvectors, and each is scaled by the square root of its
+    eigenvalue. If fewer than dims eigenvalues qualify, all available are
+    returned and the shortfall flag is set. D is left as it is: the Gram
+    matrix goes into a new buffer, which the eigensolver consumes.
     """
     _require_dims(dims)
     V, kinds, labels = _square_values(D)
@@ -326,6 +363,12 @@ def _require_memory_for(what, buffers, shape):
         )
 
 
+def _resident_peak_buffers():
+    """The measured resident peak of cumbia() with the eigensolver that runs."""
+    fallback = _lapack() is None
+    return EIGH_RESIDENT_PEAK_BUFFERS if fallback else RESIDENT_PEAK_BUFFERS
+
+
 def _size(nbytes):
     if nbytes < 2**30:
         return f"{nbytes / 2**20:.0f} MiB"
@@ -338,18 +381,20 @@ def cumbia(X, cfg=None, dims=3):
     SVD, rank-s truncation, joint two-edge-path dissimilarities, classical
     MDS. Returns the Embedding with the configuration recorded. The joint
     matrix is the one (N+p)^2 buffer the call allocates: it is squared
-    and double-centered in place into the Gram matrix that eigvalsh and
-    the Lanczos solver read, so classical_mds's copy is not made. Raises
-    ParameterError before any work if the estimated resident peak,
-    RESIDENT_PEAK_BUFFERS (N+p)^2 float64 buffers, exceeds physical memory
-    (installed memory, not the memory free at the time of the call).
+    and double-centered in place into the Gram matrix, which the
+    eigensolver then reduces in place, so classical_mds's copy is not
+    made. Raises ParameterError before any work if the estimated resident
+    peak, RESIDENT_PEAK_BUFFERS (N+p)^2 float64 buffers
+    (EIGH_RESIDENT_PEAK_BUFFERS where the np.linalg.eigh fallback runs),
+    exceeds physical memory (installed memory, not the memory free at the
+    time of the call).
     """
     if not isinstance(X, DataMatrix):
         X = DataMatrix(X)
     require_finite(X.values)
     _require_dims(dims)
     n = sum(X.values.shape)
-    _require_memory_for(f"embedding {n} objects", RESIDENT_PEAK_BUFFERS,
+    _require_memory_for(f"embedding {n} objects", _resident_peak_buffers(),
                         (n, n))
     if cfg is None:
         cfg = CumbiaConfig()

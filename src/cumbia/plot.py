@@ -24,6 +24,12 @@ def _fmt(x):
     return f"{x:.4f}"
 
 
+def _xml_text(text):
+    """text with &, < and > escaped, as xml.sax.saxutils.escape does
+    (importing that module would import urllib.request with it)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _gather(obj, component_x, component_y):
     """The two plotted columns (copied alone), kinds and labels."""
     if isinstance(obj, Embedding):
@@ -105,7 +111,7 @@ def emit_scatter(obj, component_x=0, component_y=1, color_by=None, *, out):
     for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
         px, py = to_px(x), to_py(y)
         color = colors[i]
-        title = f"<title>{labels[i]}</title>"
+        title = f"<title>{_xml_text(labels[i])}</title>"
         if kinds[i] == "sample":
             parts.append(
                 f'<circle class="marker" cx="{_fmt(px)}" cy="{_fmt(py)}" '

@@ -11,7 +11,8 @@ import pytest
 
 from cumbia import DataMatrix, load_table, synth_block, zscore_variables
 from cumbia._fsio import write_table
-from cumbia.cli import _write_coords, _write_matrix, build_parser, main
+from cumbia.cli import (_read_label_file, _write_coords, _write_matrix,
+                        build_parser, main)
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -221,6 +222,14 @@ class TestPcaCommand:
         X = load_table(str(small_table))
         assert titles == X.sample_labels + X.variable_labels
         assert titles[0] == "s1" and titles[6] == "g1"
+
+    @pytest.mark.parametrize("sep", [",", "\t"])
+    def test_label_file_cells_may_be_quoted(self, tmp_path, sep):
+        path = tmp_path / "labels.txt"
+        path.write_text(f'object_label{sep}group\n"g,2"{sep}x\n'
+                        f's1{sep}"y"\n')
+        assert _read_label_file(str(path), ["s1", "g,2", "g3"]) == [
+            "y", "x", "unlabeled"]
 
 
 class TestScreeCommand:

@@ -9,6 +9,7 @@ from cumbia import (
     CumbiaWarning,
     DataMatrix,
     InputError,
+    InvariantViolation,
     JointDissimilarity,
     ParameterError,
     classical_mds,
@@ -191,14 +192,14 @@ def _simplex_cases():
 
 
 class TestTopEigenvectors:
-    """classical_mds takes the spectrum from eigvalsh and only the used
-    eigenvectors from a Lanczos solver; these pin both against eigh."""
+    """classical_mds takes the spectrum and only the used eigenvectors
+    from LAPACK's tridiagonal routines; these pin both against eigvalsh
+    and eigh."""
 
     @pytest.mark.parametrize("n,dims", list(_simplex_cases()))
     def test_regular_simplex_repeated_eigenvalue(self, n, dims):
-        # C = J / 2: eigenvalue 1/2 of multiplicity n - 1, so the Krylov
-        # space of any start vector breaks down after two steps and the
-        # solver must restart to find every copy it needs
+        # C = J / 2: eigenvalue 1/2 of multiplicity n - 1, so the wanted
+        # eigenvectors are any orthonormal basis of one cluster
         D = np.ones((n, n)) - np.eye(n)
         emb = classical_mds(D, dims=dims)
         P = emb.coordinates
@@ -236,34 +237,46 @@ class TestTopEigenvectors:
         for k in range(3):
             assert np.abs(emb.coordinates[:, k] - ref[:, k]).max() < 1e-8
 
-    def test_convergence_checks_are_spaced(self, monkeypatch):
-        # evenly spaced eigenvalues leave no gap at the top, so Lanczos
-        # needs a hundred or more steps; a convergence check (a k x k eigh)
-        # at every step would cost O(k^4) there
+    def test_evenly_spaced_spectrum_without_gap(self):
+        # no gap at the top of the spectrum: the case a Krylov solver
+        # needed hundreds of steps for
         rng = np.random.default_rng(58)
         n = 400
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         C = (Q * np.linspace(-0.5, 1.0, n)) @ Q.T
         C = (C + C.T) / 2.0
-        top = np.linalg.eigvalsh(C)[::-1][:3].copy()
-        calls = {"eigh": 0, "steps": 0}
-        eigh, orthogonalize = np.linalg.eigh, embedding._orthogonalize
-
-        def counting_eigh(T):
-            calls["eigh"] += 1
-            return eigh(T)
-
-        def counting_orthogonalize(w, basis):
-            calls["steps"] += 1
-            return orthogonalize(w, basis)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        monkeypatch.setattr(embedding, "_orthogonalize",
-                            counting_orthogonalize)
-        vectors = embedding._top_eigenvectors(C, top, 1.0)
-        assert calls["steps"] >= 100
-        assert calls["eigh"] <= calls["steps"] // 3
+        eigenvalues, vectors = embedding._eigen_in_place(C.copy(), 3)
+        top = eigenvalues[:3]
+        assert np.abs(top - np.linspace(-0.5, 1.0, n)[::-1][:3]).max() < 1e-12
         assert np.abs(C @ vectors - vectors * top).max() < 1e-10
+        assert np.abs(vectors.T @ vectors - np.eye(3)).max() < 1e-12
+
+    def test_eigh_fallback_matches_lapack_path(self, monkeypatch):
+        rng = np.random.default_rng(60)
+        pts = rng.standard_normal((50, 3)) * [3.0, 2.0, 1.0]
+        D = pairwise(pts)
+        lapack = classical_mds(D, dims=3)
+        monkeypatch.setattr(embedding, "_lapack", lambda: None)
+        fallback = classical_mds(D, dims=3)
+        assert np.abs(fallback.coordinates - lapack.coordinates).max() < 1e-8
+        assert np.abs(fallback.eigenvalues - lapack.eigenvalues).max() < 1e-8
+
+    @pytest.mark.parametrize("routine", embedding.LAPACK_ROUTINES)
+    def test_nonzero_lapack_info_raises(self, monkeypatch, routine):
+        bound = embedding._lapack()
+        if bound is None:
+            pytest.skip("numpy links a LAPACK without the bundled routines")
+
+        def failing(*args):
+            bound[routine](*args)
+            info = next(a for a in reversed(args) if hasattr(a, "_obj"))
+            info._obj.value = 3
+
+        monkeypatch.setattr(embedding, "_lapack",
+                            lambda: {**bound, routine: failing})
+        with pytest.raises(InvariantViolation, match=f"{routine} returned "
+                                                     "info=3"):
+            classical_mds(np.ones((5, 5)) - np.eye(5), dims=2)
 
     def test_single_object_has_no_dimensions(self):
         with pytest.warns(CumbiaWarning, match="only 0 positive"):
@@ -298,18 +311,31 @@ class TestTopEigenvectors:
 
 class TestMemoryGuard:
     def test_too_large_for_memory_raises_up_front(self, monkeypatch):
-        # 60 x 20,000 needs about 6.9 GiB; refuse before any SVD or kernel
+        # 60 x 20,000 needs about 3.9 GiB; refuse before any SVD or kernel
         monkeypatch.setattr(embedding, "_physical_memory_bytes",
-                            lambda: 6 * 2**30)
+                            lambda: 3 * 2**30)
         monkeypatch.setattr(embedding, "svd", None)
         X = np.zeros((60, 20000))
-        with pytest.raises(ParameterError, match=r"6\.9 GiB.*6\.0 GiB"):
+        with pytest.raises(ParameterError, match=r"3\.9 GiB.*3\.0 GiB"):
             cumbia(X)
 
     def test_estimate_scales_with_squared_object_count(self, monkeypatch):
         n = 4 + 6
-        need = embedding.RESIDENT_PEAK_BUFFERS * n * n * 8
+        need = embedding._resident_peak_buffers() * n * n * 8
         X = np.random.default_rng(42).standard_normal((4, 6))
+        monkeypatch.setattr(embedding, "_physical_memory_bytes",
+                            lambda: int(need) - 1)
+        with pytest.raises(ParameterError, match="physical memory"):
+            cumbia(X, dims=2)
+        monkeypatch.setattr(embedding, "_physical_memory_bytes",
+                            lambda: int(need) + 1)
+        assert cumbia(X, dims=2).coordinates.shape == (n, 2)
+
+    def test_eigh_fallback_has_its_own_estimate(self, monkeypatch):
+        n = 4 + 6
+        need = embedding.EIGH_RESIDENT_PEAK_BUFFERS * n * n * 8
+        X = np.random.default_rng(46).standard_normal((4, 6))
+        monkeypatch.setattr(embedding, "_lapack", lambda: None)
         monkeypatch.setattr(embedding, "_physical_memory_bytes",
                             lambda: int(need) - 1)
         with pytest.raises(ParameterError, match="physical memory"):

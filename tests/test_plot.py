@@ -1,9 +1,12 @@
+from xml.dom import minidom
+
 import numpy as np
 import pytest
 
 from cumbia import (
     BiplotCoordinates,
     CumbiaConfig,
+    DataMatrix,
     ParameterError,
     classical_mds,
     cumbia,
@@ -89,3 +92,14 @@ def test_degenerate_range_still_renders(tmp_path):
     out = tmp_path / "d.svg"
     emit_scatter(emb, 0, 0, out=str(out))
     assert out.read_text().count('class="marker"') == 2
+
+
+@pytest.mark.parametrize("label", ["A&B", "<v>"])
+def test_markup_in_labels_is_escaped(tmp_path, label):
+    bp = pca_biplot(DataMatrix(np.random.default_rng(7).standard_normal((3, 3)),
+                               variable_labels=[label, "b", "c"]))
+    out = tmp_path / "m.svg"
+    emit_scatter(bp, 0, 1, color_by=[label, "x", "x", "x", "y", "y"],
+                 out=str(out))
+    titles = minidom.parse(str(out)).getElementsByTagName("title")
+    assert [t.firstChild.data for t in titles][3] == label

@@ -53,8 +53,7 @@ STAGES = [
     (embedding, "_require_symmetric", "symmetry_check"),
     (embedding, "_double_center_in_place", "double_center_in_place"),
     (embedding, "_embed_gram", "embed_gram"),
-    (np.linalg, "eigvalsh", "eigvalsh"),
-    (embedding, "_top_eigenvectors", "lanczos"),
+    (embedding, "_eigen_in_place", "eigen_in_place"),
 ]
 # the stages no other stage of cumbia() calls; "other" is the rest
 TOP = ("svd", "joint_matrix", "symmetry_check", "double_center_in_place",
@@ -162,7 +161,8 @@ def run_once(N, p):
         "shape": [N, p],
         "objects": n,
         "buffer_gib": buffer / 2**30,
-        "guard_estimate_gib": embedding.RESIDENT_PEAK_BUFFERS * buffer / 2**30,
+        "guard_estimate_gib": embedding._resident_peak_buffers() * buffer
+        / 2**30,
         **timing,
         "dims_used": emb.dims_used,
         "top_eigenvalues": emb.eigenvalues[:3].tolist(),
@@ -207,7 +207,8 @@ def main():
         run, guard = run_shave, shave_guard_buffers
         cells = lambda N, p: N * p  # noqa: E731
     else:
-        run, guard = run_once, lambda N, p: embedding.RESIDENT_PEAK_BUFFERS
+        run = run_once
+        guard = lambda N, p: embedding._resident_peak_buffers()  # noqa: E731
         cells = lambda N, p: (N + p) ** 2  # noqa: E731
 
     record = {"runs": [], "skipped": []}
@@ -221,7 +222,7 @@ def main():
         record["shave_thread_peak_buffers"] = bicluster.THREAD_PEAK_BUFFERS
     else:
         record["resident_peak_buffers_constant"] = \
-            embedding.RESIDENT_PEAK_BUFFERS
+            embedding._resident_peak_buffers()
     for N, p in [tuple(args.shape)] if args.shape else WIDE_SHAPES:
         need = guard(N, p) * cells(N, p) * 8
         if mem["MemAvailable"] >= need + HEADROOM:
