@@ -159,21 +159,22 @@ def _write_coords(labels, kinds, coords, path, delim):
 
 
 def _read_label_file(path, object_labels):
-    """Label file: one 'object_label,category' line per object, header
-    optional. A line holding a tab is tab-separated, any other one
-    comma-separated; cells may be quoted as in the CLI's own tables."""
+    """Label file: one 'object_label,category' row per object, header
+    optional. The file is tab-separated if its first line holds a tab,
+    else comma-separated; cells may be quoted as in the CLI's own tables."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            raw = [line.strip() for line in handle if line.strip()]
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            delimiter = "\t" if "\t" in handle.readline() else ","
+            handle.seek(0)
+            rows = [[cell.strip() for cell in row]
+                    for row in csv.reader(handle, delimiter=delimiter)]
     except OSError as exc:
         raise InputError(f"cannot read label file {path}: {exc}") from exc
     mapping = {}
-    for line in raw:
-        delimiter = "\t" if "\t" in line else ","
-        parts = [p.strip() for p in next(csv.reader([line], delimiter=delimiter))]
-        if len(parts) != 2:
-            raise InputError(f"label file {path}: malformed line {line!r}")
-        mapping[parts[0]] = parts[1]
+    for row in filter(any, rows):
+        if len(row) != 2:
+            raise InputError(f"label file {path}: malformed row {row!r}")
+        mapping[row[0]] = row[1]
     if "object_label" in mapping:
         del mapping["object_label"]
     return [mapping.get(label, "unlabeled") for label in object_labels]

@@ -140,29 +140,36 @@ def double_center(D):
     """
     V, _, _ = _square_values(D)
     _require_symmetric(V)
-    return _double_center_in_place(V * V)
+    # C order whatever V's layout: the eigensolver reads C's buffer as is
+    return _double_center_in_place(np.multiply(V, V, order="C"))
 
 
 @functools.cache
 def _lapack():
     """LAPACK_ROUTINES from the 64-bit-integer OpenBLAS that numpy's wheels
-    bundle in numpy.libs, bound on the first call, or None where numpy
-    links another LAPACK."""
+    bundle, bound on the first call, or None where numpy links another
+    LAPACK. The symbols are looked up through numpy's linalg extension,
+    which resolves them in the libraries it links (Linux, macOS), then in
+    the wheel's numpy.libs folder (Windows)."""
     import glob
+
+    from numpy.linalg import _umath_linalg
 
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                         "numpy.libs", "libscipy_openblas64_*")
-    try:
-        lib = ctypes.CDLL(glob.glob(libs)[0])
-        routines = {name: getattr(lib, f"scipy_{name}_64_")
-                    for name in LAPACK_ROUTINES}
-    except (IndexError, OSError, AttributeError):
-        return None
-    for name, (flags, count) in LAPACK_ROUTINES.items():
-        routines[name].argtypes = ([ctypes.c_void_p] * count
-                                   + [ctypes.c_size_t] * flags)
-        routines[name].restype = None
-    return routines
+    for path in [_umath_linalg.__file__, *glob.glob(libs)]:
+        try:
+            lib = ctypes.CDLL(path)
+            routines = {name: getattr(lib, f"scipy_{name}_64_")
+                        for name in LAPACK_ROUTINES}
+        except (OSError, AttributeError):
+            continue
+        for name, (flags, count) in LAPACK_ROUTINES.items():
+            routines[name].argtypes = ([ctypes.c_void_p] * count
+                                       + [ctypes.c_size_t] * flags)
+            routines[name].restype = None
+        return routines
+    return None
 
 
 def _int(value):
@@ -202,8 +209,9 @@ def _eigen_in_place(C, dims):
     """The whole spectrum of the symmetric C, descending, and the n x d
     eigenvectors of its top d = min(dims, positive count) eigenvalues.
 
-    C is consumed: dsytrd reduces it in place to tridiagonal T = Q^T C Q,
-    keeping Q's reflectors in it. dsterf gives T's spectrum (eigvalsh runs
+    C, a C-ordered float64 matrix its caller allocated, is consumed:
+    dsytrd reduces it in place to tridiagonal T = Q^T C Q, keeping Q's
+    reflectors in it. dsterf gives T's spectrum (eigvalsh runs
     the same two routines, so the bytes are eigvalsh's), dstemr the d
     eigenvectors of T and dormtr maps them back through Q. Where numpy's
     LAPACK lacks these, one np.linalg.eigh call gives both.
@@ -213,10 +221,6 @@ def _eigen_in_place(C, dims):
         values, vectors = np.linalg.eigh(C)
         eigenvalues = values[::-1].copy()
         return eigenvalues, vectors[:, ::-1][:, :_used_dims(eigenvalues, dims)]
-    if not (C.flags.c_contiguous and C.flags.writeable
-            and C.dtype == np.float64):
-        raise InvariantViolation("the eigensolver needs a writeable "
-                                 "C-contiguous float64 matrix")
     n = C.shape[0]
     diag, off, tau = np.empty(n), np.zeros(n), np.empty(max(1, n - 1))
     _lapack_call(lapack, "dsytrd", "L", _int(n), C.ctypes, _int(n),

@@ -223,12 +223,14 @@ class TestPcaCommand:
         assert titles == X.sample_labels + X.variable_labels
         assert titles[0] == "s1" and titles[6] == "g1"
 
-    @pytest.mark.parametrize("sep", [",", "\t"])
-    def test_label_file_cells_may_be_quoted(self, tmp_path, sep):
+    @pytest.mark.parametrize("sep,label", [(",", "g,2"), ("\t", "g,2"),
+                                           (",", "g\t2")])
+    def test_label_file_cells_may_be_quoted(self, tmp_path, sep, label):
+        # one delimiter for the whole file, so a quoted cell may hold the other
         path = tmp_path / "labels.txt"
-        path.write_text(f'object_label{sep}group\n"g,2"{sep}x\n'
+        path.write_text(f'object_label{sep}group\n"{label}"{sep}x\n\n'
                         f's1{sep}"y"\n')
-        assert _read_label_file(str(path), ["s1", "g,2", "g3"]) == [
+        assert _read_label_file(str(path), ["s1", label, "g3"]) == [
             "y", "x", "unlabeled"]
 
 

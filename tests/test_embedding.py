@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -251,6 +252,15 @@ class TestTopEigenvectors:
         assert np.abs(C @ vectors - vectors * top).max() < 1e-10
         assert np.abs(vectors.T @ vectors - np.eye(3)).max() < 1e-12
 
+    @pytest.mark.parametrize("layout", [np.asfortranarray, np.transpose])
+    def test_any_memory_layout_of_the_input(self, layout):
+        pts = np.random.default_rng(62).standard_normal((30, 3))
+        D = pairwise(pts)
+        expect = classical_mds(D, dims=2)
+        emb = classical_mds(layout(D), dims=2)
+        assert emb.coordinates.tobytes() == expect.coordinates.tobytes()
+        assert emb.eigenvalues.tobytes() == expect.eigenvalues.tobytes()
+
     def test_eigh_fallback_matches_lapack_path(self, monkeypatch):
         rng = np.random.default_rng(60)
         pts = rng.standard_normal((50, 3)) * [3.0, 2.0, 1.0]
@@ -311,13 +321,19 @@ class TestTopEigenvectors:
 
 class TestMemoryGuard:
     def test_too_large_for_memory_raises_up_front(self, monkeypatch):
-        # 60 x 20,000 needs about 3.9 GiB; refuse before any SVD or kernel
+        # 60 x 20,000 needs about 3.9 GiB (16.2 GiB where the eigh fallback
+        # runs); refuse before any SVD or kernel
         monkeypatch.setattr(embedding, "_physical_memory_bytes",
                             lambda: 3 * 2**30)
         monkeypatch.setattr(embedding, "svd", None)
         X = np.zeros((60, 20000))
-        with pytest.raises(ParameterError, match=r"3\.9 GiB.*3\.0 GiB"):
+        need = embedding._resident_peak_buffers() * 20060**2 * 8
+        with pytest.raises(ParameterError,
+                           match=re.escape(embedding._size(need))
+                           + r".*3\.0 GiB"):
             cumbia(X)
+        if embedding._lapack() is not None:
+            assert embedding._size(need) == "3.9 GiB"
 
     def test_estimate_scales_with_squared_object_count(self, monkeypatch):
         n = 4 + 6
