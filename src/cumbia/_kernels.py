@@ -29,7 +29,9 @@ worker and merged as a multiset at the end, so the output bytes do not
 depend on the worker count. The threads overlap because np.add,
 np.partition and np.sort release the interpreter lock. They are started
 and joined inside each call, so no pool outlives a call, survives a fork
-or is shared by concurrent callers.
+or is shared by concurrent callers. The calling thread allocates every
+worker's row buffer and panel before any thread starts, so the threads
+allocate nothing large and their allocators keep no freed buffers.
 """
 
 import os
@@ -92,7 +94,7 @@ def _workers_for(n, m):
                       pair_sums // MIN_SUMS_PER_WORKER))
 
 
-def _fill_rows(R, K, consume, first, step, zero):
+def _fill_rows(R, K, consume, first, step, zero, buf, panel):
     """Hand rows first, first + step, ... of the upper triangle to consume,
     a panel at a time.
 
@@ -100,12 +102,10 @@ def _fill_rows(R, K, consume, first, step, zero):
     the later members j of i's duplicate group (zero[i]) and inf elsewhere.
     consume(first, rows, panel) gets every PANEL_ROWS rows and the rest at
     the end; it may reorder the panel, which is inf-filled again after.
-    One (n - 1) x m buffer holds each row's pair sums and is reordered in
-    place, so a worker allocates it once instead of twice per row.
+    buf, an (n - 1) x m array, holds each row's pair sums and is reordered
+    in place; panel is an inf-filled PANEL_ROWS x n array.
     """
-    n, m = R.shape
-    buf = np.empty((max(n - 1, 0), m), dtype=np.float64)
-    panel = np.full((PANEL_ROWS, n), np.inf)
+    n = R.shape[0]
     rows = []
     for i in range(first, n - 1, step):
         sums = buf[:n - 1 - i]
@@ -125,21 +125,24 @@ def _run_rows(R, K, consume, workers, zero_groups):
     """Compute every row of the upper triangle of R and hand it to consume.
 
     Worker w of workers gets the rows i with i % workers == w (_fill_rows).
-    Worker 0 is the calling thread, every other worker a thread of its own.
-    The pairs inside each group of zero_groups are 0. An exception in any
-    worker is re-raised on the caller once every thread is joined.
+    Worker 0 is the calling thread, every other worker a thread of its own
+    with scratch the calling thread allocated. The pairs inside each group
+    of zero_groups are 0. An exception in any worker is re-raised on the
+    caller once every thread is joined.
     """
     R = np.ascontiguousarray(R, dtype=np.float64)
-    m = R.shape[1]
+    n, m = R.shape
     if not 1 <= K <= m:
         raise ParameterError(f"K={K} outside [1, {m}]")
     zero = {i: np.array(group[t + 1:]) for group in map(sorted, zero_groups)
             for t, i in enumerate(group[:-1])}
+    scratch = [(np.empty((max(n - 1, 0), m)),
+                np.full((PANEL_ROWS, n), np.inf)) for _ in range(workers)]
     errors = []
 
     def work(first):
         try:
-            _fill_rows(R, K, consume, first, workers, zero)
+            _fill_rows(R, K, consume, first, workers, zero, *scratch[first])
         except BaseException as exc:  # re-raised on the caller below
             errors.append(exc)
 

@@ -9,8 +9,10 @@ sample-variable sets is returned; no single step is picked as the winner.
 No same-kind block is built: the kernel hands each of its rows to
 running lists of every object's K0 smallest distances, and the scores come
 from those lists, byte for byte what scoring the stored blocks would give.
-The peak is a few N x p float64 arrays plus, per kernel worker, a row
-buffer and the lists (_peak_buffers).
+A step frees its submatrix and SVD factors once D_sv is built, and scores
+the variables from D_sv's contiguous transpose, which replaces D_sv. The
+peak is a few N x p float64 arrays plus, per kernel worker, a row buffer
+and the lists (_peak_buffers).
 """
 
 from dataclasses import dataclass, field
@@ -25,12 +27,13 @@ from .embedding import _require_memory_for
 from .errors import ParameterError
 from .matrix_core import DataMatrix, require_finite, svd
 
-# _peak_buffers' measured parts, fixed and per kernel thread (a row buffer
-# and what the thread's allocator keeps), from the resident peak at K0 = 3
-# with 1 and 2 threads, lists apart: 2.8 + 4.5 per thread at 60 x 6000 and
-# 2.5 + 4.2 at 60 x 20,000 (BENCH_12.json), 1.2 + 5.3 in a 6000 repeat
-FIXED_PEAK_BUFFERS = 2.5
-THREAD_PEAK_BUFFERS = 5.5
+# _peak_buffers' measured parts, fixed and per kernel worker (its row
+# buffer, which the calling thread allocates), rounded up from the resident
+# peak at K0 = 3 with 1 and 2 workers, lists apart: 4.3 + 1.5 per worker at
+# 60 x 6000 (highest of three runs) and 3.8 + 1.0 at 60 x 20,000
+# (BENCH_18.json)
+FIXED_PEAK_BUFFERS = 4.5
+THREAD_PEAK_BUFFERS = 2.0
 
 
 @dataclass
@@ -48,21 +51,24 @@ class ShaveTrace:
     steps: list = field(default_factory=list)
 
 
-def _kind_scores(D_sv, K, kind, groups, k0, notes):
-    """Per object of kind, mean of its k0 smallest same-kind distances."""
-    R = D_sv if kind == "samples" else D_sv.T
+def _kind_scores(R, K, kind, groups, k0, notes):
+    """Per row of R, an object of kind, the mean of its k0 smallest
+    same-kind distances."""
     k = _clamp(k0, R.shape[0] - 1, "K0", f"other {kind}", notes)
     return pair_mean_k0_smallest(R, K, k, groups)
 
 
 def _step_scores(values, cfg, k0, notes):
-    """Sample and variable scores of one step."""
+    """Sample and variable scores of one step; the caller holds no other
+    reference to values, so it is freed with f once D_sv is built."""
     f = svd(values)
     s = f.r if cfg.s is None else _clamp(
         cfg.s, f.r, "s", "nonzero singular values of the submatrix", notes)
-    D_sv, sides = _kind_inputs(values, f, s, cfg, notes)
-    return tuple(_kind_scores(D_sv, K, kind, groups, k0, notes)
-                 for kind, K, groups in sides)
+    D_sv, ((_, Ks, gs), (_, Kv, gv)) = _kind_inputs(values, f, s, cfg, notes)
+    del values, f
+    s_scores = _kind_scores(D_sv, Ks, "samples", gs, k0, notes)
+    D_sv = np.ascontiguousarray(D_sv.T)
+    return s_scores, _kind_scores(D_sv, Kv, "variables", gv, k0, notes)
 
 
 def _peak_buffers(shape, k0):
@@ -119,8 +125,8 @@ def shave(X, cfg=None, k0=3, drop_fraction=0.1, min_objects=2):
     trace = ShaveTrace()
     notes = set()  # clamps already warned about in this run
     while True:
-        sub = X.values[np.ix_(sample_idx, variable_idx)]
-        s_scores, v_scores = _step_scores(sub, cfg, k0, notes)
+        s_scores, v_scores = _step_scores(
+            X.values[np.ix_(sample_idx, variable_idx)], cfg, k0, notes)
         trace.steps.append(ShaveStep(
             sample_indices=sample_idx.copy(),
             variable_indices=variable_idx.copy(),

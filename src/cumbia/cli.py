@@ -225,10 +225,9 @@ def cmd_synth(args):
         # variables of the planted block are known here too; tag them for plots
         tags = ["planted" if j < PLANTED_VARIABLES else "background"
                 for j in range(X.n_variables)]
-        lines = ["object_label,group"] + [
-            f"{label},{group}" for label, group in
-            zip(X.sample_labels + X.variable_labels, groups + tags)]
-        atomic_write_text(args.labels, "\n".join(lines) + "\n")
+        write_table(args.labels, ["object_label", "group"],
+                    zip(X.sample_labels + X.variable_labels, groups + tags),
+                    np.empty((X.n_samples + X.n_variables, 0)), ",")
         outputs.append(args.labels)
     _manifest(args, outputs)
     return 0

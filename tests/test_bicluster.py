@@ -309,14 +309,38 @@ def test_peak_holds_one_step_of_blocks(monkeypatch):
     assert peak <= 13 * Np * 8, f"peak {peak / (Np * 8):.2f} N x p buffers"
 
 
+@CLAMPS_AT_TWO_SAMPLES
+@pytest.mark.parametrize("workers, bound", [(1, 5.2), (2, 6.6)])
+def test_step_keeps_only_live_arrays(monkeypatch, workers, bound):
+    # a step frees its submatrix and SVD factors once D_sv is built, and
+    # scores the variables from D_sv's transpose alone: 4.89 and 5.9-6.2
+    # N x p buffers here, against 6.75 and 9.25 when the submatrix, V,
+    # D_sv and its transpose were all alive during the variables kernel
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: workers)
+    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
+    X, _ = synth_block(N=30, p=800, seed=0)
+    buffer = X.n_samples * X.n_variables * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        shave(X)
+        peak = (tracemalloc.get_traced_memory()[1] - before) / buffer
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (
+        f"peak {peak:.2f} N x p buffers with {workers} kernel workers, "
+        f"bound {bound}")
+
+
 class TestMemoryGuard:
     def test_too_large_for_memory_raises_before_any_svd(self, monkeypatch):
-        # 60 x 20,000 needs about 136 MiB with two kernel threads
+        # 60 x 20,000 needs about 90 MiB with two kernel threads
         monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)
         monkeypatch.setattr(embedding, "_physical_memory_bytes",
-                            lambda: 100 * 2**20)
+                            lambda: 80 * 2**20)
         monkeypatch.setattr(bicluster, "svd", None)
-        with pytest.raises(ParameterError, match=r"136 MiB.*100 MiB"):
+        with pytest.raises(ParameterError, match=r"90 MiB.*80 MiB"):
             shave(np.zeros((60, 20000)))
 
     @CLAMPS_AT_TWO_SAMPLES

@@ -118,10 +118,10 @@ def test_small_input_runs_on_the_caller_thread(monkeypatch):
 def test_worker_exception_reraised_on_caller(monkeypatch):
     fill_rows = _kernels._fill_rows
 
-    def failing(R, K, consume, first, step, zero):
+    def failing(R, K, consume, first, step, zero, buf, panel):
         if first == 1:
             raise MemoryError("worker 1")
-        fill_rows(R, K, consume, first, step, zero)
+        fill_rows(R, K, consume, first, step, zero, buf, panel)
 
     monkeypatch.setattr(_kernels, "_worker_count", lambda: 3)
     monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
@@ -240,10 +240,10 @@ def test_caller_exception_reraised_after_the_threads_end(monkeypatch):
     fill_rows = _kernels._fill_rows
     counting = CountingThreads()
 
-    def failing(R, K, consume, first, step, zero):
+    def failing(R, K, consume, first, step, zero, buf, panel):
         if first == 0:
             raise MemoryError("worker 0")
-        fill_rows(R, K, consume, first, step, zero)
+        fill_rows(R, K, consume, first, step, zero, buf, panel)
 
     monkeypatch.setattr(_kernels, "_worker_count", lambda: 3)
     monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)

@@ -3,21 +3,23 @@
     python3 tools/wide_run.py --out wide.json
     python3 tools/wide_run.py --out wide.json --shape 100 3000
     python3 tools/wide_run.py --out wide.json --shave
+    python3 tools/wide_run.py --out wide.json --shave --shape 60 6000 --k0 200
 
-Runs cumbia(), or with --shave shave() at its defaults, once on z-scored
-synth_block(N, p, seed=0): by default 60 x 20,000, or 60 x 16,000 when
-MemAvailable is below the memory guard's estimate for 20,000 variables
-plus 1 GiB. A shape whose estimate plus 1 GiB exceeds MemAvailable is
-skipped, not run. The run's record holds the wall time of each stage, the
-tracemalloc peak and the resident peak (ru_maxrss minus the RSS before the
-call), both in float64 buffers of the size the call's memory guard counts:
-(N+p)^2 entries for cumbia(), N x p for shave(); a shave() record also
-holds the kernel's worker count, which taskset can lower. It is appended to
-the runs in --out, next to the machine facts. ru_maxrss is the peak of the
-whole process, so each run needs a process of its own. Stages are timed
-by wrapping the module-level functions the call makes; cumbia()'s in-place
-squaring and shave()'s bookkeeping have no function of their own and are
-left in "other". Linux only: it reads /proc/meminfo and /proc/self/statm.
+Runs cumbia(), or with --shave shave() at its defaults but K0 (--k0, 3 by
+default), once on z-scored synth_block(N, p, seed=0): by default 60 x
+20,000, or 60 x 16,000 when MemAvailable is below the memory guard's
+estimate for 20,000 variables plus 1 GiB. A shape whose estimate plus 1
+GiB exceeds MemAvailable is skipped, not run. The run's record holds the
+wall time of each stage, the tracemalloc peak and the resident peak
+(ru_maxrss minus the RSS before the call), both in float64 buffers of the
+size the call's memory guard counts: (N+p)^2 entries for cumbia(), N x p
+for shave(); a shave() record also holds K0 and the kernel's worker count,
+which taskset can lower. It is appended to the runs in --out, next to the
+machine facts. ru_maxrss is the peak of the whole process, so each run
+needs a process of its own. Stages are timed by wrapping the module-level
+functions the call makes; cumbia()'s in-place squaring and shave()'s
+bookkeeping have no function of their own and are left in "other". Linux
+only: it reads /proc/meminfo and /proc/self/statm.
 """
 
 import argparse
@@ -40,7 +42,6 @@ from cumbia import _kernels, bicluster, dissimilarity, embedding  # noqa: E402
 
 WIDE_SHAPES = ((60, 20000), (60, 16000))
 HEADROOM = 2**30
-SHAVE_K0 = 3  # shave()'s default
 
 # (module, function, span name); a span name ending in "." gets the kind
 # argument appended
@@ -169,25 +170,23 @@ def run_once(N, p):
     }
 
 
-def shave_guard_buffers(N, p):
-    return bicluster._peak_buffers((N, p), SHAVE_K0)
-
-
-def run_shave(N, p):
-    """Time one shave() call at its defaults on the N x p input; return
-    its record."""
+def run_shave(N, p, k0):
+    """Time one shave() call at its defaults but k0 on the N x p input;
+    return its record."""
     buffer = 8 * N * p
+    guard = bicluster._peak_buffers((N, p), k0)
     top = [span.rstrip(".") for _, _, span in SHAVE_STAGES]
-    trace, timing = timed_call(cumbia.shave, wide_input(N, p), SHAVE_STAGES,
-                               top, buffer)
+    trace, timing = timed_call(lambda Z: cumbia.shave(Z, k0=k0),
+                               wide_input(N, p), SHAVE_STAGES, top, buffer)
     last = trace.steps[-1]
     return {
         "workload": "shave",
         "shape": [N, p],
         "buffer_gib": buffer / 2**30,
+        "k0": k0,
         "kernel_threads": _kernels._worker_count(),
-        "guard_buffers": shave_guard_buffers(N, p),
-        "guard_estimate_gib": shave_guard_buffers(N, p) * buffer / 2**30,
+        "guard_buffers": guard,
+        "guard_estimate_gib": guard * buffer / 2**30,
         **timing,
         "steps": len(trace.steps),
         "last_step_shape": [last.sample_indices.size,
@@ -201,10 +200,14 @@ def main():
     parser.add_argument("--shape", type=int, nargs=2, metavar=("N", "P"))
     parser.add_argument("--shave", action="store_true",
                         help="run shave() instead of cumbia()")
+    parser.add_argument("--k0", type=int, default=3,
+                        help="shave()'s K0 (default 3, its own default)")
     args = parser.parse_args()
     warnings.simplefilter("ignore", cumbia.CumbiaWarning)
     if args.shave:
-        run, guard = run_shave, shave_guard_buffers
+        run = lambda N, p: run_shave(N, p, args.k0)  # noqa: E731
+        guard = lambda N, p: bicluster._peak_buffers(  # noqa: E731
+            (N, p), args.k0)
         cells = lambda N, p: N * p  # noqa: E731
     else:
         run = run_once
