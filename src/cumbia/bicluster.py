@@ -58,9 +58,10 @@ def _kind_scores(R, K, kind, groups, k0, notes):
     return pair_mean_k0_smallest(R, K, k, groups)
 
 
-def _step_scores(values, cfg, k0, notes):
-    """Sample and variable scores of one step; the caller holds no other
-    reference to values, so it is freed with f once D_sv is built."""
+def _step_scores(X_values, rows, cols, cfg, k0, notes):
+    """Sample and variable scores of the submatrix X_values[rows, cols];
+    the submatrix is freed with its SVD factors once D_sv is built."""
+    values = X_values[np.ix_(rows, cols)]
     f = svd(values)
     s = f.r if cfg.s is None else _clamp(
         cfg.s, f.r, "s", "nonzero singular values of the submatrix", notes)
@@ -126,7 +127,7 @@ def shave(X, cfg=None, k0=3, drop_fraction=0.1, min_objects=2):
     notes = set()  # clamps already warned about in this run
     while True:
         s_scores, v_scores = _step_scores(
-            X.values[np.ix_(sample_idx, variable_idx)], cfg, k0, notes)
+            X.values, sample_idx, variable_idx, cfg, k0, notes)
         trace.steps.append(ShaveStep(
             sample_indices=sample_idx.copy(),
             variable_indices=variable_idx.copy(),

@@ -227,6 +227,21 @@ def planted_in_top(scores, n_planted):
     return int((top < n_planted).sum())
 
 
+def planted_recovery(coordinates, Z, n_planted=6, p_planted=25):
+    """Criterion 6's rule on one seed, from component 1 of a cumbia()
+    embedding of Z whose first n_planted samples and p_planted variables
+    are planted: (sample gap, planted among the p_planted variables
+    furthest toward the planted samples, the oracle's count, recovered)."""
+    N = Z.n_samples
+    planted = np.arange(N) < n_planted
+    samples, variables = coordinates[:N, 0], coordinates[N:, 0]
+    s_gap = separation_gap(samples, planted)
+    side = np.sign(samples[planted].mean() - samples[~planted].mean())
+    found = planted_in_top(side * variables, p_planted)
+    oracle = planted_in_top(Z.values[planted].mean(axis=0), p_planted)
+    return s_gap, found, oracle, bool(s_gap > 0 and found >= 0.8 * oracle)
+
+
 def test_criterion_6_planted_block_separation(planted_block_runs):
     """Component 1 isolates the planted samples and ranks the planted variables.
 
@@ -245,26 +260,23 @@ def test_criterion_6_planted_block_separation(planted_block_runs):
     planted[:n_pl] = True
     rows = []
     for emb, pc_scores, pc_loadings, Z in runs:
-        c1 = emb.coordinates[:, 0]
-        samples, variables = c1[:N], c1[N:]
-        s_gap = separation_gap(samples, planted)
-        side = np.sign(samples[planted].mean() - samples[~planted].mean())
+        s_gap, found, oracle, hit = planted_recovery(emb.coordinates, Z)
         oracle_scores = Z.values[planted].mean(axis=0)
         rows.append({
             "s_gap": s_gap,
-            "cumbia": planted_in_top(side * variables, p_pl),
-            "oracle": planted_in_top(oracle_scores, p_pl),
+            "cumbia": found,
+            "oracle": oracle,
+            "recovered": hit,
             "pca": max(planted_in_top(sign * pc_loadings[:, k], p_pl)
                        for k in range(3) for sign in (1, -1)),
             "oracle_gap": separation_gap(
-                oracle_scores, np.arange(variables.size) < p_pl
+                oracle_scores, np.arange(Z.n_variables) < p_pl
             ),
             "pca_separates": any(
                 separation_gap(pc_scores[:, k], planted) > 0 for k in range(3)
             ),
         })
-    recovered = [r["s_gap"] > 0 and r["cumbia"] >= 0.8 * r["oracle"]
-                 for r in rows]
+    recovered = [r["recovered"] for r in rows]
     beats_pca = [r["cumbia"] > r["pca"] for r in rows]
     sample_sep = sum(r["s_gap"] > 0 for r in rows)
     pca_sample_sep = sum(r["pca_separates"] for r in rows)

@@ -1,78 +1,52 @@
 """Planted-block recovery as k_variables varies, by criterion 6's rule.
 
     python3 tools/k_scan.py
-    python3 tools/k_scan.py --k 2 3 4 --seeds 10
 
-For each k_variables runs cumbia(Z, CumbiaConfig(k_samples=3,
+For each k_variables in K_VALUES runs cumbia(Z, CumbiaConfig(k_samples=3,
 k_variables=k), dims=3) on Z = zscore_variables(synth_block(seed=s)),
-60 x 1500 with a 6 x 25 planted block, for seeds s = 0 .. --seeds - 1.
-A seed counts as recovered when component 1 separates the planted
-samples (sample gap > 0) and, of the 25 variables furthest toward them,
-at least 0.8 times as many are planted as among the 25 largest
-planted-row means of Z: the rule of criterion 6 in
-tests/test_acceptance.py. Prints a Markdown table: recovered seeds and
-the worst sample gap per k_variables, then every seed's gap.
+60 x 1500 with a 6 x 25 planted block, for the seeds in SEEDS. Whether a
+seed counts as recovered is decided by planted_recovery in
+tests/test_acceptance.py, criterion 6's own rule: component 1 separates
+the planted samples (sample gap > 0) and, of the 25 variables furthest
+toward them, at least 0.8 times as many are planted as among the 25
+largest planted-row means of Z. Prints a Markdown table: recovered seeds
+and the worst sample gap per k_variables, then every seed's gap.
 """
 
-import argparse
 import os
 import sys
 import warnings
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
-
-import numpy as np  # noqa: E402
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from cumbia import (  # noqa: E402
     CumbiaConfig, CumbiaWarning, cumbia, synth_block, zscore_variables)
+from test_acceptance import planted_recovery  # noqa: E402
 
-N_PLANTED, P_PLANTED = 6, 25  # synth_block's defaults
-
-
-def separation_gap(values, member_mask):
-    inside, outside = values[member_mask], values[~member_mask]
-    return max(outside.min() - inside.max(), inside.min() - outside.max())
-
-
-def planted_in_top(scores, n_planted):
-    top = np.argsort(-scores, kind="stable")[:n_planted]
-    return int((top < n_planted).sum())
-
-
-def seed_result(Z, k_variables):
-    """(sample gap, recovered) of one seed at k_variables."""
-    N = Z.n_samples
-    planted = np.arange(N) < N_PLANTED
-    emb = cumbia(Z, CumbiaConfig(k_samples=3, k_variables=k_variables),
-                 dims=3)
-    samples, variables = emb.coordinates[:N, 0], emb.coordinates[N:, 0]
-    gap = separation_gap(samples, planted)
-    side = np.sign(samples[planted].mean() - samples[~planted].mean())
-    found = planted_in_top(side * variables, P_PLANTED)
-    oracle = planted_in_top(Z.values[planted].mean(axis=0), P_PLANTED)
-    return gap, gap > 0 and found >= 0.8 * oracle
+K_VALUES = (1, 2, 3, 4, 5, 6, 8, 12)
+SEEDS = range(10)
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--k", type=int, nargs="+",
-                        default=[1, 2, 3, 4, 5, 6, 8, 12])
-    parser.add_argument("--seeds", type=int, default=10)
-    args = parser.parse_args()
     warnings.simplefilter("ignore", CumbiaWarning)
-    inputs = [zscore_variables(synth_block(seed=s)[0])
-              for s in range(args.seeds)]
-    results = {k: [seed_result(Z, k) for Z in inputs] for k in args.k}
-    print("| `k_variables` | " + " | ".join(map(str, args.k)) + " |")
-    print("|---" * (len(args.k) + 1) + "|")
-    print(f"| recovered /{args.seeds} | " + " | ".join(
-        str(sum(hit for _, hit in results[k])) for k in args.k) + " |")
+    inputs = [zscore_variables(synth_block(seed=s)[0]) for s in SEEDS]
+    results = {}
+    for k in K_VALUES:
+        config = CumbiaConfig(k_samples=3, k_variables=k)
+        results[k] = [
+            planted_recovery(cumbia(Z, config, dims=3).coordinates, Z)
+            for Z in inputs]
+    print("| `k_variables` | " + " | ".join(map(str, K_VALUES)) + " |")
+    print("|---" * (len(K_VALUES) + 1) + "|")
+    print(f"| recovered /{len(SEEDS)} | " + " | ".join(
+        str(sum(r[3] for r in results[k])) for k in K_VALUES) + " |")
     print("| worst sample gap | " + " | ".join(
-        f"{min(gap for gap, _ in results[k]):+.2f}" for k in args.k) + " |")
-    for k in args.k:
+        f"{min(r[0] for r in results[k]):+.2f}" for k in K_VALUES) + " |")
+    for k in K_VALUES:
         print(f"k_variables={k}: " + " ".join(
-            f"{gap:+.2f}" for gap, _ in results[k]))
+            f"{r[0]:+.2f}" for r in results[k]))
 
 
 if __name__ == "__main__":

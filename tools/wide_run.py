@@ -6,10 +6,10 @@
     python3 tools/wide_run.py --out wide.json --shave --shape 60 6000 --k0 200
 
 Runs cumbia(), or with --shave shave() at its defaults but K0 (--k0, 3 by
-default), once on z-scored synth_block(N, p, seed=0): by default 60 x
-20,000, or 60 x 16,000 when MemAvailable is below the memory guard's
-estimate for 20,000 variables plus 1 GiB. A shape whose estimate plus 1
-GiB exceeds MemAvailable is skipped, not run. The run's record holds the
+default, refused without --shave), once on z-scored synth_block(N, p,
+seed=0): by default 60 x 20,000, or 60 x 16,000 when MemAvailable is below
+the memory guard's estimate for 20,000 variables plus 1 GiB. A shape whose
+estimate plus 1 GiB exceeds MemAvailable is skipped, not run. The run's record holds the
 wall time of each stage, the tracemalloc peak and the resident peak
 (ru_maxrss minus the RSS before the call), both in float64 buffers of the
 size the call's memory guard counts: (N+p)^2 entries for cumbia(), N x p
@@ -23,6 +23,7 @@ only: it reads /proc/meminfo and /proc/self/statm.
 """
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -42,6 +43,7 @@ from cumbia import _kernels, bicluster, dissimilarity, embedding  # noqa: E402
 
 WIDE_SHAPES = ((60, 20000), (60, 16000))
 HEADROOM = 2**30
+SHAVE_K0 = 3  # shave()'s default
 
 # (module, function, span name); a span name ending in "." gets the kind
 # argument appended
@@ -170,11 +172,15 @@ def run_once(N, p):
     }
 
 
+def shave_guard_buffers(N, p, k0):
+    return bicluster._peak_buffers((N, p), k0)
+
+
 def run_shave(N, p, k0):
     """Time one shave() call at its defaults but k0 on the N x p input;
     return its record."""
     buffer = 8 * N * p
-    guard = bicluster._peak_buffers((N, p), k0)
+    guard = shave_guard_buffers(N, p, k0)
     top = [span.rstrip(".") for _, _, span in SHAVE_STAGES]
     trace, timing = timed_call(lambda Z: cumbia.shave(Z, k0=k0),
                                wide_input(N, p), SHAVE_STAGES, top, buffer)
@@ -200,14 +206,17 @@ def main():
     parser.add_argument("--shape", type=int, nargs=2, metavar=("N", "P"))
     parser.add_argument("--shave", action="store_true",
                         help="run shave() instead of cumbia()")
-    parser.add_argument("--k0", type=int, default=3,
-                        help="shave()'s K0 (default 3, its own default)")
+    parser.add_argument("--k0", type=int,
+                        help=f"shave()'s K0 (default {SHAVE_K0}, its own "
+                        "default); only with --shave")
     args = parser.parse_args()
+    if args.k0 is not None and not args.shave:
+        parser.error("--k0 applies only with --shave")
     warnings.simplefilter("ignore", cumbia.CumbiaWarning)
     if args.shave:
-        run = lambda N, p: run_shave(N, p, args.k0)  # noqa: E731
-        guard = lambda N, p: bicluster._peak_buffers(  # noqa: E731
-            (N, p), args.k0)
+        k0 = SHAVE_K0 if args.k0 is None else args.k0
+        run = functools.partial(run_shave, k0=k0)
+        guard = functools.partial(shave_guard_buffers, k0=k0)
         cells = lambda N, p: N * p  # noqa: E731
     else:
         run = run_once
