@@ -12,7 +12,9 @@ are sorted whole, longer ones partitioned first (_smallest_first).
 
 One producer (_fill_rows) makes the rows of the upper triangle, i and
 the entries (i, j) for j > i, and hands them to a consumer a panel of up
-to PANEL_ROWS rows at a time. It also zeroes, in the panel, the pairs of
+to PANEL_ROWS rows at a time. It computes a row's pair sums a chunk of
+columns j at a time, at most SCRATCH_VALUES sums, so a worker's scratch
+does not grow with n. It also zeroes, in the panel, the pairs of
 objects with identical profiles. pair_mean_k_smallest's consumer copies
 each panel row and its mirror into the n x n result;
 pair_mean_k0_smallest's merges each panel into running lists of every
@@ -30,7 +32,7 @@ depend on the worker count. The threads overlap because np.add,
 np.partition and np.sort release the interpreter lock. They are started
 and joined inside each call, so no pool outlives a call, survives a fork
 or is shared by concurrent callers. The calling thread allocates every
-worker's row buffer and panel before any thread starts, so the threads
+worker's scratch and panel before any thread starts, so the threads
 allocate nothing large and their allocators keep no freed buffers.
 """
 
@@ -48,6 +50,12 @@ MIN_SUMS_PER_WORKER = 1_000_000
 # rows a worker hands its consumer at once; the running lists merge a
 # panel with one selection
 PANEL_ROWS = 16
+# pair sums a worker holds at once (a row i is walked over chunks of j),
+# unless one chunk row of m sums is longer; speed only, never bytes. The
+# variables-side kernel at 100 x 3000 took +90% at 2^13, +15% at 2^14,
+# and the same time at 2^15 and 2^16; shave at 60 x 1500 took +4% at
+# 2^15 and the same at 2^16
+SCRATCH_VALUES = 2**16
 # longest row _smallest_first sorts whole; speed only, never bytes. Sort
 # / partition time, K = 3, numpy 2.4.6, AVX-512: 0.73-0.80 up to 256
 # entries, 0.90-1.21 from 288 on, 2-2.5 at 1500-3000
@@ -102,16 +110,19 @@ def _fill_rows(R, K, consume, first, step, zero, buf, panel):
     the later members j of i's duplicate group (zero[i]) and inf elsewhere.
     consume(first, rows, panel) gets every PANEL_ROWS rows and the rest at
     the end; it may reorder the panel, which is inf-filled again after.
-    buf, an (n - 1) x m array, holds each row's pair sums and is reordered
-    in place; panel is an inf-filled PANEL_ROWS x n array.
+    buf, a c x m array, holds the pair sums of c columns j of a row at a
+    time and is reordered in place; panel is an inf-filled PANEL_ROWS x n
+    array.
     """
     n = R.shape[0]
+    chunk = buf.shape[0]
     rows = []
     for i in range(first, n - 1, step):
-        sums = buf[:n - 1 - i]
-        np.add(R[i], R[i + 1:], out=sums)
         row = panel[len(rows)]
-        row[i + 1:] = _mean_k_smallest(sums, K)
+        for j in range(i + 1, n, chunk):
+            sums = buf[:min(chunk, n - j)]
+            np.add(R[i], R[j:j + chunk], out=sums)
+            row[j:j + chunk] = _mean_k_smallest(sums, K)
         if i in zero:
             row[zero[i]] = 0.0
         rows.append(i)
@@ -136,8 +147,9 @@ def _run_rows(R, K, consume, workers, zero_groups):
         raise ParameterError(f"K={K} outside [1, {m}]")
     zero = {i: np.array(group[t + 1:]) for group in map(sorted, zero_groups)
             for t, i in enumerate(group[:-1])}
-    scratch = [(np.empty((max(n - 1, 0), m)),
-                np.full((PANEL_ROWS, n), np.inf)) for _ in range(workers)]
+    chunk = min(max(n - 1, 0), max(1, SCRATCH_VALUES // m))
+    scratch = [(np.empty((chunk, m)), np.full((PANEL_ROWS, n), np.inf))
+               for _ in range(workers)]
     errors = []
 
     def work(first):

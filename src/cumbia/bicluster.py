@@ -9,10 +9,11 @@ sample-variable sets is returned; no single step is picked as the winner.
 No same-kind block is built: the kernel hands each of its rows to
 running lists of every object's K0 smallest distances, and the scores come
 from those lists, byte for byte what scoring the stored blocks would give.
-A step frees its submatrix and SVD factors once D_sv is built, and scores
-the variables from D_sv's contiguous transpose, which replaces D_sv. The
-peak is a few N x p float64 arrays plus, per kernel worker, a row buffer
-and the lists (_peak_buffers).
+A step frees its SVD factors before D_sv is built and its submatrix once
+D_sv and the duplicate groups are, and scores the variables from D_sv's
+contiguous transpose, which replaces D_sv. The peak is a few N x p
+float64 arrays plus, per kernel worker, its fixed scratch, a panel and
+the lists (_peak_buffers).
 """
 
 from dataclasses import dataclass, field
@@ -22,18 +23,19 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import PANEL_ROWS, pair_mean_k0_smallest
-from .dissimilarity import CumbiaConfig, _clamp, _kind_inputs
+from .dissimilarity import CumbiaConfig, _clamp, _kind_inputs, _rank_s
 from .embedding import _require_memory_for
 from .errors import ParameterError
 from .matrix_core import DataMatrix, require_finite, svd
 
-# _peak_buffers' measured parts, fixed and per kernel worker (its row
-# buffer, which the calling thread allocates), rounded up from the resident
-# peak at K0 = 3 with 1 and 2 workers, lists apart: 4.3 + 1.5 per worker at
-# 60 x 6000 (highest of three runs) and 3.8 + 1.0 at 60 x 20,000
-# (BENCH_18.json)
-FIXED_PEAK_BUFFERS = 4.5
-THREAD_PEAK_BUFFERS = 2.0
+# _peak_buffers' measured parts, fixed and per kernel worker, rounded up
+# from the resident peak at K0 = 3 with 1 and 2 workers, lists apart:
+# 1.74 + 2.19 per worker at 60 x 6000 (highest of six runs,
+# BENCH_19.json). The per-worker part is mostly OpenBLAS's per-thread
+# buffers from the step SVDs, one thread per CPU like the kernel's
+# workers: with OPENBLAS_NUM_THREADS=1 a second kernel worker added 0.05
+FIXED_PEAK_BUFFERS = 2.0
+THREAD_PEAK_BUFFERS = 2.3
 
 
 @dataclass
@@ -60,13 +62,16 @@ def _kind_scores(R, K, kind, groups, k0, notes):
 
 def _step_scores(X_values, rows, cols, cfg, k0, notes):
     """Sample and variable scores of the submatrix X_values[rows, cols];
-    the submatrix is freed with its SVD factors once D_sv is built."""
+    the SVD factors are freed before D_sv is built, and the submatrix
+    once D_sv and the duplicate groups are."""
     values = X_values[np.ix_(rows, cols)]
     f = svd(values)
     s = f.r if cfg.s is None else _clamp(
         cfg.s, f.r, "s", "nonzero singular values of the submatrix", notes)
-    D_sv, ((_, Ks, gs), (_, Kv, gv)) = _kind_inputs(values, f, s, cfg, notes)
+    lambda1, X_s = _rank_s(values, f, s)
     del values, f
+    D_sv, ((_, Ks, gs), (_, Kv, gv)) = _kind_inputs(X_s, lambda1, cfg, notes)
+    del X_s
     s_scores = _kind_scores(D_sv, Ks, "samples", gs, k0, notes)
     D_sv = np.ascontiguousarray(D_sv.T)
     return s_scores, _kind_scores(D_sv, Kv, "variables", gv, k0, notes)

@@ -9,8 +9,10 @@ variable) and every variable pair by N two-edge paths (one per sample),
 and the distance is the mean of the K smallest path lengths.
 
 joint_matrix assembles all four blocks in one symmetric (N + p) x (N + p)
-buffer: the kernel writes the two same-kind blocks straight into its
-diagonal blocks, so no block is built apart and copied in.
+buffer: sample_variable_diss writes D_sv straight into an off-diagonal
+block, and the kernel reads its rows from there and writes the two
+same-kind blocks straight into the diagonal blocks, so no block is built
+apart and copied in.
 """
 
 import warnings
@@ -20,7 +22,7 @@ import numpy as np
 
 from ._kernels import pair_mean_k_smallest
 from .errors import CumbiaWarning, InvariantViolation, ParameterError
-from .matrix_core import DataMatrix, truncate
+from .matrix_core import DataMatrix, svd, truncate
 
 RADICAND_CLAMP = 1e-12
 
@@ -65,16 +67,18 @@ class JointDissimilarity:
             raise ParameterError("kind and label lists must match matrix size")
 
 
-def sample_variable_diss(X_s, lambda1):
+def sample_variable_diss(X_s, lambda1, out=None):
     """Entrywise sqrt(lambda1 - X_s).
 
     lambda1 bounds every entry of X_s, so radicands are nonnegative up to
     rounding; values in [-1e-12 * lambda1, 0) are clamped to zero and
-    anything lower is treated as an internal inconsistency.
+    anything lower is treated as an internal inconsistency. With out, a
+    float64 array or view of X_s's shape, the result is written there and
+    out is returned.
     """
     if not lambda1 > 0:
         raise ParameterError(f"lambda1 must be positive, got {lambda1}")
-    rad = lambda1 - np.asarray(X_s, dtype=np.float64)
+    rad = np.subtract(lambda1, np.asarray(X_s, dtype=np.float64), out=out)
     low = rad.min()
     if low < -RADICAND_CLAMP * lambda1:
         raise InvariantViolation(
@@ -87,12 +91,23 @@ def sample_variable_diss(X_s, lambda1):
 
 def identical_index_groups(M, axis=0):
     """Groups (size >= 2) of row indices (axis=0) or column indices (axis=1)
-    whose profiles are bitwise identical."""
+    whose profiles are bitwise identical, in the order of their first
+    members.
+
+    Profiles are bucketed by the hash of their bytes, and the bytes are
+    compared only inside a bucket of two or more, so no bytes key per
+    profile (a second copy of M) is kept.
+    """
     A = M if axis == 0 else M.T
-    seen = {}
+    buckets = {}
     for i in range(A.shape[0]):
-        seen.setdefault(A[i].tobytes(), []).append(i)
-    return [g for g in seen.values() if len(g) > 1]
+        buckets.setdefault(hash(A[i].tobytes()), []).append(i)
+    shared = [i for bucket in buckets.values() if len(bucket) > 1
+              for i in bucket]
+    same = {}
+    for i in shared:
+        same.setdefault(A[i].tobytes(), []).append(i)
+    return sorted(g for g in same.values() if len(g) > 1)
 
 
 def _clamp(value, available, name, description, notes=None):
@@ -136,20 +151,26 @@ def within_kind_diss(D_sv, K, kind, duplicate_groups=None, out=None):
                                 zero_groups=duplicate_groups or ())
 
 
-def _kind_inputs(values, f, s, cfg, notes=None):
-    """Sample-variable block at truncation rank s and what each kind's
-    same-kind distances need.
-
-    values is the matrix f factors, and 1 <= s <= f.r. lambda1 is always
-    the top singular value. Returns D_sv and, for samples then variables,
-    (kind, K, duplicate groups), with K clamped through _clamp with notes.
-    """
+def _rank_s(values, f, s):
+    """lambda_1 and the rank-s truncation X_s of values, which f factors;
+    1 <= s <= f.r."""
     # rank-r truncation of X is X itself; reconstructing it through the
     # factors would only add rounding noise and break bitwise duplicate
     # detection for identical rows or columns of X
     X_s = values if s == f.r else truncate(f, s)
+    return float(f.singular_values[0]), X_s
+
+
+def _kind_inputs(X_s, lambda1, cfg, notes=None, out=None):
+    """Sample-variable block of X_s and what each kind's same-kind
+    distances need.
+
+    Returns D_sv, written into out when given (see sample_variable_diss),
+    and, for samples then variables, (kind, K, duplicate groups), with K
+    clamped through _clamp with notes.
+    """
     N, p = X_s.shape
-    D_sv = sample_variable_diss(X_s, float(f.singular_values[0]))
+    D_sv = sample_variable_diss(X_s, lambda1, out=out)
     Ks = _clamp(cfg.k_samples, p, "K",
                 "available intermediaries for samples pairs", notes)
     Kv = _clamp(cfg.resolved_k_variables(), N, "K",
@@ -158,28 +179,36 @@ def _kind_inputs(values, f, s, cfg, notes=None):
                   ("variables", Kv, identical_index_groups(X_s, axis=1)))
 
 
-def joint_matrix(X, f, cfg):
-    """Assemble the full (N+p) x (N+p) dissimilarity matrix.
+def joint_matrix(X, cfg):
+    """Assemble the full (N+p) x (N+p) dissimilarity matrix of X.
 
     Blocks: sample-sample and variable-variable from within_kind_diss on
     the rank-s reconstruction, written in place into the joint buffer;
     off-diagonal blocks directly from sample_variable_diss. lambda1 is
-    always the top singular value of X.
+    always the top singular value of X. The SVD of X is taken here, and
+    only lambda1 and X_s outlive it, so no factor is alive beside the
+    joint buffer.
     """
     if not isinstance(X, DataMatrix):
         X = DataMatrix(X)
     cfg.validate()
+    f = svd(X)
     s = f.r if cfg.s is None else cfg.s
     if not 1 <= s <= f.r:
         raise ParameterError(f"truncation rank s={s} outside [1, {f.r}]")
+    lambda1, X_s = _rank_s(X.values, f, s)
+    del f
     N, p = X.values.shape
     values = np.empty((N + p, N + p), dtype=np.float64)
-    D_sv, sides = _kind_inputs(X.values, f, s, cfg)
-    for (kind, K, groups), block in zip(sides, (values[:N, :N],
-                                                values[N:, N:])):
-        within_kind_diss(D_sv, K, kind, groups, out=block)
-    values[:N, N:] = D_sv
+    # D_sv is written straight into its block and mirrored; the kernel
+    # reads the variables' rows from the mirror
+    D_sv, sides = _kind_inputs(X_s, lambda1, cfg, out=values[:N, N:])
+    del X_s
     values[N:, :N] = D_sv.T
+    for (kind, K, groups), R, block in zip(
+            sides, (D_sv, values[N:, :N].T),
+            (values[:N, :N], values[N:, N:])):
+        within_kind_diss(R, K, kind, groups, out=block)
     kinds, labels = X.objects()
     return JointDissimilarity(values=values, object_kinds=kinds,
                               object_labels=labels)

@@ -12,9 +12,11 @@ truncation, the joint dissimilarity, and MDS into the end-to-end method.
 double_center and classical_mds leave their argument as it is and put the
 Gram matrix in a new buffer. cumbia() owns its joint matrix, so it squares
 and double-centers that buffer in place with the same routine and hands
-it to the same eigensolver step, which reduces it in place: at
-N+p = 3100 its tracemalloc peak is 1.16 (N+p)^2 float64 buffers and its
-resident peak 1.28, both set while the joint matrix is built.
+it to the same eigensolver step, which reduces it in place. No SVD factor
+outlives the joint buffer's allocation, and the kernel reads D_sv from
+its blocks, so at N+p = 3100 the tracemalloc peak is 1.06 (N+p)^2
+float64 buffers and the resident peak 1.11, both set while the kernel
+runs beside one contiguous copy of D_sv.
 """
 
 import ctypes
@@ -33,10 +35,10 @@ from .matrix_core import DataMatrix, _fix_column_signs, require_finite, svd
 
 POSITIVE_EIGENVALUE_CUTOFF = 1e-10
 # resident peak of cumbia() in (N+p)^2 float64 buffers: the joint matrix,
-# later the Gram matrix that dsytrd reduces in place, plus the kernel's and
-# SVD's O((N+p) N) arrays; measured 1.28 above the pre-call RSS at
-# N+p = 3100 and 1.12 at N+p = 6200 (tools/wide_run.py --shape)
-RESIDENT_PEAK_BUFFERS = 1.3
+# later the Gram matrix that dsytrd reduces in place, plus one contiguous
+# copy of D_sv and the kernel's fixed scratch; measured 1.11 above the
+# pre-call RSS at N+p = 3100 and 1.05 at N+p = 6200 (BENCH_19.json)
+RESIDENT_PEAK_BUFFERS = 1.15
 # the same where the np.linalg.eigh fallback runs: the Gram matrix, eigh's
 # copy of it, its eigenvectors and dsyevd's 2 (N+p)^2 workspace; measured
 # 5.33 at N+p = 3100 and 5.15 at N+p = 6200
@@ -402,8 +404,7 @@ def cumbia(X, cfg=None, dims=3):
                         (n, n))
     if cfg is None:
         cfg = CumbiaConfig()
-    f = svd(X)
-    D = joint_matrix(X, f, cfg)
+    D = joint_matrix(X, cfg)
     C = D.values
     _require_symmetric(C)
     np.multiply(C, C, out=C)

@@ -1,14 +1,26 @@
-"""Brute-force reference for cumbia.joint_matrix, used by the tests.
+"""Brute-force references for cumbia.joint_matrix and
+cumbia.dissimilarity.identical_index_groups, used by the tests.
 
-    from oracle import graph_oracle
+    from oracle import bytes_index_groups, graph_oracle
 """
 
 import numpy as np
 
 from cumbia import JointDissimilarity, ParameterError, sample_variable_diss
-from cumbia.dissimilarity import _clamp, identical_index_groups
+from cumbia.dissimilarity import _clamp
 
 ORACLE_SIZE_LIMIT = 50
+
+
+def bytes_index_groups(M, axis=0):
+    """Reference for identical_index_groups: every row (axis=0) or column
+    (axis=1) keyed by its bytes, groups of two or more in the order of
+    their first members."""
+    A = M if axis == 0 else M.T
+    seen = {}
+    for i in range(A.shape[0]):
+        seen.setdefault(A[i].tobytes(), []).append(i)
+    return [g for g in seen.values() if len(g) > 1]
 
 
 def graph_oracle(X_s, lambda1, K):
@@ -53,12 +65,12 @@ def graph_oracle(X_s, lambda1, K):
             va, vb = N + a, N + b
             values[va, vb] = values[vb, va] = k_smallest_mean(paths, Kv)
 
-    for group in identical_index_groups(X_s, axis=0):
+    for group in bytes_index_groups(X_s, axis=0):
         for x in range(len(group)):
             for y in range(x + 1, len(group)):
                 values[group[x], group[y]] = 0.0
                 values[group[y], group[x]] = 0.0
-    for group in identical_index_groups(X_s, axis=1):
+    for group in bytes_index_groups(X_s, axis=1):
         for x in range(len(group)):
             for y in range(x + 1, len(group)):
                 values[N + group[x], N + group[y]] = 0.0

@@ -150,7 +150,7 @@ def test_criterion_4_oracle_equivalence():
         for K in (1, 2, 3):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", CumbiaWarning)
-                J = joint_matrix(X, f, CumbiaConfig(k_samples=K))
+                J = joint_matrix(X, CumbiaConfig(k_samples=K))
                 O = graph_oracle(A, lam1, K)
             checked += 1
             if J.values.tobytes() != O.values.tobytes():
@@ -178,7 +178,7 @@ def test_criterion_5_dissimilarity_invariants():
         K = int(rng.integers(1, 4))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CumbiaWarning)
-            J = joint_matrix(X, f, CumbiaConfig(k_samples=K))
+            J = joint_matrix(X, CumbiaConfig(k_samples=K))
         V = J.values
         lam1 = float(f.singular_values[0])
         off = V[:n, n:]
@@ -332,8 +332,7 @@ def test_criterion_7_negative_eigenvalue_kind_split(planted_block_runs):
             all_have_negative = False
             purities.append(0.0)
             continue
-        f = svd(Z)
-        D = joint_matrix(Z, f, CumbiaConfig(k_samples=3))
+        D = joint_matrix(Z, CumbiaConfig(k_samples=3))
         C = double_center(D.values)
         evals, evecs = np.linalg.eigh(C)
         vec = evecs[:, int(np.argmin(evals))]
@@ -389,10 +388,9 @@ def test_criterion_9_determinism():
 
     def run_once():
         X, _ = synth_block(N=20, p=60, n_planted=4, p_planted=10, seed=7)
-        f = svd(X)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CumbiaWarning)
-            J = joint_matrix(X, f, CumbiaConfig(k_samples=3))
+            J = joint_matrix(X, CumbiaConfig(k_samples=3))
             emb = cumbia(X, CumbiaConfig(k_samples=3), dims=3)
             trace = shave(X, CumbiaConfig(k_samples=3), k0=3,
                           drop_fraction=0.1)
@@ -412,12 +410,11 @@ def test_criterion_9_determinism():
     script = (
         "import hashlib, warnings\n"
         "from cumbia import (CumbiaConfig, CumbiaWarning, cumbia,\n"
-        "                    joint_matrix, shave, svd, synth_block)\n"
+        "                    joint_matrix, shave, synth_block)\n"
         "X, _ = synth_block(N=20, p=60, n_planted=4, p_planted=10, seed=7)\n"
-        "f = svd(X)\n"
         "with warnings.catch_warnings():\n"
         "    warnings.simplefilter('ignore', CumbiaWarning)\n"
-        "    J = joint_matrix(X, f, CumbiaConfig(k_samples=3))\n"
+        "    J = joint_matrix(X, CumbiaConfig(k_samples=3))\n"
         "    emb = cumbia(X, CumbiaConfig(k_samples=3), dims=3)\n"
         "print(hashlib.sha256(J.values.tobytes()\n"
         "                     + emb.coordinates.tobytes()).hexdigest())\n"

@@ -312,9 +312,10 @@ def test_peak_holds_one_step_of_blocks(monkeypatch):
 @CLAMPS_AT_TWO_SAMPLES
 @pytest.mark.parametrize("workers, bound", [(1, 5.2), (2, 6.6)])
 def test_step_keeps_only_live_arrays(monkeypatch, workers, bound):
-    # a step frees its submatrix and SVD factors once D_sv is built, and
-    # scores the variables from D_sv's transpose alone: 4.89 and 5.9-6.2
-    # N x p buffers here, against 6.75 and 9.25 when the submatrix, V,
+    # a step frees its SVD factors before D_sv is built and its submatrix
+    # once D_sv is, and scores the variables from D_sv's transpose alone:
+    # 3.70 and 5.88 N x p buffers here, against 4.88 and 6.21 with the
+    # factors alive beside D_sv, and 6.75 and 9.25 when the submatrix, V,
     # D_sv and its transpose were all alive during the variables kernel
     monkeypatch.setattr(_kernels, "_worker_count", lambda: workers)
     monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
@@ -335,12 +336,12 @@ def test_step_keeps_only_live_arrays(monkeypatch, workers, bound):
 
 class TestMemoryGuard:
     def test_too_large_for_memory_raises_before_any_svd(self, monkeypatch):
-        # 60 x 20,000 needs about 90 MiB with two kernel threads
+        # 60 x 20,000 needs about 73 MiB with two kernel threads
         monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)
         monkeypatch.setattr(embedding, "_physical_memory_bytes",
-                            lambda: 80 * 2**20)
+                            lambda: 64 * 2**20)
         monkeypatch.setattr(bicluster, "svd", None)
-        with pytest.raises(ParameterError, match=r"90 MiB.*80 MiB"):
+        with pytest.raises(ParameterError, match=r"73 MiB.*64 MiB"):
             shave(np.zeros((60, 20000)))
 
     @CLAMPS_AT_TWO_SAMPLES

@@ -14,14 +14,15 @@ from cumbia import (
     svd,
     within_kind_diss,
 )
+from cumbia import dissimilarity
+from cumbia.dissimilarity import identical_index_groups
 
-from oracle import graph_oracle
+from oracle import bytes_index_groups, graph_oracle
 
 
 def joint_from(A, k=1, s=None, k_vars=None):
-    X = DataMatrix(A)
-    f = svd(X)
-    return joint_matrix(X, f, CumbiaConfig(s=s, k_samples=k, k_variables=k_vars))
+    return joint_matrix(DataMatrix(A),
+                        CumbiaConfig(s=s, k_samples=k, k_variables=k_vars))
 
 
 class TestSampleVariableDiss:
@@ -54,6 +55,61 @@ class TestSampleVariableDiss:
     def test_lambda1_must_be_positive(self):
         with pytest.raises(ParameterError):
             sample_variable_diss(np.zeros((2, 2)), 0.0)
+
+
+class TestIdenticalIndexGroups:
+    """The hashed rule against the bytes-keyed reference in oracle.py."""
+
+    @staticmethod
+    def planted(order="C"):
+        A = np.random.default_rng(61).standard_normal((12, 15))
+        A[[4, 9, 11]] = A[1]
+        A[7] = A[3]
+        A[:, [2, 13]] = A[:, [8, 8]]
+        A[:, 14] = A[:, 0]
+        return np.asarray(A, order=order)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_planted_duplicates_match_the_bytes_rule(self, order, axis):
+        A = self.planted(order)
+        expected = bytes_index_groups(A, axis)
+        assert len(expected) == 2
+        assert identical_index_groups(A, axis) == expected
+        view = A[1::2, ::2]  # a strided view that keeps two groups per axis
+        expected = bytes_index_groups(view, axis)
+        assert len(expected) == 2
+        assert identical_index_groups(view, axis) == expected
+
+    @staticmethod
+    def signed_zeros(axis):
+        # 0.0 == -0.0, but their bytes differ, and so do the profiles
+        A = np.zeros((4, 3))
+        A[[1, 3], 0] = -0.0
+        return A if axis == 0 else np.asfortranarray(A.T)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_signed_zeros_stay_apart(self, axis):
+        M = self.signed_zeros(axis)
+        got = identical_index_groups(M, axis)
+        assert got == bytes_index_groups(M, axis) == [[0, 2], [1, 3]]
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("fake_hash", [lambda key: 0, lambda key: key[:8]],
+                             ids=["one-bucket", "first-value"])
+    def test_profiles_sharing_a_bucket_are_split_by_bytes(self, monkeypatch,
+                                                          axis, fake_hash):
+        # one bucket for every profile, or one per first value: buckets
+        # hold distinct profiles, and profile 0 is alone in the bucket of
+        # the later group (5, 7), which must still come after (2, 3)
+        monkeypatch.setattr(dissimilarity, "hash", fake_hash, raising=False)
+        order = np.array([[1, 9], [3, 0], [2, 5], [2, 5], [4, 0], [1, 8],
+                          [6, 0], [1, 8]], dtype=float)
+        order = order if axis == 0 else order.T.copy()
+        assert identical_index_groups(order, axis) == [[2, 3], [5, 7]]
+        for M in (order, self.planted(), self.signed_zeros(axis), np.eye(3)):
+            assert identical_index_groups(M, axis) == bytes_index_groups(
+                M, axis)
 
 
 class TestWithinKindDiss:
@@ -138,7 +194,7 @@ class TestJointMatrix:
         A = rng.standard_normal((10, 15))
         X = DataMatrix(A)
         f = svd(X)
-        J = joint_matrix(X, f, CumbiaConfig(k_samples=2))
+        J = joint_matrix(X, CumbiaConfig(k_samples=2))
         V = J.values
         assert np.abs(V - V.T).max() <= 1e-12
         assert np.all(np.diag(V) == 0.0)
@@ -149,15 +205,13 @@ class TestJointMatrix:
         assert np.abs(off**2 + A - lam1).max() < 1e-12 * max(lam1, 1.0)
 
     def test_s_out_of_range_rejected(self):
-        X = DataMatrix(np.eye(3))
-        f = svd(X)
         with pytest.raises(ParameterError):
-            joint_matrix(X, f, CumbiaConfig(s=4))
+            joint_matrix(DataMatrix(np.eye(3)), CumbiaConfig(s=4))
 
     def test_labels_flow_through(self):
         X = DataMatrix(np.eye(2), sample_labels=["a", "b"],
                        variable_labels=["x", "y"])
-        J = joint_matrix(X, svd(X), CumbiaConfig(k_samples=1))
+        J = joint_matrix(X, CumbiaConfig(k_samples=1))
         assert J.object_labels == ["a", "b", "x", "y"]
 
     def test_triangle_bound_for_k1(self):
@@ -221,7 +275,7 @@ class TestGraphOracle:
             f = svd(X)
             lam1 = float(f.singular_values[0])
             for K in (1, 2, 3):
-                J = joint_matrix(X, f, CumbiaConfig(k_samples=K))
+                J = joint_matrix(X, CumbiaConfig(k_samples=K))
                 O = graph_oracle(A, lam1, K)
                 assert J.values.tobytes() == O.values.tobytes()
 

@@ -130,6 +130,59 @@ def test_worker_exception_reraised_on_caller(monkeypatch):
         pair_mean_k_smallest(np.ones((10, 4)), 2)
 
 
+class StopKernel(Exception):
+    pass
+
+
+def test_worker_scratch_stays_within_the_budget(monkeypatch):
+    # each worker's pair sums fit SCRATCH_VALUES at 3000 x 100, where an
+    # (n - 1) x m row buffer held 299,900; the walk stops after the first
+    # row, whose 2999 entries take five chunks
+    seen = []
+
+    def first_row(R, K, consume, first, step, zero, buf, panel):
+        seen.append(buf.size)
+
+        def stop(w, rows, panel):
+            raise StopKernel
+
+        fill_rows(R, K, stop, first, R.shape[0], zero, buf, panel)
+
+    fill_rows = _kernels._fill_rows
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)
+    monkeypatch.setattr(_kernels, "_fill_rows", first_row)
+    R = np.abs(np.random.default_rng(9).standard_normal((3000, 100)))
+    with pytest.raises(StopKernel):
+        pair_mean_k0_smallest(R, 3, 3)
+    assert len(seen) == 2
+    assert max(seen) <= _kernels.SCRATCH_VALUES
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chunks_of_a_row_keep_the_bytes(monkeypatch, workers):
+    # one, three and all columns j of a row per chunk, the last chunk of a
+    # row short, with duplicate groups and both selection branches
+    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: workers)
+    rng = np.random.default_rng(10)
+    groups = [[1, 6, 17], [9, 12]]
+    for m in (5, _kernels.SORT_COLUMNS + 3):
+        R = np.abs(rng.standard_normal((19, m)))
+        for group in groups:
+            R[group[1:]] = R[group[0]]
+        expected = reference(R, 3)
+        for group in groups:
+            expected[np.ix_(group, group)] = 0.0
+        k0 = _kernels._mean_k_smallest(
+            np.where(np.eye(19, dtype=bool), np.inf, expected), 4)
+        for chunk in (1, 3, 18):
+            monkeypatch.setattr(_kernels, "SCRATCH_VALUES", chunk * m)
+            got = pair_mean_k_smallest(R, 3, zero_groups=groups)
+            assert got.tobytes() == expected.tobytes(), (m, chunk)
+            got = pair_mean_k0_smallest(R, 3, 4, zero_groups=groups)
+            assert got.tobytes() == k0.tobytes(), (m, chunk)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_out_view_gets_the_allocating_bytes(monkeypatch, workers):
     # out is an off-diagonal block of a larger NaN-filled buffer: a strided

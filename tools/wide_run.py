@@ -48,8 +48,8 @@ SHAVE_K0 = 3  # shave()'s default
 # (module, function, span name); a span name ending in "." gets the kind
 # argument appended
 STAGES = [
-    (embedding, "svd", "svd"),
     (embedding, "joint_matrix", "joint_matrix"),
+    (dissimilarity, "svd", "svd"),
     (dissimilarity, "sample_variable_diss", "sample_variable_diss"),
     (dissimilarity, "identical_index_groups", "identical_index_groups"),
     (dissimilarity, "within_kind_diss", "within_kind_diss."),
@@ -59,7 +59,7 @@ STAGES = [
     (embedding, "_eigen_in_place", "eigen_in_place"),
 ]
 # the stages no other stage of cumbia() calls; "other" is the rest
-TOP = ("svd", "joint_matrix", "symmetry_check", "double_center_in_place",
+TOP = ("joint_matrix", "symmetry_check", "double_center_in_place",
        "embed_gram")
 # shave()'s stages call one another only through _kind_inputs, which is
 # not timed, so every one of them is top-level; k0_scores is the kernel
