@@ -14,11 +14,12 @@ One producer (_fill_rows) makes the rows of the upper triangle, i and
 the entries (i, j) for j > i, and hands them to a consumer a panel of up
 to PANEL_ROWS rows at a time. It computes a row's pair sums a chunk of
 columns j at a time, at most SCRATCH_VALUES sums, so a worker's scratch
-does not grow with n. It also zeroes, in the panel, the pairs of
-objects with identical profiles. pair_mean_k_smallest's consumer copies
-each panel row and its mirror into the n x n result;
-pair_mean_k0_smallest's merges each panel into running lists of every
-object's k0 smallest entries, so the n x n matrix is never stored.
+does not grow with n. It also zeroes, in the panel, the pairs inside
+the caller's duplicate groups, held as one label per row.
+pair_mean_k_smallest's consumer copies each panel row and its mirror
+into the n x n result; pair_mean_k0_smallest's merges each panel into
+running lists of every object's k0 smallest entries, so the n x n matrix
+is never stored.
 
 Rows are split over one worker per CPU the process may run on, as long as
 each gets at least MIN_SUMS_PER_WORKER pair sums (_workers_for). Worker w
@@ -102,12 +103,13 @@ def _workers_for(n, m):
                       pair_sums // MIN_SUMS_PER_WORKER))
 
 
-def _fill_rows(R, K, consume, first, step, zero, buf, panel):
+def _fill_rows(R, K, consume, first, step, group, buf, panel):
     """Hand rows first, first + step, ... of the upper triangle to consume,
     a panel at a time.
 
     Panel row t holds row i = rows[t]: entry (i, j) at column j > i, 0 at
-    the later members j of i's duplicate group (zero[i]) and inf elsewhere.
+    each later j with group[j] == group[i] >= 0 (group, one label per row,
+    is None without duplicates) and inf elsewhere.
     consume(first, rows, panel) gets every PANEL_ROWS rows and the rest at
     the end; it may reorder the panel, which is inf-filled again after.
     buf, a c x m array, holds the pair sums of c columns j of a row at a
@@ -123,8 +125,8 @@ def _fill_rows(R, K, consume, first, step, zero, buf, panel):
             sums = buf[:min(chunk, n - j)]
             np.add(R[i], R[j:j + chunk], out=sums)
             row[j:j + chunk] = _mean_k_smallest(sums, K)
-        if i in zero:
-            row[zero[i]] = 0.0
+        if group is not None and group[i] >= 0:
+            row[i + 1:][group[i + 1:] == group[i]] = 0.0
         rows.append(i)
         if len(rows) == PANEL_ROWS or i + step >= n - 1:
             consume(first, rows, panel[:len(rows)])
@@ -145,8 +147,9 @@ def _run_rows(R, K, consume, workers, zero_groups):
     n, m = R.shape
     if not 1 <= K <= m:
         raise ParameterError(f"K={K} outside [1, {m}]")
-    zero = {i: np.array(group[t + 1:]) for group in map(sorted, zero_groups)
-            for t, i in enumerate(group[:-1])}
+    group = np.full(n, -1) if zero_groups else None
+    for label, members in enumerate(zero_groups):
+        group[members] = label
     chunk = min(max(n - 1, 0), max(1, SCRATCH_VALUES // m))
     scratch = [(np.empty((chunk, m)), np.full((PANEL_ROWS, n), np.inf))
                for _ in range(workers)]
@@ -154,7 +157,7 @@ def _run_rows(R, K, consume, workers, zero_groups):
 
     def work(first):
         try:
-            _fill_rows(R, K, consume, first, workers, zero, *scratch[first])
+            _fill_rows(R, K, consume, first, workers, group, *scratch[first])
         except BaseException as exc:  # re-raised on the caller below
             errors.append(exc)
 

@@ -10,10 +10,10 @@ No same-kind block is built: the kernel hands each of its rows to
 running lists of every object's K0 smallest distances, and the scores come
 from those lists, byte for byte what scoring the stored blocks would give.
 A step frees its SVD factors before D_sv is built and its submatrix once
-D_sv and the duplicate groups are, and scores the variables from D_sv's
-contiguous transpose, which replaces D_sv. The peak is a few N x p
-float64 arrays plus, per kernel worker, its fixed scratch, a panel and
-the lists (_peak_buffers).
+D_sv is, and scores the variables from D_sv's contiguous transpose, which
+replaces D_sv; duplicates are found on the rows each kernel call reads.
+The peak is a few N x p float64 arrays plus, per kernel worker, its fixed
+scratch, a panel and the lists (_peak_buffers).
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +23,8 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import PANEL_ROWS, pair_mean_k0_smallest
-from .dissimilarity import CumbiaConfig, _clamp, _kind_inputs, _rank_s
+from .dissimilarity import (CumbiaConfig, _clamp, _kind_inputs, _rank_s,
+                            identical_index_groups)
 from .embedding import _require_memory_for
 from .errors import ParameterError
 from .matrix_core import DataMatrix, require_finite, svd
@@ -53,28 +54,28 @@ class ShaveTrace:
     steps: list = field(default_factory=list)
 
 
-def _kind_scores(R, K, kind, groups, k0, notes):
+def _kind_scores(R, K, kind, k0, notes):
     """Per row of R, an object of kind, the mean of its k0 smallest
-    same-kind distances."""
+    same-kind distances; objects with bitwise identical rows are at 0."""
     k = _clamp(k0, R.shape[0] - 1, "K0", f"other {kind}", notes)
-    return pair_mean_k0_smallest(R, K, k, groups)
+    return pair_mean_k0_smallest(R, K, k, identical_index_groups(R))
 
 
 def _step_scores(X_values, rows, cols, cfg, k0, notes):
     """Sample and variable scores of the submatrix X_values[rows, cols];
     the SVD factors are freed before D_sv is built, and the submatrix
-    once D_sv and the duplicate groups are."""
+    once D_sv is."""
     values = X_values[np.ix_(rows, cols)]
     f = svd(values)
     s = f.r if cfg.s is None else _clamp(
         cfg.s, f.r, "s", "nonzero singular values of the submatrix", notes)
     lambda1, X_s = _rank_s(values, f, s)
     del values, f
-    D_sv, ((_, Ks, gs), (_, Kv, gv)) = _kind_inputs(X_s, lambda1, cfg, notes)
+    D_sv, Ks, Kv = _kind_inputs(X_s, lambda1, cfg, notes)
     del X_s
-    s_scores = _kind_scores(D_sv, Ks, "samples", gs, k0, notes)
+    s_scores = _kind_scores(D_sv, Ks, "samples", k0, notes)
     D_sv = np.ascontiguousarray(D_sv.T)
-    return s_scores, _kind_scores(D_sv, Kv, "variables", gv, k0, notes)
+    return s_scores, _kind_scores(D_sv, Kv, "variables", k0, notes)
 
 
 def _peak_buffers(shape, k0):

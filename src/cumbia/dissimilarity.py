@@ -22,7 +22,7 @@ import numpy as np
 
 from ._kernels import pair_mean_k_smallest
 from .errors import CumbiaWarning, InvariantViolation, ParameterError
-from .matrix_core import DataMatrix, svd, truncate
+from .matrix_core import DataMatrix, _truncation_rank, svd, truncate
 
 RADICAND_CLAMP = 1e-12
 
@@ -89,24 +89,22 @@ def sample_variable_diss(X_s, lambda1, out=None):
     return np.sqrt(rad, out=rad)
 
 
-def identical_index_groups(M, axis=0):
-    """Groups (size >= 2) of row indices (axis=0) or column indices (axis=1)
-    whose profiles are bitwise identical, in the order of their first
-    members.
+def identical_index_groups(M):
+    """Groups (size >= 2) of the indices of bitwise identical rows of M, in
+    the order of their first members.
 
-    Profiles are bucketed by the hash of their bytes, and the bytes are
+    Rows are bucketed by the hash of their bytes, and the bytes are
     compared only inside a bucket of two or more, so no bytes key per
-    profile (a second copy of M) is kept.
+    row (a second copy of M) is kept.
     """
-    A = M if axis == 0 else M.T
     buckets = {}
-    for i in range(A.shape[0]):
-        buckets.setdefault(hash(A[i].tobytes()), []).append(i)
+    for i in range(M.shape[0]):
+        buckets.setdefault(hash(M[i].tobytes()), []).append(i)
     shared = [i for bucket in buckets.values() if len(bucket) > 1
               for i in bucket]
     same = {}
     for i in shared:
-        same.setdefault(A[i].tobytes(), []).append(i)
+        same.setdefault(M[i].tobytes(), []).append(i)
     return sorted(g for g in same.values() if len(g) > 1)
 
 
@@ -127,14 +125,14 @@ def _clamp(value, available, name, description, notes=None):
     return available
 
 
-def within_kind_diss(D_sv, K, kind, duplicate_groups=None, out=None):
+def within_kind_diss(D_sv, K, kind, out=None):
     """Square distance matrix among samples or among variables.
 
     Entry (i, j) is the mean of the K smallest two-edge paths through the
-    other kind; the diagonal and the pairs inside each group of
-    duplicate_groups (objects with identical profiles) are zero. With
-    out, a square float64 array or view of the result's size, the matrix
-    is written there and out is returned.
+    other kind; the diagonal is zero, and so are the pairs of duplicates,
+    objects whose edges (rows of D_sv, or columns for variables) are
+    bitwise identical. With out, a square float64 array or view of the
+    result's size, the matrix is written there and out is returned.
     """
     D_sv = np.asarray(D_sv, dtype=np.float64)
     if kind == "samples":
@@ -148,7 +146,7 @@ def within_kind_diss(D_sv, K, kind, duplicate_groups=None, out=None):
     K = _clamp(K, R.shape[1], "K",
                f"available intermediaries for {kind} pairs")
     return pair_mean_k_smallest(R, K, out=out,
-                                zero_groups=duplicate_groups or ())
+                                zero_groups=identical_index_groups(R))
 
 
 def _rank_s(values, f, s):
@@ -162,21 +160,16 @@ def _rank_s(values, f, s):
 
 
 def _kind_inputs(X_s, lambda1, cfg, notes=None, out=None):
-    """Sample-variable block of X_s and what each kind's same-kind
-    distances need.
-
-    Returns D_sv, written into out when given (see sample_variable_diss),
-    and, for samples then variables, (kind, K, duplicate groups), with K
-    clamped through _clamp with notes.
-    """
+    """Sample-variable block D_sv of X_s, written into out when given (see
+    sample_variable_diss), and the samples' and the variables' K, clamped
+    through _clamp with notes."""
     N, p = X_s.shape
     D_sv = sample_variable_diss(X_s, lambda1, out=out)
     Ks = _clamp(cfg.k_samples, p, "K",
                 "available intermediaries for samples pairs", notes)
     Kv = _clamp(cfg.resolved_k_variables(), N, "K",
                 "available intermediaries for variables pairs", notes)
-    return D_sv, (("samples", Ks, identical_index_groups(X_s, axis=0)),
-                  ("variables", Kv, identical_index_groups(X_s, axis=1)))
+    return D_sv, Ks, Kv
 
 
 def joint_matrix(X, cfg):
@@ -193,22 +186,17 @@ def joint_matrix(X, cfg):
         X = DataMatrix(X)
     cfg.validate()
     f = svd(X)
-    s = f.r if cfg.s is None else cfg.s
-    if not 1 <= s <= f.r:
-        raise ParameterError(f"truncation rank s={s} outside [1, {f.r}]")
+    s = _truncation_rank(cfg.s, f.r, "truncation rank s=")
     lambda1, X_s = _rank_s(X.values, f, s)
     del f
     N, p = X.values.shape
     values = np.empty((N + p, N + p), dtype=np.float64)
-    # D_sv is written straight into its block and mirrored; the kernel
-    # reads the variables' rows from the mirror
-    D_sv, sides = _kind_inputs(X_s, lambda1, cfg, out=values[:N, N:])
+    # D_sv is written straight into its block and mirrored
+    D_sv, Ks, Kv = _kind_inputs(X_s, lambda1, cfg, out=values[:N, N:])
     del X_s
     values[N:, :N] = D_sv.T
-    for (kind, K, groups), R, block in zip(
-            sides, (D_sv, values[N:, :N].T),
-            (values[:N, :N], values[N:, N:])):
-        within_kind_diss(R, K, kind, groups, out=block)
+    within_kind_diss(D_sv, Ks, "samples", out=values[:N, :N])
+    within_kind_diss(D_sv, Kv, "variables", out=values[N:, N:])
     kinds, labels = X.objects()
     return JointDissimilarity(values=values, object_kinds=kinds,
                               object_labels=labels)

@@ -31,7 +31,8 @@ import numpy as np
 from .dissimilarity import CumbiaConfig, JointDissimilarity, joint_matrix
 from .errors import (CumbiaWarning, InputError, InvariantViolation,
                      ParameterError)
-from .matrix_core import DataMatrix, _fix_column_signs, require_finite, svd
+from .matrix_core import (DataMatrix, _fix_column_signs, _truncation_rank,
+                          require_finite, svd)
 
 POSITIVE_EIGENVALUE_CUTOFF = 1e-10
 # resident peak of cumbia() in (N+p)^2 float64 buffers: the joint matrix,
@@ -305,10 +306,7 @@ def pca_biplot(X, s=None, alpha=1.0):
     if not isinstance(X, DataMatrix):
         X = DataMatrix(X)
     f = svd(X)
-    if s is None:
-        s = f.r
-    if not 1 <= s <= f.r:
-        raise ParameterError(f"s={s} outside [1, {f.r}]")
+    s = _truncation_rank(s, f.r, "s=")
     lam = f.singular_values[:s]
     sample_coords = f.U[:, :s] * lam**alpha
     variable_coords = f.V[:, :s] * lam ** (1.0 - alpha)

@@ -126,8 +126,16 @@ def svd(X):
     return SvdFactors(U=U, singular_values=s, V=V, r=r)
 
 
+def _truncation_rank(s, r, label):
+    """s, or r when s is None, checked within [1, r]; label precedes s in
+    the error."""
+    s = r if s is None else s
+    if not 1 <= s <= r:
+        raise ParameterError(f"{label}{s} outside [1, {r}]")
+    return s
+
+
 def truncate(f, s):
     """Rank-s reconstruction X_s = U_s diag(lambda_1..lambda_s) V_s^T."""
-    if not 1 <= s <= f.r:
-        raise ParameterError(f"truncation rank {s} outside [1, {f.r}]")
+    _truncation_rank(s, f.r, "truncation rank ")
     return (f.U[:, :s] * f.singular_values[:s]) @ f.V[:, :s].T

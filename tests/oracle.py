@@ -12,14 +12,12 @@ from cumbia.dissimilarity import _clamp
 ORACLE_SIZE_LIMIT = 50
 
 
-def bytes_index_groups(M, axis=0):
-    """Reference for identical_index_groups: every row (axis=0) or column
-    (axis=1) keyed by its bytes, groups of two or more in the order of
-    their first members."""
-    A = M if axis == 0 else M.T
+def bytes_index_groups(M):
+    """Reference for identical_index_groups: every row keyed by its bytes,
+    groups of two or more in the order of their first members."""
     seen = {}
-    for i in range(A.shape[0]):
-        seen.setdefault(A[i].tobytes(), []).append(i)
+    for i in range(M.shape[0]):
+        seen.setdefault(M[i].tobytes(), []).append(i)
     return [g for g in seen.values() if len(g) > 1]
 
 
@@ -28,8 +26,10 @@ def graph_oracle(X_s, lambda1, K):
 
     Builds the complete bipartite graph explicitly, enumerates every
     two-edge path per same-kind pair as (length, intermediary) tuples,
-    sorts them, and averages the K smallest. Matches joint_matrix exactly,
-    including the floating-point operation order.
+    sorts them, and averages the K smallest. Two objects of a kind whose
+    edge weights in w are bitwise identical are duplicates at distance 0.
+    Matches joint_matrix exactly, including the floating-point operation
+    order.
     """
     X_s = np.asarray(X_s, dtype=np.float64)
     N, p = X_s.shape
@@ -65,12 +65,12 @@ def graph_oracle(X_s, lambda1, K):
             va, vb = N + a, N + b
             values[va, vb] = values[vb, va] = k_smallest_mean(paths, Kv)
 
-    for group in bytes_index_groups(X_s, axis=0):
+    for group in bytes_index_groups(w):
         for x in range(len(group)):
             for y in range(x + 1, len(group)):
                 values[group[x], group[y]] = 0.0
                 values[group[y], group[x]] = 0.0
-    for group in bytes_index_groups(X_s, axis=1):
+    for group in bytes_index_groups(w.T):
         for x in range(len(group)):
             for y in range(x + 1, len(group)):
                 values[N + group[x], N + group[y]] = 0.0

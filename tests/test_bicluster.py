@@ -142,13 +142,18 @@ def test_mean_k0_smallest_matches_row_loop(k0):
     np.fill_diagonal(M, 0.0)
     R = _rows_for(M)
     assert within_kind_diss(R, 1, "samples").tobytes() == M.tobytes()
-    # objects 0, 3 and 5 are duplicates: zero distance among them
-    for a, b in ((0, 3), (0, 5), (3, 5)):
-        M[a, b] = M[b, a] = 0.0
+    # objects 3 and 5 become duplicates of 0: they take 0's distances to
+    # every other object, and zero distance among the three
+    R[[3, 5]] = R[0]
+    group = [0, 3, 5]
+    M[[3, 5]] = M[0]
+    M[:, [3, 5]] = M[:, [0]]
+    M[np.ix_(group, group)] = 0.0
+    assert within_kind_diss(R, 1, "samples").tobytes() == M.tobytes()
     expect = _k0_row_loop(M, k0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got = _kind_scores(R, 1, "samples", [[0, 3, 5]], k0, set())
+        got = _kind_scores(R, 1, "samples", k0, set())
     assert got.tobytes() == expect.tobytes()
     assert len(caught) == (1 if k0 >= n else 0)
 
@@ -170,7 +175,7 @@ def test_k0_scores_independent_of_worker_count(monkeypatch, workers):
     sys.setswitchinterval(1e-6)
     try:
         for K in (1, 2, 6):
-            M = within_kind_diss(R, K, "samples", groups)
+            M = within_kind_diss(R, K, "samples")
             for k0 in (1, 2, 3, 8, 69):
                 got = pair_mean_k0_smallest(R, K, k0, groups)
                 assert got.tobytes() == _k0_row_loop(M, k0).tobytes()
@@ -188,7 +193,7 @@ def test_k0_scores_with_rows_longer_than_sort_columns():
     R[200] = R[7]
     groups = identical_index_groups(R)
     for K in (1, 3):
-        M = within_kind_diss(R, K, "samples", groups)
+        M = within_kind_diss(R, K, "samples")
         for k0 in (1, 3):
             got = pair_mean_k0_smallest(R, K, k0, groups)
             assert got.tobytes() == _k0_row_loop(M, k0).tobytes()
@@ -282,10 +287,9 @@ def test_scores_match_public_functions_on_each_step():
         for step in trace.steps:
             sub = X.values[np.ix_(step.sample_indices, step.variable_indices)]
             D_sv = sample_variable_diss(sub, float(svd(sub).singular_values[0]))
-            for kind, axis, got in (("samples", 0, step.sample_scores),
-                                    ("variables", 1, step.variable_scores)):
-                M = within_kind_diss(D_sv, 3, kind,
-                                     identical_index_groups(sub, axis=axis))
+            for kind, got in (("samples", step.sample_scores),
+                              ("variables", step.variable_scores)):
+                M = within_kind_diss(D_sv, 3, kind)
                 expect = _k0_row_loop(M, 3)
                 assert got.tobytes() == expect.tobytes(), kind
 

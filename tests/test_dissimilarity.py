@@ -11,6 +11,7 @@ from cumbia import (
     ParameterError,
     joint_matrix,
     sample_variable_diss,
+    shave,
     svd,
     within_kind_diss,
 )
@@ -58,7 +59,12 @@ class TestSampleVariableDiss:
 
 
 class TestIdenticalIndexGroups:
-    """The hashed rule against the bytes-keyed reference in oracle.py."""
+    """The hashed rule against the bytes-keyed reference in oracle.py, on
+    the rows (axis 0) and on the columns (axis 1) of each matrix."""
+
+    @staticmethod
+    def profiles(M, axis):
+        return M if axis == 0 else M.T
 
     @staticmethod
     def planted(order="C"):
@@ -72,14 +78,15 @@ class TestIdenticalIndexGroups:
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("axis", [0, 1])
     def test_planted_duplicates_match_the_bytes_rule(self, order, axis):
-        A = self.planted(order)
-        expected = bytes_index_groups(A, axis)
+        A = self.profiles(self.planted(order), axis)
+        expected = bytes_index_groups(A)
         assert len(expected) == 2
-        assert identical_index_groups(A, axis) == expected
-        view = A[1::2, ::2]  # a strided view that keeps two groups per axis
-        expected = bytes_index_groups(view, axis)
+        assert identical_index_groups(A) == expected
+        # a strided view that keeps two groups per axis
+        view = self.profiles(self.planted(order)[1::2, ::2], axis)
+        expected = bytes_index_groups(view)
         assert len(expected) == 2
-        assert identical_index_groups(view, axis) == expected
+        assert identical_index_groups(view) == expected
 
     @staticmethod
     def signed_zeros(axis):
@@ -90,9 +97,9 @@ class TestIdenticalIndexGroups:
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_signed_zeros_stay_apart(self, axis):
-        M = self.signed_zeros(axis)
-        got = identical_index_groups(M, axis)
-        assert got == bytes_index_groups(M, axis) == [[0, 2], [1, 3]]
+        M = self.profiles(self.signed_zeros(axis), axis)
+        got = identical_index_groups(M)
+        assert got == bytes_index_groups(M) == [[0, 2], [1, 3]]
 
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("fake_hash", [lambda key: 0, lambda key: key[:8]],
@@ -106,10 +113,11 @@ class TestIdenticalIndexGroups:
         order = np.array([[1, 9], [3, 0], [2, 5], [2, 5], [4, 0], [1, 8],
                           [6, 0], [1, 8]], dtype=float)
         order = order if axis == 0 else order.T.copy()
-        assert identical_index_groups(order, axis) == [[2, 3], [5, 7]]
+        assert identical_index_groups(self.profiles(order, axis)) \
+            == [[2, 3], [5, 7]]
         for M in (order, self.planted(), self.signed_zeros(axis), np.eye(3)):
-            assert identical_index_groups(M, axis) == bytes_index_groups(
-                M, axis)
+            M = self.profiles(M, axis)
+            assert identical_index_groups(M) == bytes_index_groups(M)
 
 
 class TestWithinKindDiss:
@@ -132,12 +140,15 @@ class TestWithinKindDiss:
         assert SS[0, 1] == within_kind_diss(D_sv, 2, "samples")[0, 1]
 
     def test_duplicate_pairs_forced_to_zero(self):
+        # objects 0, 2 and 3 have identical edges to the other kind
         rng = np.random.default_rng(9)
         D_sv = np.abs(rng.standard_normal((4, 5)))
-        SS = within_kind_diss(D_sv, 2, "samples", duplicate_groups=[[0, 2, 3]])
-        assert SS[0, 2] == SS[2, 0] == 0.0
-        assert SS[0, 3] == SS[2, 3] == 0.0
-        assert SS[0, 1] > 0.0
+        D_sv[[2, 3]] = D_sv[0]
+        for kind, M in (("samples", D_sv), ("variables", D_sv.T)):
+            SS = within_kind_diss(M, 2, kind)
+            assert SS[0, 2] == SS[2, 0] == 0.0
+            assert SS[0, 3] == SS[2, 3] == 0.0
+            assert SS[0, 1] > 0.0
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ParameterError):
@@ -157,12 +168,13 @@ class TestWithinKindDiss:
     def test_duplicate_groups_zeroed_inside_the_view(self):
         D_sv = np.abs(np.random.default_rng(8).standard_normal((6, 5)))
         D_sv[4] = D_sv[1]
+        D_sv[[2, 5]] = D_sv[0]
         groups = [[1, 4], [0, 2, 5]]
         big = np.full((9, 9), np.nan)
         view = big[3:, 3:]
-        got = within_kind_diss(D_sv, 2, "samples", groups, out=view)
+        got = within_kind_diss(D_sv, 2, "samples", out=view)
         assert got is view
-        expect = within_kind_diss(D_sv, 2, "samples", groups)
+        expect = within_kind_diss(D_sv, 2, "samples")
         assert view.tobytes() == expect.tobytes()
         for g in groups:
             assert np.all(view[np.ix_(g, g)] == 0.0)
@@ -188,6 +200,23 @@ class TestJointMatrix:
         J = joint_from(A, k=2)
         assert J.values[0, 2] == 0.0
         assert J.values[0, 1] > 0.0
+
+    def test_samples_with_equal_edges_are_duplicates(self):
+        # sample 3 is sample 1 with one entry moved by one ulp: at full
+        # rank X_s is X, so their rows differ, but lambda_1 - x rounds
+        # both entries to the same edge, so every path length of the two
+        # is equal and they are duplicates at distance 0, in the joint
+        # matrix and in shave's scores
+        X = np.random.default_rng(0).standard_normal((5, 7))
+        X[3] = X[1]
+        X[3, 0] = np.nextafter(X[3, 0], np.inf)
+        D_sv = sample_variable_diss(X, float(svd(X).singular_values[0]))
+        assert X[1].tobytes() != X[3].tobytes()
+        assert D_sv[1].tobytes() == D_sv[3].tobytes()
+        J = joint_from(X, k=2)
+        assert J.values[1, 3] == J.values[3, 1] == 0.0
+        step = shave(X, CumbiaConfig(k_samples=2), k0=1).steps[0]
+        assert step.sample_scores[1] == step.sample_scores[3] == 0.0
 
     def test_invariants_on_seeded_matrix(self):
         rng = np.random.default_rng(21)

@@ -1,11 +1,12 @@
 import sys
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cumbia import _kernels
+from cumbia import _kernels, bicluster, cumbia, embedding, shave
 from cumbia._kernels import pair_mean_k0_smallest, pair_mean_k_smallest
 from cumbia.errors import ParameterError
 
@@ -330,3 +331,38 @@ def test_many_workers_switching_often_keep_the_bytes(monkeypatch):
             assert both() == expected
     finally:
         sys.setswitchinterval(interval)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+# shave's last steps keep 2 samples
+@pytest.mark.filterwarnings(
+    "ignore:K=3 exceeds the 2 available intermediaries for variables pairs"
+    ":cumbia.CumbiaWarning",
+    "ignore:K0=3 exceeds the 2 other samples:cumbia.CumbiaWarning")
+def test_guards_hold_on_duplicate_heavy_input(monkeypatch):
+    # every column but the first N is one column: a group of p - N
+    # duplicate variables. Held as one label per object it costs n labels;
+    # as the later members of each member, g(g - 1)/2 indices, it read
+    # 1.57 (N+p)^2 buffers in cumbia() and 30.9 N x p buffers in shave(),
+    # against their memory guards' 1.15 and 9.3
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)
+    N, p = 30, 1500
+    rng = np.random.default_rng(0)
+    X = np.repeat(rng.standard_normal((N, 1)), p, axis=1)
+    X[:, :N] = rng.standard_normal((N, N))
+    peak = _traced_peak(lambda: cumbia(X, dims=3)) / (8 * (N + p) ** 2)
+    bound = embedding._resident_peak_buffers()
+    assert peak <= bound, f"cumbia() peak {peak:.2f} (N+p)^2 buffers, {bound}"
+    peak = _traced_peak(lambda: shave(X)) / (8 * N * p)
+    bound = bicluster._peak_buffers((N, p), 3)
+    assert peak <= bound, f"shave() peak {peak:.2f} N x p buffers, {bound:.2f}"

@@ -1,10 +1,15 @@
+import re
+
 import numpy as np
 import pytest
 
 from cumbia import (
+    CumbiaConfig,
     DataMatrix,
     InputError,
     ParameterError,
+    joint_matrix,
+    pca_biplot,
     svd,
     truncate,
 )
@@ -158,6 +163,19 @@ def test_truncate_rank_out_of_range():
         truncate(f, 0)
     with pytest.raises(ParameterError):
         truncate(f, 4)
+
+
+def test_truncation_rank_rule_is_shared():
+    # one rule, s within [1, r], behind the three entry points that take
+    # a rank; each keeps its own wording
+    A = np.eye(3)
+    for call, text in (
+            (lambda: joint_matrix(A, CumbiaConfig(s=4)),
+             "truncation rank s=4 outside [1, 3]"),
+            (lambda: pca_biplot(A, s=4), "s=4 outside [1, 3]"),
+            (lambda: truncate(svd(A), 4), "truncation rank 4 outside [1, 3]")):
+        with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
+            call()
 
 
 def frobenius_norm(A):
