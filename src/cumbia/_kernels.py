@@ -35,8 +35,19 @@ and joined inside each call, so no pool outlives a call, survives a fork
 or is shared by concurrent callers. The calling thread allocates every
 worker's scratch and panel before any thread starts, so the threads
 allocate nothing large and their allocators keep no freed buffers.
+
+After a BLAS call, the threads of the OpenBLAS that numpy's wheels bundle
+spin-wait on the cores the workers need: on 2 cores, shave at 60 x 1500
+took 0.70 s per call with them spinning and 0.46 s with them parked. So
+a call that starts threads first parks that pool (_park_openblas):
+OpenBLAS stops its threads, and its next call starts them again with the
+same thread count, so no byte changes.
+It parks only when the calling thread is the process's only Python
+thread, as another one might be inside a BLAS call.
 """
 
+import ctypes
+import functools
 import os
 import threading
 
@@ -73,6 +84,41 @@ def _worker_count():
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas():
+    """The 64-bit-integer OpenBLAS that numpy's wheels bundle, loaded on
+    the first call, or None where numpy links another BLAS. It is looked
+    up through numpy's linalg extension, which resolves symbols in the
+    libraries it links (Linux, macOS), then in the wheel's numpy.libs
+    folder (Windows)."""
+    from numpy.linalg import _umath_linalg
+
+    def paths():
+        yield _umath_linalg.__file__
+        import glob  # not imported where the extension resolves them
+
+        yield from glob.glob(os.path.join(
+            os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs",
+            "libscipy_openblas64_*"))
+
+    for path in paths():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            return lib
+    return None
+
+
+def _park_openblas():
+    """Stop the bundled OpenBLAS's idle threads, if the calling thread is
+    the only Python thread and the library exports the call."""
+    shutdown = getattr(_openblas(), "blas_thread_shutdown_", None)
+    if shutdown is not None and threading.active_count() == 1:
+        shutdown()
 
 
 def _smallest_first(rows, k):
@@ -139,9 +185,10 @@ def _run_rows(R, K, consume, workers, zero_groups):
 
     Worker w of workers gets the rows i with i % workers == w (_fill_rows).
     Worker 0 is the calling thread, every other worker a thread of its own
-    with scratch the calling thread allocated. The pairs inside each group
-    of zero_groups are 0. An exception in any worker is re-raised on the
-    caller once every thread is joined.
+    with scratch the calling thread allocated, started once OpenBLAS's pool
+    is parked. The pairs inside each group of zero_groups are 0. An
+    exception in any worker is re-raised on the caller once every thread
+    is joined.
     """
     R = np.ascontiguousarray(R, dtype=np.float64)
     n, m = R.shape
@@ -163,6 +210,8 @@ def _run_rows(R, K, consume, workers, zero_groups):
 
     threads = [threading.Thread(target=work, args=(w,))
                for w in range(1, workers)]
+    if threads:
+        _park_openblas()
     for t in threads:
         t.start()
     work(0)

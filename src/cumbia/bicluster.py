@@ -34,7 +34,9 @@ from .matrix_core import DataMatrix, require_finite, svd
 # 1.74 + 2.19 per worker at 60 x 6000 (highest of six runs,
 # BENCH_19.json). The per-worker part is mostly OpenBLAS's per-thread
 # buffers from the step SVDs, one thread per CPU like the kernel's
-# workers: with OPENBLAS_NUM_THREADS=1 a second kernel worker added 0.05
+# workers: with OPENBLAS_NUM_THREADS=1 a second kernel worker added 0.05.
+# With OpenBLAS's pool parked before each kernel call, six runs each read
+# 3.51-3.53 and 5.96-6.01 (BENCH_21.json), inside both estimates
 FIXED_PEAK_BUFFERS = 2.0
 THREAD_PEAK_BUFFERS = 2.3
 

@@ -90,20 +90,20 @@ def sample_variable_diss(X_s, lambda1, out=None):
 
 
 def identical_index_groups(M):
-    """Groups (size >= 2) of the indices of bitwise identical rows of M, in
-    the order of their first members.
+    """Groups (size >= 2) of the indices of bitwise identical rows of the
+    float64 matrix M, in the order of their first members.
 
-    Rows are bucketed by the hash of their bytes, and the bytes are
-    compared only inside a bucket of two or more, so no bytes key per
-    row (a second copy of M) is kept.
+    Each row is keyed by the wrapping sum of its entries read as int64,
+    which identical rows share, and bytes are compared only among rows
+    whose key is shared: 8 bytes per row are kept, a sorted copy of the
+    keys is made, and a row with a key of its own is never copied.
     """
-    buckets = {}
-    for i in range(M.shape[0]):
-        buckets.setdefault(hash(M[i].tobytes()), []).append(i)
-    shared = [i for bucket in buckets.values() if len(bucket) > 1
-              for i in bucket]
+    keys = M.view(np.int64).sum(axis=1)
+    ordered = np.sort(keys)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    del ordered
     same = {}
-    for i in shared:
+    for i in np.flatnonzero(np.isin(keys, repeated)).tolist():
         same.setdefault(M[i].tobytes(), []).append(i)
     return sorted(g for g in same.values() if len(g) > 1)
 

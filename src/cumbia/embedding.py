@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .dissimilarity import CumbiaConfig, JointDissimilarity, joint_matrix
 from .errors import (CumbiaWarning, InputError, InvariantViolation,
                      ParameterError)
@@ -50,6 +51,10 @@ LAPACK_ROUTINES = {"dsytrd": (1, 10), "dsterf": (0, 4), "dstemr": (2, 21),
                    "dormtr": (3, 13)}
 # edge of the square tiles double_center checks and symmetrizes in place
 SYMMETRY_TILE = 256
+# the memory limit of the cgroup mounted at /sys/fs/cgroup, a container's
+# own: cgroup v2, then v1; only read
+CGROUP_MEMORY_LIMITS = ("/sys/fs/cgroup/memory.max",
+                        "/sys/fs/cgroup/memory/memory.limit_in_bytes")
 
 
 @dataclass
@@ -149,30 +154,20 @@ def double_center(D):
 
 @functools.cache
 def _lapack():
-    """LAPACK_ROUTINES from the 64-bit-integer OpenBLAS that numpy's wheels
-    bundle, bound on the first call, or None where numpy links another
-    LAPACK. The symbols are looked up through numpy's linalg extension,
-    which resolves them in the libraries it links (Linux, macOS), then in
-    the wheel's numpy.libs folder (Windows)."""
-    import glob
-
-    from numpy.linalg import _umath_linalg
-
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
-                        "numpy.libs", "libscipy_openblas64_*")
-    for path in [_umath_linalg.__file__, *glob.glob(libs)]:
-        try:
-            lib = ctypes.CDLL(path)
-            routines = {name: getattr(lib, f"scipy_{name}_64_")
-                        for name in LAPACK_ROUTINES}
-        except (OSError, AttributeError):
-            continue
-        for name, (flags, count) in LAPACK_ROUTINES.items():
-            routines[name].argtypes = ([ctypes.c_void_p] * count
-                                       + [ctypes.c_size_t] * flags)
-            routines[name].restype = None
-        return routines
-    return None
+    """LAPACK_ROUTINES from the OpenBLAS that numpy's wheels bundle
+    (_kernels._openblas), bound on the first call, or None where numpy
+    links another LAPACK."""
+    lib = _kernels._openblas()
+    try:
+        routines = {name: getattr(lib, f"scipy_{name}_64_")
+                    for name in LAPACK_ROUTINES}
+    except AttributeError:  # no such library, or one without the routines
+        return None
+    for name, (flags, count) in LAPACK_ROUTINES.items():
+        routines[name].argtypes = ([ctypes.c_void_p] * count
+                                   + [ctypes.c_size_t] * flags)
+        routines[name].restype = None
+    return routines
 
 
 def _int(value):
@@ -345,12 +340,25 @@ def scree(spectrum, mode):
     )
 
 
-def _physical_memory_bytes():
-    """Installed physical memory, or None where the system does not say."""
+def _first_line(path):
+    """The stripped first line of the text file at path, or None."""
     try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
+        with open(path, encoding="ascii") as handle:
+            return handle.readline().strip()
+    except (OSError, ValueError):
         return None
+
+
+def _physical_memory_bytes():
+    """The smaller of installed memory and the process's cgroup memory
+    limit, or None where neither is known."""
+    limits = [int(text) for text in map(_first_line, CGROUP_MEMORY_LIMITS)
+              if text and text.isdigit()]  # cgroup v2 writes "max" for none
+    try:
+        limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        pass
+    return min(limits, default=None)
 
 
 def _require_memory_for(what, buffers, shape):
@@ -363,7 +371,7 @@ def _require_memory_for(what, buffers, shape):
         raise ParameterError(
             f"{what} needs about {_size(need)} ({buffers:.3g} x "
             f"{' x '.join(map(str, shape))} float64), more than the "
-            f"{_size(have)} of physical memory"
+            f"{_size(have)} of physical memory the process may use"
         )
 
 
@@ -390,8 +398,8 @@ def cumbia(X, cfg=None, dims=3):
     made. Raises ParameterError before any work if the estimated resident
     peak, RESIDENT_PEAK_BUFFERS (N+p)^2 float64 buffers
     (EIGH_RESIDENT_PEAK_BUFFERS where the np.linalg.eigh fallback runs),
-    exceeds physical memory (installed memory, not the memory free at the
-    time of the call).
+    exceeds physical memory (installed memory or, if lower, the cgroup's
+    limit; not the memory free at the time of the call).
     """
     if not isinstance(X, DataMatrix):
         X = DataMatrix(X)

@@ -15,7 +15,6 @@ from cumbia import (
     svd,
     within_kind_diss,
 )
-from cumbia import dissimilarity
 from cumbia.dissimilarity import identical_index_groups
 
 from oracle import bytes_index_groups, graph_oracle
@@ -59,7 +58,7 @@ class TestSampleVariableDiss:
 
 
 class TestIdenticalIndexGroups:
-    """The hashed rule against the bytes-keyed reference in oracle.py, on
+    """The keyed rule against the bytes-keyed reference in oracle.py, on
     the rows (axis 0) and on the columns (axis 1) of each matrix."""
 
     @staticmethod
@@ -101,20 +100,31 @@ class TestIdenticalIndexGroups:
         got = identical_index_groups(M)
         assert got == bytes_index_groups(M) == [[0, 2], [1, 3]]
 
+    # distinct profiles that share a key: permuted entries sum to the same
+    # int64 key, so only their bytes tell them apart. Every profile shares
+    # one key, or profiles share a key exactly when they share a first
+    # value; profile 0 shares the key of the later group (5, 7), which
+    # must still come after (2, 3)
+    SHARED_KEYS = {
+        "one-bucket": [[1, 2, 3], [1, 3, 2], [2, 1, 3], [2, 1, 3],
+                       [2, 3, 1], [3, 1, 2], [3, 2, 1], [3, 1, 2]],
+        "first-value": [[1, 9, 8], [3, 0, 0], [2, 5, 4], [2, 5, 4],
+                        [4, 0, 0], [1, 8, 9], [6, 0, 0], [1, 8, 9]],
+    }
+
     @pytest.mark.parametrize("axis", [0, 1])
-    @pytest.mark.parametrize("fake_hash", [lambda key: 0, lambda key: key[:8]],
-                             ids=["one-bucket", "first-value"])
-    def test_profiles_sharing_a_bucket_are_split_by_bytes(self, monkeypatch,
-                                                          axis, fake_hash):
-        # one bucket for every profile, or one per first value: buckets
-        # hold distinct profiles, and profile 0 is alone in the bucket of
-        # the later group (5, 7), which must still come after (2, 3)
-        monkeypatch.setattr(dissimilarity, "hash", fake_hash, raising=False)
-        order = np.array([[1, 9], [3, 0], [2, 5], [2, 5], [4, 0], [1, 8],
-                          [6, 0], [1, 8]], dtype=float)
+    @pytest.mark.parametrize("buckets", list(SHARED_KEYS))
+    def test_profiles_sharing_a_bucket_are_split_by_bytes(self, axis,
+                                                          buckets):
+        order = np.array(self.SHARED_KEYS[buckets], dtype=float)
         order = order if axis == 0 else order.T.copy()
-        assert identical_index_groups(self.profiles(order, axis)) \
-            == [[2, 3], [5, 7]]
+        M = self.profiles(order, axis)
+        keys = M.view(np.int64).sum(axis=1)
+        bucket = np.zeros(8) if buckets == "one-bucket" else M[:, 0]
+        assert ((keys[:, None] == keys).tolist()
+                == (bucket[:, None] == bucket).tolist())
+        assert identical_index_groups(M) == [[2, 3], [5, 7]]
+        # the rows of eye(3) are permutations of one another too
         for M in (order, self.planted(), self.signed_zeros(axis), np.eye(3)):
             M = self.profiles(M, axis)
             assert identical_index_groups(M) == bytes_index_groups(M)

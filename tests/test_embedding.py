@@ -1,3 +1,4 @@
+import os
 import re
 import tracemalloc
 import warnings
@@ -360,6 +361,39 @@ class TestMemoryGuard:
         monkeypatch.setattr(embedding, "_physical_memory_bytes",
                             lambda: int(need) + 1)
         assert cumbia(X, dims=2).coordinates.shape == (n, 2)
+
+    @staticmethod
+    def installed():
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+    @pytest.mark.parametrize("version", [0, 1], ids=["v2", "v1"])
+    def test_a_cgroup_limit_below_installed_memory_counts(self, monkeypatch,
+                                                          version):
+        path = embedding.CGROUP_MEMORY_LIMITS[version]
+        monkeypatch.setattr(embedding, "_first_line",
+                            lambda p: "1073741824" if p == path else None)
+        assert embedding._physical_memory_bytes() == min(2**30,
+                                                         self.installed())
+        monkeypatch.setattr(embedding, "_first_line",
+                            lambda p: "100" if p == path else None)
+        X = np.random.default_rng(47).standard_normal((4, 6))
+        with pytest.raises(ParameterError, match="the 0 MiB of physical"):
+            cumbia(X, dims=2)
+
+    @pytest.mark.parametrize("texts", [("max", "9223372036854771712"),
+                                       (None, None), ("max", None)],
+                             ids=["no-limit", "missing", "v2-only"])
+    def test_no_cgroup_limit_leaves_installed_memory(self, monkeypatch,
+                                                     texts):
+        limits = dict(zip(embedding.CGROUP_MEMORY_LIMITS, texts))
+        monkeypatch.setattr(embedding, "_first_line", limits.get)
+        assert embedding._physical_memory_bytes() == self.installed()
+
+    def test_limit_reader_takes_the_first_line(self, tmp_path):
+        limit = tmp_path / "memory.limit_in_bytes"
+        limit.write_text("1073741824\nignored\n")
+        assert embedding._first_line(str(limit)) == "1073741824"
+        assert embedding._first_line(str(tmp_path / "missing")) is None
 
     def test_unknown_memory_skips_the_check(self, monkeypatch):
         monkeypatch.setattr(embedding, "_physical_memory_bytes", lambda: None)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cumbia import _kernels, bicluster, cumbia, embedding, shave
+from cumbia import _kernels, bicluster, cumbia, embedding, shave, svd
 from cumbia._kernels import pair_mean_k0_smallest, pair_mean_k_smallest
 from cumbia.errors import ParameterError
 
@@ -268,6 +268,8 @@ def test_panels_and_duplicate_groups_match_the_zeroed_reference(monkeypatch,
 class CountingThreads:
     """Stands in for the threading module and keeps every thread made."""
 
+    active_count = staticmethod(threading.active_count)
+
     def __init__(self):
         self.made = []
 
@@ -307,6 +309,107 @@ def test_caller_exception_reraised_after_the_threads_end(monkeypatch):
         pair_mean_k_smallest(np.ones((150, 300)), 2)
     assert len(counting.made) == 2
     assert not any(thread.is_alive() for thread in counting.made)
+
+
+class ParkRecorder:
+    """Stands in for the threading module and for the bundled OpenBLAS, and
+    logs every thread start and every pool shutdown in order."""
+
+    active_count = staticmethod(threading.active_count)
+
+    def __init__(self):
+        self.events = []
+
+    def Thread(self, *args, **kwargs):
+        thread = threading.Thread(*args, **kwargs)
+        start = thread.start
+
+        def logged():
+            self.events.append("start")
+            start()
+
+        thread.start = logged
+        return thread
+
+    def blas_thread_shutdown_(self):
+        self.events.append("park")
+
+
+@pytest.fixture
+def recorder(monkeypatch):
+    recorder = ParkRecorder()
+    monkeypatch.setattr(_kernels, "threading", recorder)
+    monkeypatch.setattr(_kernels, "_openblas", lambda: recorder)
+    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
+    return recorder
+
+
+def test_openblas_parked_once_before_the_threads_start(monkeypatch,
+                                                       recorder):
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 3)
+    R = np.abs(np.random.default_rng(10).standard_normal((10, 4)))
+    assert pair_mean_k_smallest(R, 2).tobytes() == reference(R, 2).tobytes()
+    assert recorder.events == ["park", "start", "start"]
+    pair_mean_k0_smallest(R, 2, 3)
+    assert recorder.events == ["park", "start", "start"] * 2
+
+
+def test_no_park_on_a_one_worker_call(monkeypatch, recorder):
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 1)
+    R = np.abs(np.random.default_rng(11).standard_normal((10, 4)))
+    pair_mean_k_smallest(R, 2)
+    pair_mean_k0_smallest(R, 2, 3)
+    assert recorder.events == []
+
+
+def test_no_park_while_another_python_thread_is_alive(monkeypatch,
+                                                      recorder):
+    # that thread might be inside a BLAS call the shutdown would break
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 3)
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait, args=(60,))
+    waiting.start()
+    try:
+        R = np.abs(np.random.default_rng(12).standard_normal((10, 4)))
+        got = pair_mean_k_smallest(R, 2)
+    finally:
+        release.set()
+        waiting.join(timeout=60)
+    assert not waiting.is_alive()
+    assert got.tobytes() == reference(R, 2).tobytes()
+    assert recorder.events == ["start", "start"]
+
+
+@pytest.mark.parametrize("library", [None, SimpleNamespace()],
+                         ids=["no-openblas", "no-shutdown-symbol"])
+def test_no_park_without_the_bundled_openblas(monkeypatch, library):
+    # without the library, _lapack() is None and the eigh fallback runs; a
+    # library without the symbol parks nothing and raises nothing
+    counting = CountingThreads()
+    monkeypatch.setattr(_kernels, "threading", counting)
+    monkeypatch.setattr(_kernels, "_openblas", lambda: library)
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 3)
+    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
+    if library is None:
+        assert embedding._lapack.__wrapped__() is None
+    R = np.abs(np.random.default_rng(13).standard_normal((10, 4)))
+    assert pair_mean_k_smallest(R, 2).tobytes() == reference(R, 2).tobytes()
+    assert len(counting.made) == 2
+
+
+def test_a_real_park_keeps_the_svd_bytes():
+    lib = _kernels._openblas()
+    shutdown = getattr(lib, "blas_thread_shutdown_", None)
+    if shutdown is None:
+        pytest.skip("numpy's BLAS does not export blas_thread_shutdown_")
+    X = np.random.default_rng(14).standard_normal((400, 300))
+    threads = lib.scipy_openblas_get_num_threads64_()
+    before = svd(X)
+    shutdown()
+    after = svd(X)
+    assert lib.scipy_openblas_get_num_threads64_() == threads
+    for name in ("U", "singular_values", "V"):
+        assert getattr(after, name).tobytes() == getattr(before, name).tobytes()
 
 
 def test_many_workers_switching_often_keep_the_bytes(monkeypatch):
