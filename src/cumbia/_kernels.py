@@ -269,9 +269,11 @@ def pair_mean_k0_smallest(R, K, k0, zero_groups=()):
     def merge(w, rows, panel):
         # the panel's transpose joins the lists of the later objects j; each
         # panel row's own k0 smallest go to its row of own, which the
-        # workers write at disjoint rows
-        merged = lists[w, :, :k0 + len(rows)]
-        merged[:, k0:] = panel.T
+        # workers write at disjoint rows. Every panel row is inf at columns
+        # j <= rows[0], so only the lists after it can change
+        later = rows[0] + 1
+        merged = lists[w, later:, :k0 + len(rows)]
+        merged[:, k0:] = panel[:, later:].T
         _smallest_first(merged, k0)
         _smallest_first(panel, k0)
         own[rows] = panel[:, :k0]

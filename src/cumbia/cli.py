@@ -11,14 +11,13 @@ violation.
 """
 
 import argparse
-import csv
 import json
 import sys
 
 import numpy as np
 
 from . import __version__
-from ._fsio import atomic_write_text, sha256_file, write_table
+from ._fsio import atomic_write_text, records, sha256_file, write_table
 from .bicluster import shave
 from .dissimilarity import CumbiaConfig
 from .embedding import cumbia, pca_biplot, scree
@@ -149,25 +148,29 @@ def _require_complete(X):
 
 def _write_matrix(X, path, delim):
     write_table(path, ["id", *X.variable_labels], zip(X.sample_labels),
-                X.values, delim, missing="NA")
+                (X.values,), delim, missing="NA")
 
 
-def _write_coords(labels, kinds, coords, path, delim):
-    d = coords.shape[1]
+def _write_coords(labels, kinds, blocks, path, delim):
+    """Write the coordinate rows of blocks, 2-D arrays of d columns whose
+    rows follow one another, beside each object's label and kind."""
+    d = blocks[0].shape[1]
     header = ["object_label", "kind"] + [f"coord_{k + 1}" for k in range(d)]
-    write_table(path, header, zip(labels, kinds), coords, delim)
+    write_table(path, header, zip(labels, kinds), blocks, delim)
 
 
 def _read_label_file(path, object_labels):
     """Label file: one 'object_label,category' row per object, header
     optional. The file is tab-separated if its first line holds a tab,
-    else comma-separated; cells may be quoted as in the CLI's own tables."""
+    else comma-separated; its records are read as load_table reads a
+    table's (_fsio.records), so cells may be quoted as in the CLI's own
+    tables."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             delimiter = "\t" if "\t" in handle.readline() else ","
             handle.seek(0)
             rows = [[cell.strip() for cell in row]
-                    for row in csv.reader(handle, delimiter=delimiter)]
+                    for row in records(handle, delimiter)]
     except OSError as exc:
         raise InputError(f"cannot read label file {path}: {exc}") from exc
     mapping = {}
@@ -227,7 +230,7 @@ def cmd_synth(args):
                 for j in range(X.n_variables)]
         write_table(args.labels, ["object_label", "group"],
                     zip(X.sample_labels + X.variable_labels, groups + tags),
-                    np.empty((X.n_samples + X.n_variables, 0)), ",")
+                    (np.empty((X.n_samples + X.n_variables, 0)),), ",")
         outputs.append(args.labels)
     _manifest(args, outputs)
     return 0
@@ -269,7 +272,7 @@ def cmd_cumbia(args):
     emb = cumbia(X, _cfg_from(args), dims=args.dims)
     # the plot first: its checks then fail before any table is written
     outputs = _maybe_plot(args, emb)
-    _write_coords(emb.object_labels, emb.object_kinds, emb.coordinates,
+    _write_coords(emb.object_labels, emb.object_kinds, (emb.coordinates,),
                   args.out_path, DELIMS[args.delim])
     spectrum_path = args.out_path + ".spectrum.txt"
     atomic_write_text(spectrum_path,
@@ -283,9 +286,10 @@ def cmd_pca(args):
     X = _load(args)
     _require_complete(X)
     bp = pca_biplot(X, s=_parse_s(args.s), alpha=args.alpha)
+    del X  # the biplot holds what the plot and the table need
     outputs = _maybe_plot(args, bp)
-    coords = np.vstack([bp.sample_coords, bp.variable_coords])
-    _write_coords(bp.object_labels, bp.object_kinds, coords, args.out_path,
+    _write_coords(bp.object_labels, bp.object_kinds,
+                  (bp.sample_coords, bp.variable_coords), args.out_path,
                   DELIMS[args.delim])
     _manifest(args, outputs + [args.out_path])
     return 0
@@ -304,7 +308,7 @@ def cmd_scree(args):
     first += [("negative_eigenvalue", str(i))
               for i in range(1, len(negatives) + 1)]
     write_table(args.out_path, ["kind", "index", "value"], first,
-                np.concatenate([fractions, negatives])[:, None],
+                (np.concatenate([fractions, negatives])[:, None],),
                 DELIMS[args.delim])
     _manifest(args, [args.out_path])
     return 0
@@ -322,9 +326,9 @@ def cmd_shave(args):
                   for i in step.sample_indices.tolist()]
         first += [(str(t), "variable", X.variable_labels[i])
                   for i in step.variable_indices.tolist()]
-        scores += [step.sample_scores, step.variable_scores]
+        scores += [step.sample_scores[:, None], step.variable_scores[:, None]]
     write_table(args.out_path, ["step", "kind", "object_label", "score"],
-                first, np.concatenate(scores)[:, None], DELIMS[args.delim])
+                first, scores, DELIMS[args.delim])
     _manifest(args, [args.out_path])
     return 0
 

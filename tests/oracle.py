@@ -1,12 +1,17 @@
-"""Brute-force references for cumbia.joint_matrix and
-cumbia.dissimilarity.identical_index_groups, used by the tests.
+"""Brute-force references for cumbia.joint_matrix,
+cumbia.dissimilarity.identical_index_groups and cumbia.load_table, used by
+the tests.
 
-    from oracle import bytes_index_groups, graph_oracle
+    from oracle import bytes_index_groups, csv_load_table, graph_oracle
 """
+
+import csv
+import math
 
 import numpy as np
 
-from cumbia import JointDissimilarity, ParameterError, sample_variable_diss
+from cumbia import (DataMatrix, InputError, JointDissimilarity,
+                    ParameterError, sample_variable_diss)
 from cumbia.dissimilarity import _clamp
 
 ORACLE_SIZE_LIMIT = 50
@@ -80,3 +85,44 @@ def graph_oracle(X_s, lambda1, K):
     labels = [f"s{i + 1}" for i in range(N)] + [f"v{j + 1}" for j in range(p)]
     return JointDissimilarity(values=values, object_kinds=kinds,
                               object_labels=labels)
+
+
+def csv_load_table(path, delimiter=",", orientation="samples-rows",
+                   missing_token="NA"):
+    """Reference for load_table: every record csv.reader yields, empty ones
+    dropped, and every cell parsed on its own (missing token or empty:
+    NaN, else float of the stripped cell). Returns the same DataMatrix, or
+    raises InputError with the same message."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+        rows = [row for row in csv.reader(handle, delimiter=delimiter) if row]
+    header = [cell.strip() for cell in rows[0]] if rows else []
+    width = len(header)
+    row_labels, cells = [], []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if width < 2:
+            raise InputError(
+                f"{path}: need a label column and at least one value column")
+        if len(row) != width:
+            raise InputError(
+                f"{path}: line {lineno}: expected {width} fields, got {len(row)}")
+        row_labels.append(row[0].strip())
+        for col in range(1, width):
+            cell = row[col].strip()
+            if cell in (missing_token, ""):
+                cells.append(math.nan)
+                continue
+            try:
+                cells.append(float(cell))
+            except ValueError:
+                raise InputError(
+                    f"{path}: line {lineno}, column {header[col]!r}: "
+                    f"cell {cell!r} is not numeric") from None
+    if not row_labels:
+        raise InputError(f"{path}: need a header row and at least one data row")
+    values = np.array(cells, dtype=np.float64).reshape(len(row_labels), -1)
+    column_labels = header[1:]
+    if orientation == "variables-rows":
+        values = values.T.copy()
+        row_labels, column_labels = column_labels, row_labels
+    return DataMatrix(values=values, sample_labels=row_labels,
+                      variable_labels=column_labels)

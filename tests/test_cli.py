@@ -426,7 +426,7 @@ class TestWritersByteIdentity:
     def test_write_coords(self, tmp_path, values, delim):
         labels = [f"o{i}" for i in range(len(values))]
         kinds = ["sample", "sample", "variable", "variable", "variable"]
-        _write_coords(labels, kinds, values, str(tmp_path / "c"), delim)
+        _write_coords(labels, kinds, (values,), str(tmp_path / "c"), delim)
         header = ["object_label", "kind"] + [
             f"coord_{k + 1}" for k in range(values.shape[1])]
         first = [delim.join(pair) for pair in zip(labels, kinds)]
@@ -447,7 +447,7 @@ class TestWritersByteIdentity:
 
         with pytest.raises(RuntimeError, match="row 3"):
             write_table(str(target), ["id"] + ["c"] * values.shape[1],
-                        first_cells(), values, ",")
+                        first_cells(), (values,), ",")
         assert len(temps) == 1  # the table was being written, row by row
         assert target.read_bytes() == before
         assert [path.name for path in tmp_path.iterdir()] == ["m"]
@@ -473,5 +473,5 @@ def test_cli_digests_tool_runs_the_whole_chain(tmp_path):
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
     names = {line.split(" ")[0] for line in lines}
-    assert len(lines) == len(names) == 44
+    assert len(lines) == len(names) == 49
     assert all(len(line.split(" ")[1]) == 64 for line in lines)

@@ -5,9 +5,10 @@
 Runs synth, preprocess (filter-log2, zscore and both), pca --plot, scree in
 both modes, cumbia --plot and shave through cumbia.cli.main, in comma and
 tab form, with one input in variables-rows orientation, one with empty,
-missing and whitespace-padded cells, one with a numeric missing token and
-one with a constant column. Every flag a manifest records is given a
-non-default value at least once.
+missing and whitespace-padded cells, one with a numeric missing token,
+one with a constant column and one with quoted labels and CRLF line
+endings. Every flag a manifest records is given a non-default value at
+least once.
 Prints one "name sha256" line per output and manifest, sorted by name.
 Manifests record absolute paths, so to compare two checkouts run this
 script from each of them on the same D and compare the printed lines.
@@ -25,7 +26,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 import numpy as np  # noqa: E402
 
 import cumbia.cli  # noqa: E402
-from cumbia._fsio import sha256_file  # noqa: E402
+from cumbia._fsio import _quote, sha256_file  # noqa: E402
 
 
 def raw_table(seed, N=12, p=40, missing="NA", delim=",", transpose=False,
@@ -43,6 +44,25 @@ def raw_table(seed, N=12, p=40, missing="NA", delim=",", transpose=False,
     if transpose:
         rows = list(zip(*rows))
     return "\n".join(delim.join(row) for row in rows) + "\n"
+
+
+# labels a reader must take from quotes: a comma, a doubled quote, a line
+# break and non-ASCII text
+QUOTED_LABELS = ["a,b", 'say "hi"', "two\nlines", "µ-gène"]
+
+
+def quoted_table(seed, N=12, p=40):
+    """Positive values under sample and variable labels that need quotes,
+    one line per row, every line ending in CRLF."""
+    values = np.exp2(np.random.default_rng(seed).normal(3, 1, (N, p)))
+    samples = QUOTED_LABELS + [f"s{i + 1}" for i in range(4, N)]
+    variables = [f"g{j + 1} {label}" for j, label in enumerate(QUOTED_LABELS)]
+    variables += [f"g{j + 1}" for j in range(4, p)]
+    rows = [["id"] + variables]
+    rows += [[label] + list(map(repr, row))
+             for label, row in zip(samples, values.tolist())]
+    return "".join(",".join(_quote(cell, ",") for cell in row) + "\r\n"
+                   for row in rows)
 
 
 def chain(d):
@@ -76,6 +96,8 @@ def chain(d):
         ["shave", *io("z.csv", "shave_s3.csv", "--s", "3", "--k-vars", "2",
                       "--drop-fraction", "0.25", "--min-objects", "3")],
         ["shave", *io("zt.tsv", "shave_t.tsv", "--k0", "2", *tab)],
+        ["preprocess", *io("raw_q.csv", "zq.csv")],
+        ["pca", *io("zq.csv", "pca_q.csv", "--plot")],
     ]
 
 
@@ -91,9 +113,11 @@ def main():
         "raw999.csv": raw_table(2, missing="-999"),
         "raw_t.tsv": raw_table(3, delim="\t", transpose=True),
         "raw_c.csv": raw_table(4, constant=True),
+        "raw_q.csv": quoted_table(5),
     }
     for name, text in inputs.items():
-        with open(os.path.join(d, name), "w", encoding="utf-8") as handle:
+        with open(os.path.join(d, name), "w", encoding="utf-8",
+                  newline="") as handle:
             handle.write(text)
     files = set()
     for argv in chain(d):

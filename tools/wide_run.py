@@ -10,16 +10,20 @@ default, refused without --shave), once on z-scored synth_block(N, p,
 seed=0): by default 60 x 20,000, or 60 x 16,000 when MemAvailable is below
 the memory guard's estimate for 20,000 variables plus 1 GiB. A shape whose
 estimate plus 1 GiB exceeds MemAvailable is skipped, not run. The run's record holds the
-wall time of each stage, the tracemalloc peak and the resident peak
-(ru_maxrss minus the RSS before the call), both in float64 buffers of the
+wall time of each stage and the resident peak (ru_maxrss minus the RSS
+before the call) of a call made with tracemalloc off, and the tracemalloc
+peak of a second call of its own, both peaks in float64 buffers of the
 size the call's memory guard counts: (N+p)^2 entries for cumbia(), N x p
-for shave(); a shave() record also holds K0 and the kernel's worker count,
-which taskset can lower. It is appended to the runs in --out, next to the
-machine facts. ru_maxrss is the peak of the whole process, so each run
-needs a process of its own. Stages are timed by wrapping the module-level
-functions the call makes; cumbia()'s in-place squaring and shave()'s
-bookkeeping have no function of their own and are left in "other". Linux
-only: it reads /proc/meminfo and /proc/self/statm.
+for shave(). tracemalloc slows allocation-heavy code (shave at 60 x 1500:
+0.74-0.78 s traced against 0.45-0.46 s plain), so no stage is timed under
+it; a first call longer than TRACED_PASS_MAX_S gets no second one, and
+its tracemalloc peak is null. A shave() record also holds K0 and the
+kernel's worker count, which taskset can lower. It is appended to the runs
+in --out, next to the machine facts. ru_maxrss is the peak of the whole
+process, so each run needs a process of its own. Stages are timed by
+wrapping the module-level functions the call makes; cumbia()'s in-place
+squaring and shave()'s bookkeeping have no function of their own and are
+left in "other". Linux only: it reads /proc/meminfo and /proc/self/statm.
 """
 
 import argparse
@@ -44,6 +48,9 @@ from cumbia import _kernels, bicluster, dissimilarity, embedding  # noqa: E402
 WIDE_SHAPES = ((60, 20000), (60, 16000))
 HEADROOM = 2**30
 SHAVE_K0 = 3  # shave()'s default
+# longest first call that is repeated under tracemalloc for its peak; the
+# 60 x 20,000 calls (65 s and more) are not
+TRACED_PASS_MAX_S = 60.0
 
 # (module, function, span name); a span name ending in "." gets the kind
 # argument appended
@@ -122,29 +129,37 @@ def machine_facts(mem):
 
 
 def timed_call(call, Z, stages, top, buffer):
-    """Run call(Z) once under the stage timers and tracemalloc; return its
-    result and the record of its time and memory, in buffers of buffer
-    bytes. top names the stages whose times "other" excludes."""
+    """Run call(Z) once under the stage timers with tracemalloc off, then,
+    if that took at most TRACED_PASS_MAX_S, once more under tracemalloc
+    alone; return the first result and the record of its time and memory,
+    in buffers of buffer bytes. top names the stages whose times "other"
+    excludes."""
     seconds = {}
     originals = install_timers(stages, seconds)
     before = rss_bytes()
-    tracemalloc.start()
     try:
         t0 = time.perf_counter()
         result = call(Z)
         total = time.perf_counter() - t0
-        traced = tracemalloc.get_traced_memory()[1]
     finally:
-        tracemalloc.stop()
         for module, name, func in originals:
             setattr(module, name, func)
+    # read before the traced call, whose traces take memory of their own
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    traced = None
+    if total <= TRACED_PASS_MAX_S:
+        tracemalloc.start()
+        try:
+            call(Z)
+            traced = tracemalloc.get_traced_memory()[1] / buffer
+        finally:
+            tracemalloc.stop()
     seconds["other"] = total - sum(
         t for label, t in seconds.items() if label.split(".")[0] in top)
     return result, {
         "call_s": total,
         "stage_s": seconds,
-        "tracemalloc_peak_buffers": traced / buffer,
+        "tracemalloc_peak_buffers": traced,
         "resident_peak_buffers": (peak - before) / buffer,
         "pre_call_rss_mib": before / 2**20,
     }
