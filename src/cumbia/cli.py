@@ -298,12 +298,15 @@ def cmd_pca(args):
 def cmd_scree(args):
     X = _load(args)
     _require_complete(X)
+    # only the spectrum is kept: the matrix, the factors and the embedding
+    # are released before the table and the manifest are written
     if args.mode == "pca":
-        f = svd(X)
-        fractions, negatives = scree(f.singular_values, "singular-values")
+        spectrum, mode = svd(X).singular_values, "singular-values"
     else:
-        emb = cumbia(X, _cfg_from(args), dims=args.dims)
-        fractions, negatives = scree(emb.eigenvalues, "eigenvalues")
+        spectrum = cumbia(X, _cfg_from(args), dims=args.dims).eigenvalues
+        mode = "eigenvalues"
+    del X
+    fractions, negatives = scree(spectrum, mode)
     first = [("positive_fraction", str(i)) for i in range(1, len(fractions) + 1)]
     first += [("negative_eigenvalue", str(i))
               for i in range(1, len(negatives) + 1)]

@@ -304,7 +304,10 @@ def pca_biplot(X, s=None, alpha=1.0):
     s = _truncation_rank(s, f.r, "s=")
     lam = f.singular_values[:s]
     sample_coords = f.U[:, :s] * lam**alpha
-    variable_coords = f.V[:, :s] * lam ** (1.0 - alpha)
+    # scaled in place in svd's V, which no other caller holds; s < r
+    # columns are copied first, so V^T is not kept alive for them
+    variable_coords = f.V if s == f.r else f.V[:, :s].copy()
+    variable_coords *= lam ** (1.0 - alpha)
     return BiplotCoordinates(sample_coords, variable_coords, float(alpha),
                              int(s), *X.objects())
 

@@ -104,22 +104,28 @@ def load_table(path, delimiter=",", orientation="samples-rows",
 
 
 def filter_and_log2(X):
-    """Drop variables with missing values, then with values <= 0; log2 the rest."""
+    """Drop variables with missing values, then with values <= 0; log2 the rest.
+
+    A variable both missing and nonpositive counts as missing only. The
+    kept columns are copied once and log2'd in place in that copy.
+    """
     values = X.values
     missing = np.isnan(values).any(axis=0)
-    kept = values[:, ~missing]
-    kept_labels = [l for l, m in zip(X.variable_labels, missing) if not m]
-    nonpositive = (kept <= 0).any(axis=0)
-    final = kept[:, ~nonpositive]
-    final_labels = [l for l, m in zip(kept_labels, nonpositive) if not m]
-    if final.shape[1] == 0:
+    # NaN <= 0 is False and raises no warning; a column holding both a NaN
+    # and a value <= 0 counts as missing only
+    nonpositive = (values <= 0).any(axis=0) & ~missing
+    keep = ~(missing | nonpositive)
+    if not keep.any():
         raise InputError("no variables survive filtering")
     report = PreprocessReport(
         dropped_missing=int(missing.sum()),
         dropped_negative=int(nonpositive.sum()),
     )
-    out = DataMatrix(values=np.log2(final), sample_labels=list(X.sample_labels),
-                     variable_labels=final_labels)
+    final = values[:, keep]
+    np.log2(final, out=final)
+    labels = [l for l, k in zip(X.variable_labels, keep) if k]
+    out = DataMatrix(values=final, sample_labels=list(X.sample_labels),
+                     variable_labels=labels)
     return out, report
 
 
@@ -149,10 +155,14 @@ def zscore_variables(X, zero_variance_policy="error"):
             stacklevel=2,
         )
     keep = ~constant
-    values = (X.values[:, keep] - means[keep]) / sds[keep]
-    labels = [l for l, k in zip(X.variable_labels, keep) if k]
-    if values.shape[1] == 0:
+    if not keep.any():
         raise InputError("no variables survive zero-variance filtering")
+    # the one masked copy, centred and scaled in place: the same IEEE
+    # operations as (values - means) / sds, with no second matrix
+    values = X.values[:, keep]
+    values -= means[keep]
+    values /= sds[keep]
+    labels = [l for l, k in zip(X.variable_labels, keep) if k]
     return DataMatrix(values=values, sample_labels=list(X.sample_labels),
                       variable_labels=labels)
 

@@ -125,5 +125,7 @@ def emit_scatter(obj, component_x=0, component_y=1, color_by=None, *, out):
                 f'stroke-width="1.4" fill="none">{title}</path>'
             )
     parts.append("</svg>\n")
-    atomic_write_text(out, "\n".join(parts))
+    text = "\n".join(parts)
+    del parts  # the joined text alone is alive while it is written
+    atomic_write_text(out, text)
     return out

@@ -5,14 +5,16 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from cumbia import DataMatrix, load_table, synth_block, zscore_variables
+from cumbia import DataMatrix, cli, load_table, synth_block, zscore_variables
 from cumbia._fsio import write_table
 from cumbia.cli import (_read_label_file, _write_coords, _write_matrix,
                         build_parser, main)
+from cumbia.plot import PALETTE
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -462,6 +464,147 @@ def test_write_matrix_peak_memory_below_the_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= X.values.nbytes, peak / X.values.nbytes
+
+
+@pytest.fixture(scope="module")
+def wide_tables(tmp_path_factory):
+    """A positive 100 x 3000 table and its z-scores, written by the CLI's
+    writer, and the bytes of one such matrix."""
+    directory = tmp_path_factory.mktemp("wide")
+    X = synth_block(100, 3000, seed=7)[0]
+    raw = DataMatrix(np.exp2(X.values), X.sample_labels, X.variable_labels)
+    _write_matrix(raw, str(directory / "raw.csv"), ",")
+    _write_matrix(zscore_variables(X), str(directory / "z.csv"), ",")
+    return directory, X.values.nbytes
+
+
+@pytest.mark.parametrize("command,source,extra", [
+    ("preprocess", "raw.csv", []),
+    ("pca", "z.csv", ["--plot"]),
+    ("scree", "z.csv", ["--mode", "pca"]),
+], ids=["preprocess", "pca-plot", "scree-pca"])
+def test_a_table_command_holds_its_input_and_one_matrix(
+        wide_tables, tmp_path, command, source, extra):
+    # a wide table, so the matrix and not its labels sets the peak (at
+    # 40 x 2000 the labels do): the loader's buffer and its copy, then the
+    # input beside one copy of it (the log2 of the kept columns, the
+    # z-scores or the SVD's V^T). Measured: 2.26-2.35 (3.15-3.20, and 4.29
+    # for the default steps, when each step held two or three matrices)
+    directory, nbytes = wide_tables
+    tracemalloc.start()
+    try:
+        code = main([command, "--in", str(directory / source),
+                     "--out", str(tmp_path / "out"), *extra])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 2.5 * nbytes, peak / nbytes
+
+
+def test_scree_holds_only_the_spectrum_while_it_writes(wide_tables, tmp_path,
+                                                       monkeypatch):
+    directory, nbytes = wide_tables
+    held = []
+
+    def spy(name):
+        write = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            held.append((name, tracemalloc.get_traced_memory()[0]))
+            return write(*args, **kwargs)
+        return call
+
+    for name in ("write_table", "_manifest"):
+        monkeypatch.setattr(cli, name, spy(name))
+    tracemalloc.start()
+    try:
+        code = main(["scree", "--in", str(directory / "z.csv"),
+                     "--out", str(tmp_path / "sc.txt"), "--mode", "pca"])
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert [name for name, _ in held] == ["write_table", "_manifest"]
+    # the matrix and the SVD factors are gone: 0.0 measured (2.0 when the
+    # input and the whole SVD lived until the command returned)
+    for name, size in held:
+        assert size <= 0.1 * nbytes, (name, size / nbytes)
+
+
+# label text every command must carry through unchanged: both delimiters,
+# quote marks, markup characters and non-ASCII
+LABEL_CHARS = [",", "\t", '"', "&", "<", ">", "'", "é", "µ", "中", "a", "7"]
+
+
+def random_labels(rng, prefix, count):
+    """count distinct labels: prefix, up to 5 random LABEL_CHARS, then '#'
+    and the index, so strip() finds nothing to remove."""
+    return [prefix + "".join(rng.choice(LABEL_CHARS, rng.integers(0, 6)))
+            + f"#{i}" for i in range(count)]
+
+
+class TestLabelsSurviveEveryPath:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("delim", [",", "\t"], ids=["comma", "tab"])
+    def test_preprocess_cumbia_pca_and_shave(self, tmp_path, seed, delim):
+        rng = np.random.default_rng(seed)
+        samples = random_labels(rng, "s", 10)
+        variables = random_labels(rng, "v", 30)
+        labels = samples + variables
+        categories = random_labels(rng, "c", 4)
+        category_of = [categories[i % 4]
+                       for i in rng.permutation(len(labels))]
+        # the input is quoted by the standard library's csv writer
+        source = tmp_path / "raw"
+        with open(source, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, delimiter=delim, lineterminator="\n")
+            writer.writerow(["id", *variables])
+            for label, row in zip(samples, np.exp2(
+                    rng.standard_normal((10, 30))).tolist()):
+                writer.writerow([label, *map(repr, row)])
+        # comma-separated: its header line holds no tab
+        label_file = str(tmp_path / "labels")
+        write_table(label_file, ["object_label", "category"],
+                    zip(labels, category_of), (np.empty((len(labels), 0)),),
+                    ",")
+        out = {name: str(tmp_path / name) for name in ("z", "emb", "bp", "tr")}
+        flag = ["--delim", "comma" if delim == "," else "tab"]
+        plot = ["--plot", "--labels", label_file]
+        for argv in (["preprocess", "--in", str(source), "--out", out["z"]],
+                     ["cumbia", "--in", out["z"], "--out", out["emb"], *plot],
+                     ["pca", "--in", out["z"], "--out", out["bp"], *plot],
+                     ["shave", "--in", out["z"], "--out", out["tr"],
+                      "--min-objects", "4"]):
+            assert main(argv + flag) == 0, argv
+
+        Z = load_table(out["z"], delimiter=delim)
+        assert (Z.sample_labels, Z.variable_labels) == (samples, variables)
+        colour = {c: PALETTE[i] for i, c in enumerate(sorted(categories))}
+        for name in ("emb", "bp"):
+            with open(out[name], newline="", encoding="utf-8") as handle:
+                rows = list(csv.reader(handle, delimiter=delim))[1:]
+            assert [row[0] for row in rows] == labels
+            assert [row[1] for row in rows] == ["sample"] * 10 + ["variable"] * 30
+            svg = ET.parse(out[name] + ".svg").getroot()
+            markers = [el for el in svg.iter() if el.get("class") == "marker"]
+            titles = [el.find("{http://www.w3.org/2000/svg}title").text
+                      for el in markers]
+            assert titles == labels
+            applied = [el.get("fill") if el.tag.endswith("circle")
+                       else el.get("stroke") for el in markers]
+            assert applied == [colour[c] for c in category_of]
+            assert set(applied) == set(colour.values())
+        with open(out["tr"], newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle, delimiter=delim))[1:]
+        steps = {}
+        for step, kind, label, _ in rows:
+            steps.setdefault(step, {"sample": [], "variable": []})[kind].append(
+                label)
+        assert steps["0"] == {"sample": samples, "variable": variables}
+        for kept in steps.values():
+            for kind, given in (("sample", samples), ("variable", variables)):
+                # each step keeps a subset, in the given order
+                assert kept[kind] == [l for l in given if l in kept[kind]]
 
 
 def test_cli_digests_tool_runs_the_whole_chain(tmp_path):

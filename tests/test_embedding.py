@@ -19,6 +19,7 @@ from cumbia import (
     double_center,
     pca_biplot,
     scree,
+    svd,
     zscore_variables,
 )
 from cumbia import dissimilarity, embedding
@@ -432,6 +433,17 @@ class TestPcaBiplot:
         A = rng.standard_normal((20, 30))
         bp = pca_biplot(DataMatrix(A), alpha=1.0)
         assert np.abs(pairwise(bp.sample_coords) - pairwise(A)).max() < 1e-8
+
+    @pytest.mark.parametrize("s", [5, None], ids=["s5", "full"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_variable_block_bytes_are_the_scaled_v(self, alpha, s):
+        # scaled in place in svd's V, or in a copy of its first s columns:
+        # the same products as a new array
+        A = np.random.default_rng(36).standard_normal((40, 600))
+        f = svd(A)
+        bp = pca_biplot(DataMatrix(A), s=s, alpha=alpha)
+        expect = f.V[:, :s] * f.singular_values[:s] ** (1.0 - alpha)
+        assert bp.variable_coords.tobytes() == expect.tobytes()
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ParameterError):

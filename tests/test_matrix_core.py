@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from cumbia import (
     svd,
     truncate,
 )
-from cumbia.matrix_core import require_finite
+from cumbia.matrix_core import (RANK_TOLERANCE, _fix_column_signs,
+                                require_finite)
 
 
 def test_datamatrix_generates_default_labels():
@@ -155,6 +157,37 @@ def test_truncate_every_rank_satisfies_tail_identity():
         err_sq = np.linalg.norm(A - truncate(f, s)) ** 2
         tail = np.sum(f.singular_values[s:] ** 2)
         assert abs(err_sq - tail) <= 1e-8 * max(tail, 1e-30) + 1e-16
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_truncate_bytes_are_those_of_a_c_ordered_v(s):
+    # svd's V is an F-ordered view; a product with it as the right operand
+    # gives other bytes on this matrix at s = 2 and 3, so truncate must
+    # multiply C-ordered copies as these reference lines do
+    A = np.random.default_rng(1).standard_normal((60, 1500))
+    U, sv, Vt = np.linalg.svd(A, full_matrices=False)
+    r = int(np.sum(sv > RANK_TOLERANCE * sv[0]))
+    U, sv, Vc = U[:, :r].copy(), sv[:r].copy(), Vt[:r].T.copy()
+    _fix_column_signs(U, Vc)
+    expect = (U[:, :s] * sv[:s]) @ Vc[:, :s].T
+    assert truncate(svd(A), s).tobytes() == expect.tobytes()
+
+
+def test_svd_traced_peak_is_one_factor_above_the_input():
+    # LAPACK's copy of the input is made outside tracemalloc's view; V^T
+    # is the one N x p array it sees, and V is a view of it, not a copy
+    A = np.random.default_rng(2).standard_normal((60, 10_000))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f = svd(A)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert not f.V.flags.c_contiguous and f.V.flags.f_contiguous
+    # measured: 1.02 (2.02 when V was copied into C order)
+    assert peak <= 1.1 * A.nbytes, peak / A.nbytes
 
 
 def test_truncate_rank_out_of_range():
