@@ -14,8 +14,9 @@ One producer (_fill_rows) makes the rows of the upper triangle, i and
 the entries (i, j) for j > i, and hands them to a consumer a panel of up
 to PANEL_ROWS rows at a time. It computes a row's pair sums a chunk of
 columns j at a time, at most SCRATCH_VALUES sums, so a worker's scratch
-does not grow with n. It also zeroes, in the panel, the pairs inside
-the caller's duplicate groups, held as one label per row.
+does not grow with n. It also zeroes, in the panel, the pairs of
+duplicates, bitwise identical rows of R (identical_index_groups), held
+as one label per row.
 pair_mean_k_smallest's consumer copies each panel row and its mirror
 into the n x n result; pair_mean_k0_smallest's merges each panel into
 running lists of every object's k0 smallest entries, so the n x n matrix
@@ -149,6 +150,25 @@ def _workers_for(n, m):
                       pair_sums // MIN_SUMS_PER_WORKER))
 
 
+def identical_index_groups(M):
+    """Groups (size >= 2) of the indices of bitwise identical rows of the
+    float64 matrix M, in the order of their first members.
+
+    Each row is keyed by the wrapping sum of its entries read as int64,
+    which identical rows share, and bytes are compared only among rows
+    whose key is shared: 8 bytes per row are kept, a sorted copy of the
+    keys is made, and a row with a key of its own is never copied.
+    """
+    keys = M.view(np.int64).sum(axis=1)
+    ordered = np.sort(keys)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    del ordered
+    same = {}
+    for i in np.flatnonzero(np.isin(keys, repeated)).tolist():
+        same.setdefault(M[i].tobytes(), []).append(i)
+    return sorted(g for g in same.values() if len(g) > 1)
+
+
 def _fill_rows(R, K, consume, first, step, group, buf, panel):
     """Hand rows first, first + step, ... of the upper triangle to consume,
     a panel at a time.
@@ -180,13 +200,13 @@ def _fill_rows(R, K, consume, first, step, group, buf, panel):
             rows = []
 
 
-def _run_rows(R, K, consume, workers, zero_groups):
+def _run_rows(R, K, consume, workers):
     """Compute every row of the upper triangle of R and hand it to consume.
 
     Worker w of workers gets the rows i with i % workers == w (_fill_rows).
     Worker 0 is the calling thread, every other worker a thread of its own
     with scratch the calling thread allocated, started once OpenBLAS's pool
-    is parked. The pairs inside each group of zero_groups are 0. An
+    is parked. The pairs of bitwise identical rows of R are 0. An
     exception in any worker is re-raised on the caller once every thread
     is joined.
     """
@@ -194,8 +214,9 @@ def _run_rows(R, K, consume, workers, zero_groups):
     n, m = R.shape
     if not 1 <= K <= m:
         raise ParameterError(f"K={K} outside [1, {m}]")
-    group = np.full(n, -1) if zero_groups else None
-    for label, members in enumerate(zero_groups):
+    groups = identical_index_groups(R)
+    group = np.full(n, -1) if groups else None
+    for label, members in enumerate(groups):
         group[members] = label
     chunk = min(max(n - 1, 0), max(1, SCRATCH_VALUES // m))
     scratch = [(np.empty((chunk, m)), np.full((PANEL_ROWS, n), np.inf))
@@ -221,12 +242,12 @@ def _run_rows(R, K, consume, workers, zero_groups):
         raise errors[0]
 
 
-def pair_mean_k_smallest(R, K, out=None, zero_groups=()):
+def pair_mean_k_smallest(R, K, out=None):
     """Symmetric n x n matrix of K-smallest-sum averages over row pairs.
 
     Entry (i, j) is the mean of the K smallest values of R[i] + R[j]
-    (elementwise sums over the m columns); the diagonal and the pairs
-    inside each group of zero_groups are zero. K must already be clamped
+    (elementwise sums over the m columns); the diagonal and the pairs of
+    bitwise identical rows of R are zero. K must already be clamped
     to at most m by the caller. With out, an n x n float64 array that may
     be a strided view into a larger buffer, every entry of out is written
     and out is returned; its prior contents do not matter.
@@ -245,19 +266,19 @@ def pair_mean_k_smallest(R, K, out=None, zero_groups=()):
             out[i, i + 1:] = row[i + 1:]
             out[i + 1:, i] = row[i + 1:]
 
-    _run_rows(R, K, write, _workers_for(n, m), zero_groups)
+    _run_rows(R, K, write, _workers_for(n, m))
     return out
 
 
-def pair_mean_k0_smallest(R, K, k0, zero_groups=()):
+def pair_mean_k0_smallest(R, K, k0):
     """Per row i of R, the mean of its k0 smallest pair entries.
 
-    The entries are those of pair_mean_k_smallest(R, K, zero_groups=
-    zero_groups) off the diagonal. Equal to _mean_k_smallest of that
-    matrix with an inf diagonal, byte for byte, without storing it: each
-    worker keeps per object a running list of its k0 smallest entries,
-    and the k0 smallest of a multiset union of lists are the k0 smallest
-    of the whole row. Needs 1 <= k0 <= n - 1.
+    The entries are those of pair_mean_k_smallest(R, K) off the diagonal.
+    Equal to _mean_k_smallest of that matrix with an inf diagonal, byte
+    for byte, without storing it: each worker keeps per object a running
+    list of its k0 smallest entries, and the k0 smallest of a multiset
+    union of lists are the k0 smallest of the whole row. Needs
+    1 <= k0 <= n - 1.
     """
     n, m = np.shape(R)
     if not 1 <= k0 <= n - 1:
@@ -278,6 +299,6 @@ def pair_mean_k0_smallest(R, K, k0, zero_groups=()):
         _smallest_first(panel, k0)
         own[rows] = panel[:, :k0]
 
-    _run_rows(R, K, merge, workers, zero_groups)
+    _run_rows(R, K, merge, workers)
     return _mean_k_smallest(np.concatenate([own, *lists[:, :, :k0]], axis=1),
                             k0)

@@ -11,7 +11,8 @@ running lists of every object's K0 smallest distances, and the scores come
 from those lists, byte for byte what scoring the stored blocks would give.
 A step frees its SVD factors before D_sv is built and its submatrix once
 D_sv is, and scores the variables from D_sv's contiguous transpose, which
-replaces D_sv; duplicates are found on the rows each kernel call reads.
+replaces D_sv; the kernel finds duplicates on the rows it reads, and each
+kind's scoring clamps its own K and K0.
 The peak is a few N x p float64 arrays plus, per kernel worker, its fixed
 scratch, a panel and the lists (_peak_buffers).
 """
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import _kernels
 from ._kernels import PANEL_ROWS, pair_mean_k0_smallest
-from .dissimilarity import (CumbiaConfig, _clamp, _kind_inputs, _rank_s,
-                            identical_index_groups)
+from .dissimilarity import (CumbiaConfig, _clamp, _rank_s,
+                            sample_variable_diss)
 from .embedding import _require_memory_for
 from .errors import ParameterError
 from .matrix_core import DataMatrix, require_finite, svd
@@ -58,9 +59,12 @@ class ShaveTrace:
 
 def _kind_scores(R, K, kind, k0, notes):
     """Per row of R, an object of kind, the mean of its k0 smallest
-    same-kind distances; objects with bitwise identical rows are at 0."""
+    same-kind distances over K paths, K and k0 clamped through _clamp with
+    notes; objects with bitwise identical rows are at 0."""
+    K = _clamp(K, R.shape[1], "K",
+               f"available intermediaries for {kind} pairs", notes)
     k = _clamp(k0, R.shape[0] - 1, "K0", f"other {kind}", notes)
-    return pair_mean_k0_smallest(R, K, k, identical_index_groups(R))
+    return pair_mean_k0_smallest(R, K, k)
 
 
 def _step_scores(X_values, rows, cols, cfg, k0, notes):
@@ -73,11 +77,12 @@ def _step_scores(X_values, rows, cols, cfg, k0, notes):
         cfg.s, f.r, "s", "nonzero singular values of the submatrix", notes)
     lambda1, X_s = _rank_s(values, f, s)
     del values, f
-    D_sv, Ks, Kv = _kind_inputs(X_s, lambda1, cfg, notes)
+    D_sv = sample_variable_diss(X_s, lambda1)
     del X_s
-    s_scores = _kind_scores(D_sv, Ks, "samples", k0, notes)
+    s_scores = _kind_scores(D_sv, cfg.k_samples, "samples", k0, notes)
     D_sv = np.ascontiguousarray(D_sv.T)
-    return s_scores, _kind_scores(D_sv, Kv, "variables", k0, notes)
+    return s_scores, _kind_scores(D_sv, cfg.resolved_k_variables(),
+                                  "variables", k0, notes)
 
 
 def _peak_buffers(shape, k0):

@@ -161,10 +161,10 @@ def _write_coords(labels, kinds, blocks, path, delim):
 
 def _read_label_file(path, object_labels):
     """Label file: one 'object_label,category' row per object, header
-    optional. The file is tab-separated if its first line holds a tab,
-    else comma-separated; its records are read as load_table reads a
-    table's (_fsio.records), so cells may be quoted as in the CLI's own
-    tables."""
+    optional: a first record whose first cell is 'object_label'. The file
+    is tab-separated if its first line holds a tab, else comma-separated;
+    its records are read as load_table reads a table's (_fsio.records), so
+    cells may be quoted as in the CLI's own tables."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as handle:
             delimiter = "\t" if "\t" in handle.readline() else ","
@@ -173,13 +173,13 @@ def _read_label_file(path, object_labels):
                     for row in records(handle, delimiter)]
     except OSError as exc:
         raise InputError(f"cannot read label file {path}: {exc}") from exc
-    mapping = {}
-    for row in filter(any, rows):
+    rows = list(filter(any, rows))
+    for row in rows:
         if len(row) != 2:
             raise InputError(f"label file {path}: malformed row {row!r}")
-        mapping[row[0]] = row[1]
-    if "object_label" in mapping:
-        del mapping["object_label"]
+    if rows and rows[0][0] == "object_label":
+        del rows[0]
+    mapping = dict(rows)
     return [mapping.get(label, "unlabeled") for label in object_labels]
 
 

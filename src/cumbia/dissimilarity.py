@@ -6,7 +6,8 @@ which is the edge weight of a complete bipartite graph over samples and
 variables. Distances between objects of the same kind are read off that
 graph: every sample pair is connected by p two-edge paths (one per
 variable) and every variable pair by N two-edge paths (one per sample),
-and the distance is the mean of the K smallest path lengths.
+and the distance is the mean of the K smallest path lengths. Objects of
+a kind with bitwise identical edges coincide: the kernel zeroes their pairs.
 
 joint_matrix assembles all four blocks in one symmetric (N + p) x (N + p)
 buffer: sample_variable_diss writes D_sv straight into an off-diagonal
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import pair_mean_k_smallest
+# identical_index_groups stays importable here for perfbench and the tests
+from ._kernels import identical_index_groups, pair_mean_k_smallest  # noqa: F401
 from .errors import CumbiaWarning, InvariantViolation, ParameterError
 from .matrix_core import DataMatrix, _truncation_rank, svd, truncate
 
@@ -89,25 +91,6 @@ def sample_variable_diss(X_s, lambda1, out=None):
     return np.sqrt(rad, out=rad)
 
 
-def identical_index_groups(M):
-    """Groups (size >= 2) of the indices of bitwise identical rows of the
-    float64 matrix M, in the order of their first members.
-
-    Each row is keyed by the wrapping sum of its entries read as int64,
-    which identical rows share, and bytes are compared only among rows
-    whose key is shared: 8 bytes per row are kept, a sorted copy of the
-    keys is made, and a row with a key of its own is never copied.
-    """
-    keys = M.view(np.int64).sum(axis=1)
-    ordered = np.sort(keys)
-    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-    del ordered
-    same = {}
-    for i in np.flatnonzero(np.isin(keys, repeated)).tolist():
-        same.setdefault(M[i].tobytes(), []).append(i)
-    return sorted(g for g in same.values() if len(g) > 1)
-
-
 def _clamp(value, available, name, description, notes=None):
     """min(value, available), warning on a clamp; with a notes set, only
     once per (name, description) for the life of that set."""
@@ -131,8 +114,9 @@ def within_kind_diss(D_sv, K, kind, out=None):
     Entry (i, j) is the mean of the K smallest two-edge paths through the
     other kind; the diagonal is zero, and so are the pairs of duplicates,
     objects whose edges (rows of D_sv, or columns for variables) are
-    bitwise identical. With out, a square float64 array or view of the
-    result's size, the matrix is written there and out is returned.
+    bitwise identical (the kernel finds them). K is clamped to the other
+    kind's count with a warning. With out, a square float64 array or view
+    of the result's size, the matrix is written there and out is returned.
     """
     D_sv = np.asarray(D_sv, dtype=np.float64)
     if kind == "samples":
@@ -145,8 +129,7 @@ def within_kind_diss(D_sv, K, kind, out=None):
         raise ParameterError(f"K={K} must be >= 1")
     K = _clamp(K, R.shape[1], "K",
                f"available intermediaries for {kind} pairs")
-    return pair_mean_k_smallest(R, K, out=out,
-                                zero_groups=identical_index_groups(R))
+    return pair_mean_k_smallest(R, K, out=out)
 
 
 def _rank_s(values, f, s):
@@ -157,19 +140,6 @@ def _rank_s(values, f, s):
     # detection for identical rows or columns of X
     X_s = values if s == f.r else truncate(f, s)
     return float(f.singular_values[0]), X_s
-
-
-def _kind_inputs(X_s, lambda1, cfg, notes=None, out=None):
-    """Sample-variable block D_sv of X_s, written into out when given (see
-    sample_variable_diss), and the samples' and the variables' K, clamped
-    through _clamp with notes."""
-    N, p = X_s.shape
-    D_sv = sample_variable_diss(X_s, lambda1, out=out)
-    Ks = _clamp(cfg.k_samples, p, "K",
-                "available intermediaries for samples pairs", notes)
-    Kv = _clamp(cfg.resolved_k_variables(), N, "K",
-                "available intermediaries for variables pairs", notes)
-    return D_sv, Ks, Kv
 
 
 def joint_matrix(X, cfg):
@@ -192,11 +162,12 @@ def joint_matrix(X, cfg):
     N, p = X.values.shape
     values = np.empty((N + p, N + p), dtype=np.float64)
     # D_sv is written straight into its block and mirrored
-    D_sv, Ks, Kv = _kind_inputs(X_s, lambda1, cfg, out=values[:N, N:])
+    D_sv = sample_variable_diss(X_s, lambda1, out=values[:N, N:])
     del X_s
     values[N:, :N] = D_sv.T
-    within_kind_diss(D_sv, Ks, "samples", out=values[:N, :N])
-    within_kind_diss(D_sv, Kv, "variables", out=values[N:, N:])
+    within_kind_diss(D_sv, cfg.k_samples, "samples", out=values[:N, :N])
+    within_kind_diss(D_sv, cfg.resolved_k_variables(), "variables",
+                     out=values[N:, N:])
     kinds, labels = X.objects()
     return JointDissimilarity(values=values, object_kinds=kinds,
                               object_labels=labels)

@@ -168,8 +168,7 @@ def test_k0_scores_independent_of_worker_count(monkeypatch, workers):
     R = np.array([0.0, 0.25, 0.5, 1.0])[rng.integers(0, 4, size=(70, 6))]
     R[9] = R[2]
     R[40] = R[2]
-    groups = identical_index_groups(R)
-    assert [2, 9, 40] in groups
+    assert [2, 9, 40] in identical_index_groups(R)
     # switch threads often, so a lost write to the shared lists would show
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -177,7 +176,7 @@ def test_k0_scores_independent_of_worker_count(monkeypatch, workers):
         for K in (1, 2, 6):
             M = within_kind_diss(R, K, "samples")
             for k0 in (1, 2, 3, 8, 69):
-                got = pair_mean_k0_smallest(R, K, k0, groups)
+                got = pair_mean_k0_smallest(R, K, k0)
                 assert got.tobytes() == _k0_row_loop(M, k0).tobytes()
     finally:
         sys.setswitchinterval(interval)
@@ -191,11 +190,10 @@ def test_k0_scores_with_rows_longer_than_sort_columns():
     rng = np.random.default_rng(19)
     R = np.array([0.0, 0.25, 0.5, 1.0])[rng.integers(0, 4, size=(n, 5))]
     R[200] = R[7]
-    groups = identical_index_groups(R)
     for K in (1, 3):
         M = within_kind_diss(R, K, "samples")
         for k0 in (1, 3):
-            got = pair_mean_k0_smallest(R, K, k0, groups)
+            got = pair_mean_k0_smallest(R, K, k0)
             assert got.tobytes() == _k0_row_loop(M, k0).tobytes()
 
 

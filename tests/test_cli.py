@@ -235,6 +235,16 @@ class TestPcaCommand:
         assert _read_label_file(str(path), ["s1", label, "g3"]) == [
             "y", "x", "unlabeled"]
 
+    @pytest.mark.parametrize("header", ["", "object_label,group\n"],
+                             ids=["no-header", "header"])
+    def test_an_object_named_object_label_keeps_its_category(self, tmp_path,
+                                                             header):
+        # only a first record whose first cell is object_label is a header
+        path = tmp_path / "labels.csv"
+        path.write_text(f"{header}a,red\nobject_label,blue\n")
+        assert _read_label_file(str(path), ["a", "object_label", "b"]) == [
+            "red", "blue", "unlabeled"]
+
 
 class TestScreeCommand:
     def test_pca_mode_fractions(self, tmp_path, small_table):
@@ -616,5 +626,5 @@ def test_cli_digests_tool_runs_the_whole_chain(tmp_path):
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
     names = {line.split(" ")[0] for line in lines}
-    assert len(lines) == len(names) == 49
+    assert len(lines) == len(names) == 55
     assert all(len(line.split(" ")[1]) == 64 for line in lines)

@@ -39,7 +39,7 @@ def test_ties_at_selection_boundary():
     # row sums tie exactly; both selections must produce the same mean
     R = np.array([
         [1.0, 1.0, 1.0, 2.0],
-        [1.0, 1.0, 1.0, 2.0],
+        [1.0, 1.0, 1.0, 3.0],
         [0.5, 0.5, 0.5, 0.5],
     ])
     out = pair_mean_k_smallest(R, 2)
@@ -178,9 +178,9 @@ def test_chunks_of_a_row_keep_the_bytes(monkeypatch, workers):
             np.where(np.eye(19, dtype=bool), np.inf, expected), 4)
         for chunk in (1, 3, 18):
             monkeypatch.setattr(_kernels, "SCRATCH_VALUES", chunk * m)
-            got = pair_mean_k_smallest(R, 3, zero_groups=groups)
+            got = pair_mean_k_smallest(R, 3)
             assert got.tobytes() == expected.tobytes(), (m, chunk)
-            got = pair_mean_k0_smallest(R, 3, 4, zero_groups=groups)
+            got = pair_mean_k0_smallest(R, 3, 4)
             assert got.tobytes() == k0.tobytes(), (m, chunk)
 
 
@@ -239,7 +239,7 @@ def test_selection_branch_does_not_change_bytes(monkeypatch, workers):
         monkeypatch.setattr(_kernels, "SORT_COLUMNS", columns)
         got[columns] = [pair_mean_k_smallest(R, K).tobytes()
                         for K in (1, 3, 30)]
-        got[columns] += [pair_mean_k0_smallest(R, K, k0, [[2, 11]]).tobytes()
+        got[columns] += [pair_mean_k0_smallest(R, K, k0).tobytes()
                          for K in (1, 3) for k0 in (1, 3, 39)]
     assert got[0] == got[10**9]
 
@@ -261,8 +261,28 @@ def test_panels_and_duplicate_groups_match_the_zeroed_reference(monkeypatch,
         expected = reference(R, K)
         for group in groups:
             expected[np.ix_(group, group)] = 0.0
-        got = pair_mean_k_smallest(R, K, zero_groups=groups)
+        got = pair_mean_k_smallest(R, K)
         assert got.tobytes() == expected.tobytes()
+
+
+def test_identical_rows_are_zeroed_without_being_named():
+    # the kernel finds duplicates itself, here on a transposed R like the
+    # one within_kind_diss passes for variables. Rows 2 and 5 differ only in
+    # the sign of a zero: equal values, other bytes, so not duplicates
+    D = np.abs(np.random.default_rng(11).standard_normal((6, 9)))
+    D[:, [4, 7]] = D[:, [1, 1]]
+    D[:, 5] = D[:, 2]
+    D[0, 2], D[0, 5] = 0.0, -0.0
+    R = D.T
+    assert not R.flags.c_contiguous
+    for K in (2, 6):
+        expected = reference(R, K)
+        assert expected[2, 5] > 0.0
+        expected[np.ix_([1, 4, 7], [1, 4, 7])] = 0.0
+        k0 = _kernels._mean_k_smallest(
+            np.where(np.eye(9, dtype=bool), np.inf, expected), 3)
+        assert pair_mean_k_smallest(R, K).tobytes() == expected.tobytes()
+        assert pair_mean_k0_smallest(R, K, 3).tobytes() == k0.tobytes()
 
 
 class CountingThreads:
@@ -418,11 +438,12 @@ def test_many_workers_switching_often_keep_the_bytes(monkeypatch):
     monkeypatch.setattr(_kernels, "PANEL_ROWS", 2)
     monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
     R = np.abs(np.random.default_rng(9).standard_normal((60, 7)))
-    groups = [[1, 30, 59], [3, 2]]
+    R[[30, 59]] = R[1]
+    R[2] = R[3]
 
     def both():
-        return (pair_mean_k_smallest(R, 3, zero_groups=groups).tobytes(),
-                pair_mean_k0_smallest(R, 3, 4, groups).tobytes())
+        return (pair_mean_k_smallest(R, 3).tobytes(),
+                pair_mean_k0_smallest(R, 3, 4).tobytes())
 
     monkeypatch.setattr(_kernels, "_worker_count", lambda: 1)
     expected = both()

@@ -6,9 +6,10 @@ Runs synth, preprocess (filter-log2, zscore and both), pca --plot, scree in
 both modes, cumbia --plot and shave through cumbia.cli.main, in comma and
 tab form, with one input in variables-rows orientation, one with empty,
 missing and whitespace-padded cells, one with a numeric missing token,
-one with a constant column and one with quoted labels and CRLF line
-endings. Every flag a manifest records is given a non-default value at
-least once.
+one with a constant column, one with quoted labels and CRLF line endings
+and one with repeated rows and columns, whose duplicates cumbia --plot
+and shave place at distance 0. Every flag a manifest records is given a
+non-default value at least once.
 Prints one "name sha256" line per output and manifest, sorted by name.
 Manifests record absolute paths, so to compare two checkouts run this
 script from each of them on the same D and compare the printed lines.
@@ -65,6 +66,18 @@ def quoted_table(seed, N=12, p=40):
                    for row in rows)
 
 
+def duplicate_table(seed, N=12, p=40):
+    """Positive values, complete, where samples 4 and 9 repeat sample 1 and
+    variables 6, 17 and 33 repeat variable 2."""
+    values = np.exp2(np.random.default_rng(seed).normal(3, 1, (N, p)))
+    values[[3, 8]] = values[0]
+    values[:, [5, 16, 32]] = values[:, [1]]
+    rows = [["id"] + [f"g{j + 1}" for j in range(p)]]
+    rows += [[f"s{i + 1}"] + list(map(repr, row))
+             for i, row in enumerate(values.tolist())]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
 def chain(d):
     """The CLI invocations, in order; each reads only files made before it."""
     def io(src, out, *extra):
@@ -98,6 +111,8 @@ def chain(d):
         ["shave", *io("zt.tsv", "shave_t.tsv", "--k0", "2", *tab)],
         ["preprocess", *io("raw_q.csv", "zq.csv")],
         ["pca", *io("zq.csv", "pca_q.csv", "--plot")],
+        ["cumbia", *io("raw_d.csv", "emb_d.csv", "--plot")],
+        ["shave", *io("raw_d.csv", "shave_d.csv")],
     ]
 
 
@@ -114,6 +129,7 @@ def main():
         "raw_t.tsv": raw_table(3, delim="\t", transpose=True),
         "raw_c.csv": raw_table(4, constant=True),
         "raw_q.csv": quoted_table(5),
+        "raw_d.csv": duplicate_table(6),
     }
     for name, text in inputs.items():
         with open(os.path.join(d, name), "w", encoding="utf-8",

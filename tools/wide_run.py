@@ -58,7 +58,7 @@ STAGES = [
     (embedding, "joint_matrix", "joint_matrix"),
     (dissimilarity, "svd", "svd"),
     (dissimilarity, "sample_variable_diss", "sample_variable_diss"),
-    (dissimilarity, "identical_index_groups", "identical_index_groups"),
+    (_kernels, "identical_index_groups", "identical_index_groups"),
     (dissimilarity, "within_kind_diss", "within_kind_diss."),
     (embedding, "_require_symmetric", "symmetry_check"),
     (embedding, "_double_center_in_place", "double_center_in_place"),
@@ -70,12 +70,12 @@ TOP = ("joint_matrix", "symmetry_check", "double_center_in_place",
        "embed_gram")
 # shave()'s svd, sample_variable_diss and k0_scores call one another only
 # through functions that are not timed, so they are top-level; k0_scores
-# is duplicate detection (identical_index_groups, nested in it) and the
-# kernel with its running K0-smallest lists
+# is the kernel with its duplicate detection (identical_index_groups,
+# nested in it) and its running K0-smallest lists
 SHAVE_STAGES = [
     (bicluster, "svd", "svd"),
-    (dissimilarity, "sample_variable_diss", "sample_variable_diss"),
-    (bicluster, "identical_index_groups", "identical_index_groups"),
+    (bicluster, "sample_variable_diss", "sample_variable_diss"),
+    (_kernels, "identical_index_groups", "identical_index_groups"),
     (bicluster, "_kind_scores", "k0_scores."),
 ]
 SHAVE_TOP = ("svd", "sample_variable_diss", "k0_scores")
