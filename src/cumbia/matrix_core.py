@@ -5,6 +5,8 @@ the two types defined here: DataMatrix for labeled data and SvdFactors for
 its decomposition.
 """
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,11 +65,16 @@ class DataMatrix:
             )
         for kind, labels in (("sample", self.sample_labels),
                              ("variable", self.variable_labels)):
-            seen = set()
-            for lab in labels:
-                if lab in seen:
-                    raise InputError(f"duplicate {kind} label {lab!r}")
-                seen.add(lab)
+            # equal labels are neighbours once sorted, and the sorted list
+            # holds 8 bytes per label where a set holds about 65; the set
+            # is built only to name the first label that repeats
+            ordered = sorted(labels)
+            if any(map(operator.eq, ordered, itertools.islice(ordered, 1, None))):
+                seen = set()
+                for lab in labels:
+                    if lab in seen:
+                        raise InputError(f"duplicate {kind} label {lab!r}")
+                    seen.add(lab)
 
     @property
     def n_samples(self):

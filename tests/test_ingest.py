@@ -253,8 +253,10 @@ class TestLoadTable:
         assert Y.values.tobytes() == X.values.tobytes()
         # one row of text at a time: the float buffer (the matrix and its
         # growth slack), one row and the labels, then the buffer's copy
-        # (transposed for variables-rows). Measured: 2.51 and 2.26
-        assert peak <= 2.75 * X.values.nbytes, peak / X.values.nbytes
+        # (transposed for variables-rows), made once the last row's cells
+        # are freed. Measured: 2.25 and 2.25 (2.51 for samples-rows with
+        # the last row's cells held through the copy)
+        assert peak <= 2.4 * X.values.nbytes, peak / X.values.nbytes
 
 
 class TestFilterAndLog2:
@@ -301,9 +303,10 @@ class TestFilterAndLog2:
         X.values[3, 7] = np.nan
         X.values[5, 11] = -1.0
         peak = traced_peak(lambda: filter_and_log2(X))
-        # the masks, one copy of the kept columns and their labels.
-        # Measured: 1.18 (3.19 with a copy per filter and one for log2)
-        assert peak <= 1.3 * X.values.nbytes, peak / X.values.nbytes
+        # the masks, then one copy of the kept columns and their labels.
+        # Measured: 1.05 (1.18 with a set of the labels and the masks held
+        # through its check, 3.19 with a copy per filter and one for log2)
+        assert peak <= 1.12 * X.values.nbytes, peak / X.values.nbytes
 
 
 class TestZscore:
@@ -342,9 +345,11 @@ class TestZscore:
     def test_peak_is_one_copy_above_the_input(self):
         X = synth_block(60, 10_000, seed=5)[0]
         peak = traced_peak(lambda: zscore_variables(X))
-        # np.std's temporary, then the masked copy and the labels' set.
-        # Measured: 1.21 (2.07 when the difference was a second matrix)
-        assert peak <= 1.35 * X.values.nbytes, peak / X.values.nbytes
+        # np.std's temporary, then the masked copy and its labels.
+        # Measured: 1.07 (1.21 with a set of the labels and the column
+        # statistics held through its check, 2.07 when the difference was
+        # a second matrix)
+        assert peak <= 1.15 * X.values.nbytes, peak / X.values.nbytes
 
 
 def _biplot_arrays(X):
