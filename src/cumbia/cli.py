@@ -103,9 +103,8 @@ def build_parser():
     p = sub.add_parser("scree", help="spectrum fractions for PCA or the embedding")
     _add_io_flags(p)
     _add_table_flags(p)
-    _add_cfg_flags(p)
-    p.add_argument("--dims", type=int, default=3)
-    p.add_argument("--mode", choices=["pca", "cumbia"], default="pca")
+    # eigenvalues: --in is a spectrum file such as cumbia's <out>.spectrum.txt
+    p.add_argument("--mode", choices=["pca", "eigenvalues"], default="pca")
 
     p = sub.add_parser("shave", help="backward-elimination biclustering trace")
     _add_io_flags(p)
@@ -183,6 +182,17 @@ def _read_label_file(path, object_labels):
     return [mapping.get(label, "unlabeled") for label in object_labels]
 
 
+def _read_spectrum(path):
+    """Spectrum file: one number per line, as cmd_cumbia writes it."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return [float(line) for line in handle]
+    except OSError as exc:
+        raise InputError(f"cannot read spectrum file {path}: {exc}") from exc
+    except ValueError as exc:  # a line float cannot read, or bad UTF-8
+        raise InputError(f"spectrum file {path}: {exc}") from None
+
+
 def _manifest(args, outputs, report=None):
     """Write <out>.manifest.json: each parsed flag under its dest name (in
     and out for the paths), the input digest and each output's digest."""
@@ -202,9 +212,14 @@ def _manifest(args, outputs, report=None):
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _check_components(args):
+def _check_components(args, dims=float("inf")):
+    """Reject a plotted component below 1 or above dims, before any work."""
     if args.plot and min(args.component_x, args.component_y) < 1:
         raise ParameterError("component indices are 1-based and must be >= 1")
+    for flag, value in (("--component-x", args.component_x),
+                        ("--component-y", args.component_y)):
+        if args.plot and value > dims:
+            raise ParameterError(f"{flag} {value} is above --dims {dims}")
 
 
 def _maybe_plot(args, emb_or_biplot):
@@ -266,7 +281,7 @@ def cmd_preprocess(args):
 
 
 def cmd_cumbia(args):
-    _check_components(args)
+    _check_components(args, args.dims)
     X = _load(args)
     _require_complete(X)
     emb = cumbia(X, _cfg_from(args), dims=args.dims)
@@ -296,16 +311,15 @@ def cmd_pca(args):
 
 
 def cmd_scree(args):
-    X = _load(args)
-    _require_complete(X)
-    # only the spectrum is kept: the matrix, the factors and the embedding
-    # are released before the table and the manifest are written
     if args.mode == "pca":
+        X = _load(args)
+        _require_complete(X)
+        # only the spectrum is kept: the matrix and the factors are released
+        # before the table and the manifest are written
         spectrum, mode = svd(X).singular_values, "singular-values"
+        del X
     else:
-        spectrum = cumbia(X, _cfg_from(args), dims=args.dims).eigenvalues
-        mode = "eigenvalues"
-    del X
+        spectrum, mode = _read_spectrum(args.in_path), "eigenvalues"
     fractions, negatives = scree(spectrum, mode)
     first = [("positive_fraction", str(i)) for i in range(1, len(fractions) + 1)]
     first += [("negative_eigenvalue", str(i))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# identical_index_groups stays importable here for perfbench and the tests
+# re-exported for perfbench/tracer.py, its last reader of the name here
 from ._kernels import identical_index_groups, pair_mean_k_smallest  # noqa: F401
 from .errors import CumbiaWarning, InvariantViolation, ParameterError
 from .matrix_core import DataMatrix, _truncation_rank, svd, truncate

@@ -1,5 +1,5 @@
 """Brute-force references for cumbia.joint_matrix,
-cumbia.dissimilarity.identical_index_groups and cumbia.load_table, used by
+cumbia._kernels.identical_index_groups and cumbia.load_table, used by
 the tests.
 
     from oracle import bytes_index_groups, csv_load_table, graph_oracle

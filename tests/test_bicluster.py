@@ -19,9 +19,8 @@ from cumbia import (
     within_kind_diss,
 )
 from cumbia import _kernels
-from cumbia._kernels import pair_mean_k0_smallest
+from cumbia._kernels import identical_index_groups, pair_mean_k0_smallest
 from cumbia.bicluster import _kind_scores
-from cumbia.dissimilarity import identical_index_groups
 
 # the last steps of shave on these small inputs keep 2 samples, fewer than
 # K=3 intermediaries for variable pairs and than K0 other samples: those

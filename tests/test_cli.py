@@ -10,7 +10,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from cumbia import DataMatrix, cli, load_table, synth_block, zscore_variables
+from cumbia import (DataMatrix, cli, cumbia, load_table, scree, synth_block,
+                    zscore_variables)
 from cumbia._fsio import write_table
 from cumbia.cli import (_read_label_file, _write_coords, _write_matrix,
                         build_parser, main)
@@ -92,13 +93,25 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["pca", "--plot", "--component-x", "0"],
         ["cumbia", "--plot", "--component-y", "0"],
-        # beyond the embedding's dims: rejected by the plot's range check
         ["cumbia", "--plot", "--dims", "2", "--component-x", "3"],
     ])
     def test_rejected_component_writes_nothing(self, tmp_path, small_table,
                                                argv):
         out = str(tmp_path / "b.csv")
         assert main(argv + ["--in", str(small_table), "--out", out]) == 1
+        assert os.listdir(tmp_path) == ["small.csv"]
+
+    @pytest.mark.parametrize("flag", ["--component-x", "--component-y"])
+    def test_component_above_dims_is_rejected_before_the_embedding(
+            self, tmp_path, small_table, monkeypatch, capsys, flag):
+        def fail(*args, **kwargs):
+            raise AssertionError("cumbia() ran")
+
+        monkeypatch.setattr(cli, "cumbia", fail)
+        code = main(["cumbia", "--plot", "--dims", "3", flag, "5",
+                     "--in", str(small_table), "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert f"{flag} 5 is above --dims 3" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["small.csv"]
 
 
@@ -258,14 +271,56 @@ class TestScreeCommand:
         assert abs(sum(fracs) - 1.0) < 1e-12
         assert len(fracs) == 6
 
-    def test_cumbia_mode_reports_negatives(self, tmp_path, small_table):
-        res = run_cli(["scree", "--in", str(small_table), "--out", "sc.csv",
-                       "--mode", "cumbia"], tmp_path)
+    def test_eigenvalues_mode_reports_negatives(self, tmp_path, small_table):
+        # the spectrum file cumbia cumbia writes beside its coordinates
+        assert main(["cumbia", "--in", str(small_table),
+                     "--out", str(tmp_path / "emb.csv")]) == 0
+        res = run_cli(["scree", "--in", "emb.csv.spectrum.txt",
+                       "--out", "sc.csv", "--mode", "eigenvalues"], tmp_path)
         assert res.returncode == 0
         lines = (tmp_path / "sc.csv").read_text().splitlines()[1:]
         kinds = {l.split(",")[0] for l in lines}
         assert "positive_fraction" in kinds
         assert "negative_eigenvalue" in kinds
+
+    @pytest.mark.parametrize("delim", ["comma", "tab"])
+    def test_eigenvalues_mode_writes_the_embeddings_scree(
+            self, tmp_path, small_table, delim):
+        # the bytes scree wrote when it ran cumbia() itself on the table
+        X = load_table(str(small_table))
+        fractions, negatives = scree(cumbia(X).eigenvalues, "eigenvalues")
+        first = [("positive_fraction", str(i))
+                 for i in range(1, len(fractions) + 1)]
+        first += [("negative_eigenvalue", str(i))
+                  for i in range(1, len(negatives) + 1)]
+        reference = str(tmp_path / "reference.txt")
+        write_table(reference, ["kind", "index", "value"], first,
+                    (np.concatenate([fractions, negatives])[:, None],),
+                    cli.DELIMS[delim])
+        emb = str(tmp_path / "emb.csv")
+        assert main(["cumbia", "--in", str(small_table), "--out", emb]) == 0
+        out = str(tmp_path / "sc.txt")
+        assert main(["scree", "--in", emb + ".spectrum.txt", "--out", out,
+                     "--mode", "eigenvalues", "--delim", delim]) == 0
+        with open(out, "rb") as got, open(reference, "rb") as want:
+            assert got.read() == want.read()
+
+    @pytest.mark.parametrize("text,message", [
+        ("1.5\nabc\n-0.25\n", "could not convert string to float: 'abc"),
+        (None, "cannot read spectrum file"),
+        ("", "spectrum is empty"),
+        ("1.5\nnan\n", "spectrum has a non-finite entry at row 0, column 1"),
+    ], ids=["non-numeric", "missing", "empty", "nan"])
+    def test_eigenvalues_mode_rejects_a_bad_spectrum(self, tmp_path, capsys,
+                                                     text, message):
+        path = tmp_path / "spectrum.txt"
+        if text is not None:
+            path.write_text(text)
+        code = main(["scree", "--in", str(path), "--out",
+                     str(tmp_path / "sc.txt"), "--mode", "eigenvalues"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "sc.txt").exists()
 
 
 class TestShaveCommand:
@@ -326,17 +381,21 @@ class TestManifestReproducibility:
         ["pca", "--in", "small.csv", "--out", "b.csv", "--alpha", "0.5",
          "--plot", "--component-x", "2"],
         ["scree", "--in", "small.csv", "--out", "sc.txt", "--mode", "pca"],
-        ["scree", "--in", "small.csv", "--out", "sc.txt", "--mode", "cumbia"],
+        ["scree", "--in", "emb.csv.spectrum.txt", "--out", "sc.txt",
+         "--mode", "eigenvalues"],
         ["shave", "--in", "small.csv", "--out", "tr.csv",
          "--min-objects", "3"],
     ], ids=["synth", "preprocess", "cumbia", "pca", "scree-pca",
-            "scree-cumbia", "shave"])
+            "scree-eigenvalues", "shave"])
     def test_rerun_from_manifest_is_identical(self, tmp_path, small_table,
                                               argv):
         # small.csv with a constant last column, which --zero-variance drops
         lines = small_table.read_text().splitlines()
         (tmp_path / "const.csv").write_text("\n".join(
             [lines[0] + ",c"] + [line + ",1.5" for line in lines[1:]]) + "\n")
+        # and the spectrum cumbia cumbia writes for it
+        assert main(["cumbia", "--in", str(small_table),
+                     "--out", str(tmp_path / "emb.csv")]) == 0
         out = argv[argv.index("--out") + 1]
         assert run_cli(argv, tmp_path).returncode == 0
         manifest_path = tmp_path / (out + ".manifest.json")

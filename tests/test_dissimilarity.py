@@ -15,7 +15,7 @@ from cumbia import (
     svd,
     within_kind_diss,
 )
-from cumbia.dissimilarity import identical_index_groups
+from cumbia._kernels import identical_index_groups
 
 from oracle import bytes_index_groups, graph_oracle
 

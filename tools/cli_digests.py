@@ -2,14 +2,14 @@
 
     python3 tools/cli_digests.py --dir D
 
-Runs synth, preprocess (filter-log2, zscore and both), pca --plot, scree in
-both modes, cumbia --plot and shave through cumbia.cli.main, in comma and
-tab form, with one input in variables-rows orientation, one with empty,
-missing and whitespace-padded cells, one with a numeric missing token,
-one with a constant column, one with quoted labels and CRLF line endings
-and one with repeated rows and columns, whose duplicates cumbia --plot
-and shave place at distance 0. Every flag a manifest records is given a
-non-default value at least once.
+Runs synth, preprocess (filter-log2, zscore and both), pca --plot, scree
+on a table and on the spectrum file cumbia writes, cumbia --plot and shave
+through cumbia.cli.main, in comma and tab form, with one input in
+variables-rows orientation, one with empty, missing and whitespace-padded
+cells, one with a numeric missing token, one with a constant column, one
+with quoted labels and CRLF line endings and one with repeated rows and
+columns, whose duplicates cumbia --plot and shave place at distance 0.
+Every flag a manifest records is given a non-default value at least once.
 Prints one "name sha256" line per output and manifest, sorted by name.
 Manifests record absolute paths, so to compare two checkouts run this
 script from each of them on the same D and compare the printed lines.
@@ -99,8 +99,9 @@ def chain(d):
                            *tab)],
         ["pca", *io("z.csv", "pca.csv", "--plot", "--alpha", "0.5")],
         ["scree", *io("z.csv", "scree_pca.txt", "--mode", "pca")],
-        ["scree", *io("z.csv", "scree_cumbia.txt", "--mode", "cumbia")],
         ["cumbia", *io("z.csv", "emb.csv", "--plot", "--dims", "3")],
+        ["scree", *io("emb.csv.spectrum.txt", "scree_cumbia.txt", "--mode",
+                      "eigenvalues")],
         ["cumbia", *io("zt.tsv", "emb_t.tsv", "--k", "2", "--dims", "2", *tab)],
         ["cumbia", *io("synth_z.csv", "synth_emb.csv", "--plot", "--labels",
                        os.path.join(d, "groups.csv"), "--component-x", "2",
