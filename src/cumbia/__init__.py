@@ -14,7 +14,6 @@ __version__ = "1.0.0"
 from .bicluster import ShaveStep, ShaveTrace, shave
 from .dissimilarity import (
     CumbiaConfig,
-    JointDissimilarity,
     joint_matrix,
     sample_variable_diss,
     within_kind_diss,
@@ -55,7 +54,6 @@ __all__ = [
     "Embedding",
     "InputError",
     "InvariantViolation",
-    "JointDissimilarity",
     "ParameterError",
     "PreprocessReport",
     "ShaveStep",

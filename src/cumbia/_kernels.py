@@ -1,9 +1,8 @@
-"""The pairwise K-smallest kernel.
+"""The pairwise K-smallest kernel and the in-place MDS eigensolver.
 
-The single expensive operation in the whole pipeline is, for every pair of
-rows (i, j) of an n x m matrix R, averaging the K smallest values of
-{R[i, k] + R[j, k] : k < m}. For n in the thousands this is the dominant
-cost.
+The kernel's operation is, for every pair of rows (i, j) of an n x m
+matrix R, averaging the K smallest values of {R[i, k] + R[j, k] : k < m}.
+For n in the thousands it and the eigensolve are the dominant costs.
 
 The K smallest values are summed in ascending order and divided by K last,
 so every entry is a fixed sequence of floating-point operations and the
@@ -38,13 +37,19 @@ worker's scratch and panel before any thread starts, so the threads
 allocate nothing large and their allocators keep no freed buffers.
 
 After a BLAS call, the threads of the OpenBLAS that numpy's wheels bundle
-spin-wait on the cores the workers need: on 2 cores, shave at 60 x 1500
-took 0.70 s per call with them spinning and 0.46 s with them parked. So
-a call that starts threads first parks that pool (_park_openblas):
+spin-wait on the cores the workers need (README "Install" has timings),
+so a call that starts threads first parks that pool (_park_openblas):
 OpenBLAS stops its threads, and its next call starts them again with the
 same thread count, so no byte changes.
 It parks only when the calling thread is the process's only Python
 thread, as another one might be inside a BLAS call.
+
+The MDS eigensolver (_eigen_in_place) binds LAPACK routines from that
+same OpenBLAS through ctypes and runs them in the Gram matrix's own
+buffer: it reduces the matrix to tridiagonal form in place, takes the
+whole spectrum from that and computes only the eigenvectors the
+coordinates use. Where numpy links another LAPACK, one np.linalg.eigh
+call gives both instead.
 """
 
 import ctypes
@@ -54,7 +59,7 @@ import threading
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import InvariantViolation, ParameterError
 
 # pair sums a thread must get before it is worth starting: below this,
 # starting threads and handing the interpreter lock between them costs
@@ -63,16 +68,16 @@ MIN_SUMS_PER_WORKER = 1_000_000
 # rows a worker hands its consumer at once; the running lists merge a
 # panel with one selection
 PANEL_ROWS = 16
-# pair sums a worker holds at once (a row i is walked over chunks of j),
-# unless one chunk row of m sums is longer; speed only, never bytes. The
-# variables-side kernel at 100 x 3000 took +90% at 2^13, +15% at 2^14,
-# and the same time at 2^15 and 2^16; shave at 60 x 1500 took +4% at
-# 2^15 and the same at 2^16
+# pair sums a worker holds at once; speed only (timed in README "Memory")
 SCRATCH_VALUES = 2**16
-# longest row _smallest_first sorts whole; speed only, never bytes. Sort
-# / partition time, K = 3, numpy 2.4.6, AVX-512: 0.73-0.80 up to 256
-# entries, 0.90-1.21 from 288 on, 2-2.5 at 1500-3000
+# longest row _smallest_first sorts whole; speed only (README "Memory")
 SORT_COLUMNS = 256
+# eigenvalues at most this fraction of the largest get no MDS coordinate
+POSITIVE_EIGENVALUE_CUTOFF = 1e-10
+# the bound LAPACK routines: (one-letter flags, arguments), every argument
+# a pointer as Fortran takes it, followed by one hidden length per flag
+LAPACK_ROUTINES = {"dsytrd": (1, 10), "dsterf": (0, 4), "dstemr": (2, 21),
+                   "dormtr": (3, 13)}
 
 
 def backend_name():
@@ -120,6 +125,99 @@ def _park_openblas():
     shutdown = getattr(_openblas(), "blas_thread_shutdown_", None)
     if shutdown is not None and threading.active_count() == 1:
         shutdown()
+
+
+@functools.cache
+def _lapack():
+    """LAPACK_ROUTINES from the OpenBLAS that numpy's wheels bundle
+    (_openblas), bound on the first call, or None where numpy links
+    another LAPACK."""
+    lib = _openblas()
+    try:
+        routines = {name: getattr(lib, f"scipy_{name}_64_")
+                    for name in LAPACK_ROUTINES}
+    except AttributeError:  # no such library, or one without the routines
+        return None
+    for name, (flags, count) in LAPACK_ROUTINES.items():
+        routines[name].argtypes = ([ctypes.c_void_p] * count
+                                   + [ctypes.c_size_t] * flags)
+        routines[name].restype = None
+    return routines
+
+
+def _int(value):
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+def _lapack_call(lapack, name, flags, *args, work=()):
+    """Call name with its one-letter flags, args, one (WORK, LWORK) pair
+    per dtype in work, INFO and the flags' hidden lengths; raise
+    InvariantViolation unless INFO comes back 0. Workspaces are sized by a
+    query first: the minimum sizes force dsytrd's slower unblocked
+    reduction."""
+    info = ctypes.c_int64()
+
+    def call(buffers, size):
+        lapack[name](*(f.encode() for f in flags), *args,
+                     *(x for b in buffers for x in (b.ctypes, _int(size(b)))),
+                     ctypes.byref(info), *(1 for _ in flags))
+        if info.value != 0:
+            raise InvariantViolation(f"LAPACK {name} returned "
+                                     f"info={info.value}")
+
+    buffers = [np.zeros(1, dtype) for dtype in work]
+    if work:
+        call(buffers, lambda b: -1)
+        buffers = [np.empty(max(1, int(b[0])), b.dtype) for b in buffers]
+    call(buffers, len)
+
+
+def _used_dims(eigenvalues, dims):
+    """min(dims, the count of eigenvalues above the positive cutoff)."""
+    cutoff = POSITIVE_EIGENVALUE_CUTOFF * abs(eigenvalues[0])
+    return min(dims, int(np.sum(eigenvalues > cutoff)))
+
+
+def _eigen_in_place(C, dims):
+    """The whole spectrum of the symmetric C, descending, and the n x d
+    eigenvectors of its top d = min(dims, positive count) eigenvalues.
+
+    C, a C-ordered float64 matrix its caller allocated, is consumed:
+    dsytrd reduces it in place to tridiagonal T = Q^T C Q, keeping Q's
+    reflectors in it. dsterf gives T's spectrum (eigvalsh runs
+    the same two routines, so the bytes are eigvalsh's), dstemr the d
+    eigenvectors of T and dormtr maps them back through Q. Where numpy's
+    LAPACK lacks these, one np.linalg.eigh call gives both.
+    """
+    lapack = _lapack()
+    if lapack is None:
+        values, vectors = np.linalg.eigh(C)
+        eigenvalues = values[::-1].copy()
+        return eigenvalues, vectors[:, ::-1][:, :_used_dims(eigenvalues, dims)]
+    n = C.shape[0]
+    diag, off, tau = np.empty(n), np.zeros(n), np.empty(max(1, n - 1))
+    _lapack_call(lapack, "dsytrd", "L", _int(n), C.ctypes, _int(n),
+                 diag.ctypes, off.ctypes, tau.ctypes, work=[np.float64])
+    spectrum = diag.copy()
+    _lapack_call(lapack, "dsterf", "", _int(n), spectrum.ctypes,
+                 off.copy().ctypes)
+    eigenvalues = spectrum[::-1].copy()
+    d = _used_dims(eigenvalues, dims)
+    Z = np.empty((d, n))  # Fortran's n x d matrix, eigenvalues ascending
+    if d:
+        found, bound = ctypes.c_int64(), ctypes.byref(ctypes.c_double())
+        _lapack_call(lapack, "dstemr", "VI", _int(n), diag.ctypes,
+                     off.ctypes, bound, bound, _int(n - d + 1), _int(n),
+                     ctypes.byref(found), np.empty(n).ctypes, Z.ctypes,
+                     _int(n), _int(d), np.empty(2 * d, np.int64).ctypes,
+                     _int(0), work=[np.float64, np.int64])
+        if found.value != d:
+            raise InvariantViolation(
+                f"LAPACK dstemr found {found.value} of {d} eigenvectors")
+        _lapack_call(lapack, "dormtr", "LLN", _int(n), _int(d), C.ctypes,
+                     _int(n), tau.ctypes, Z.ctypes, _int(n),
+                     work=[np.float64])
+    return eigenvalues, Z[::-1].T
 
 
 def _smallest_first(rows, k):

@@ -26,19 +26,13 @@ from . import _kernels
 from ._kernels import PANEL_ROWS, pair_mean_k0_smallest
 from .dissimilarity import (CumbiaConfig, _clamp, _rank_s,
                             sample_variable_diss)
-from .embedding import _require_memory_for
 from .errors import ParameterError
-from .matrix_core import DataMatrix, require_finite, svd
+from .matrix_core import (DataMatrix, _require_memory_for, require_finite,
+                          svd)
 
-# _peak_buffers' measured parts, fixed and per kernel worker, rounded up
-# from the resident peak at K0 = 3 with 1 and 2 workers, lists apart:
-# 1.74 + 2.19 per worker at 60 x 6000 (highest of six runs,
-# BENCH_19.json). The per-worker part is mostly OpenBLAS's per-thread
-# buffers from the step SVDs, one thread per CPU like the kernel's
-# workers: with OPENBLAS_NUM_THREADS=1 a second kernel worker added 0.05.
-# With OpenBLAS's pool parked before each kernel call, six runs each read
-# 3.51-3.53 and 5.96-6.01 (BENCH_21.json), inside both estimates
+# _peak_buffers' fixed part, fitted at 60 x 6000 (README "Memory")
 FIXED_PEAK_BUFFERS = 2.0
+# its part per kernel worker, fitted to the same runs
 THREAD_PEAK_BUFFERS = 2.3
 
 

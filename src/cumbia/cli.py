@@ -212,20 +212,23 @@ def _manifest(args, outputs, report=None):
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _check_components(args, dims=float("inf")):
-    """Reject a plotted component below 1 or above dims, before any work."""
+def _check_components(args, dims=float("inf"), limit=""):
+    """Reject a plotted component below 1 or above dims, which limit
+    names in the error."""
     if args.plot and min(args.component_x, args.component_y) < 1:
         raise ParameterError("component indices are 1-based and must be >= 1")
     for flag, value in (("--component-x", args.component_x),
                         ("--component-y", args.component_y)):
         if args.plot and value > dims:
-            raise ParameterError(f"{flag} {value} is above --dims {dims}")
+            raise ParameterError(f"{flag} {value} is above {limit}")
 
 
-def _maybe_plot(args, emb_or_biplot):
-    """Write <out>.svg when --plot is given; return the paths written."""
+def _maybe_plot(args, emb_or_biplot, dims):
+    """Write <out>.svg of an object with dims coordinate columns when
+    --plot is given; return the paths written."""
     if not args.plot:
         return []
+    _check_components(args, dims, f"the {dims} available components")
     color_by = None
     if args.labels:
         color_by = _read_label_file(args.labels, emb_or_biplot.object_labels)
@@ -281,12 +284,13 @@ def cmd_preprocess(args):
 
 
 def cmd_cumbia(args):
-    _check_components(args, args.dims)
+    # before any work, and again against the columns the embedding has
+    _check_components(args, args.dims, f"--dims {args.dims}")
     X = _load(args)
     _require_complete(X)
     emb = cumbia(X, _cfg_from(args), dims=args.dims)
     # the plot first: its checks then fail before any table is written
-    outputs = _maybe_plot(args, emb)
+    outputs = _maybe_plot(args, emb, emb.dims_used)
     _write_coords(emb.object_labels, emb.object_kinds, (emb.coordinates,),
                   args.out_path, DELIMS[args.delim])
     spectrum_path = args.out_path + ".spectrum.txt"
@@ -302,7 +306,7 @@ def cmd_pca(args):
     _require_complete(X)
     bp = pca_biplot(X, s=_parse_s(args.s), alpha=args.alpha)
     del X  # the biplot holds what the plot and the table need
-    outputs = _maybe_plot(args, bp)
+    outputs = _maybe_plot(args, bp, bp.s)
     _write_coords(bp.object_labels, bp.object_kinds,
                   (bp.sample_coords, bp.variable_coords), args.out_path,
                   DELIMS[args.delim])

@@ -53,22 +53,6 @@ class CumbiaConfig:
             raise ParameterError(f"k_variables={kv} must be >= 1")
 
 
-@dataclass
-class JointDissimilarity:
-    """Symmetric nonnegative (N+p) x (N+p) dissimilarities over typed objects."""
-
-    values: np.ndarray
-    object_kinds: list
-    object_labels: list
-
-    def __post_init__(self):
-        n = self.values.shape[0]
-        if self.values.shape != (n, n):
-            raise ParameterError("dissimilarity matrix must be square")
-        if len(self.object_kinds) != n or len(self.object_labels) != n:
-            raise ParameterError("kind and label lists must match matrix size")
-
-
 def sample_variable_diss(X_s, lambda1, out=None):
     """Entrywise sqrt(lambda1 - X_s).
 
@@ -143,7 +127,8 @@ def _rank_s(values, f, s):
 
 
 def joint_matrix(X, cfg):
-    """Assemble the full (N+p) x (N+p) dissimilarity matrix of X.
+    """Assemble the full (N+p) x (N+p) dissimilarity matrix of X, its
+    objects in X.objects() order (samples, then variables).
 
     Blocks: sample-sample and variable-variable from within_kind_diss on
     the rank-s reconstruction, written in place into the joint buffer;
@@ -168,6 +153,4 @@ def joint_matrix(X, cfg):
     within_kind_diss(D_sv, cfg.k_samples, "samples", out=values[:N, :N])
     within_kind_diss(D_sv, cfg.resolved_k_variables(), "variables",
                      out=values[N:, N:])
-    kinds, labels = X.objects()
-    return JointDissimilarity(values=values, object_kinds=kinds,
-                              object_labels=labels)
+    return values

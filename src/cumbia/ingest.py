@@ -93,8 +93,8 @@ def load_table(path, delimiter=",", orientation="samples-rows",
     # before the copy, so they are not held beside the buffer and its copy
     del row, header
     # copied either way and the buffer freed before DataMatrix checks the
-    # labels, so its growth slack (about 6%) does not stay with the matrix:
-    # `cli-wide` peaks 0.24 MB lower than with the buffer itself kept
+    # labels, so its growth slack (about 6%) does not stay with the matrix
+    # (README "Memory")
     values = np.frombuffer(cells).reshape(len(row_labels), width - 1)
     if orientation == "variables-rows":
         values = values.T.copy()

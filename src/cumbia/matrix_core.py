@@ -1,12 +1,15 @@
-"""Dense matrix container, thin SVD, and rank truncation.
+"""Dense matrix container, thin SVD, rank truncation and input guards.
 
 Everything downstream (dissimilarities, embeddings, biclustering) consumes
 the two types defined here: DataMatrix for labeled data and SvdFactors for
-its decomposition.
+its decomposition. require_finite and _require_memory_for are the checks
+the numeric entry points make before any work.
 """
 
 import itertools
+import math
 import operator
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +18,10 @@ from .errors import InputError, ParameterError
 
 # svd's numerical rank counts singular values above this fraction of the largest
 RANK_TOLERANCE = 1e-12
+# the memory limit of the cgroup mounted at /sys/fs/cgroup, a container's
+# own: cgroup v2, then v1; only read
+CGROUP_MEMORY_LIMITS = ("/sys/fs/cgroup/memory.max",
+                        "/sys/fs/cgroup/memory/memory.limit_in_bytes")
 
 
 def _as_float_matrix(X):
@@ -30,6 +37,47 @@ def require_finite(A, what="matrix"):
     if bad.size:
         i, j = bad[0]
         raise InputError(f"{what} has a non-finite entry at row {i}, column {j}")
+
+
+def _first_line(path):
+    """The stripped first line of the text file at path, or None."""
+    try:
+        with open(path, encoding="ascii") as handle:
+            return handle.readline().strip()
+    except (OSError, ValueError):
+        return None
+
+
+def _physical_memory_bytes():
+    """The smaller of installed memory and the process's cgroup memory
+    limit, or None where neither is known."""
+    limits = [int(text) for text in map(_first_line, CGROUP_MEMORY_LIMITS)
+              if text and text.isdigit()]  # cgroup v2 writes "max" for none
+    try:
+        limits.append(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        pass
+    return min(limits, default=None)
+
+
+def _size(nbytes):
+    if nbytes < 2**30:
+        return f"{nbytes / 2**20:.0f} MiB"
+    return f"{nbytes / 2**30:.1f} GiB"
+
+
+def _require_memory_for(what, buffers, shape):
+    """Raise ParameterError if what, whose measured resident peak is
+    buffers float64 arrays of the given shape, cannot fit in physical
+    memory."""
+    need = buffers * math.prod(shape) * 8
+    have = _physical_memory_bytes()
+    if have is not None and need > have:
+        raise ParameterError(
+            f"{what} needs about {_size(need)} ({buffers:.3g} x "
+            f"{' x '.join(map(str, shape))} float64), more than the "
+            f"{_size(have)} of physical memory the process may use"
+        )
 
 
 @dataclass

@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from cumbia import (DataMatrix, InputError, JointDissimilarity,
-                    ParameterError, sample_variable_diss)
+from cumbia import (DataMatrix, InputError, ParameterError,
+                    sample_variable_diss)
 from cumbia.dissimilarity import _clamp
 
 ORACLE_SIZE_LIMIT = 50
@@ -81,10 +81,7 @@ def graph_oracle(X_s, lambda1, K):
                 values[N + group[x], N + group[y]] = 0.0
                 values[N + group[y], N + group[x]] = 0.0
 
-    kinds = ["sample"] * N + ["variable"] * p
-    labels = [f"s{i + 1}" for i in range(N)] + [f"v{j + 1}" for j in range(p)]
-    return JointDissimilarity(values=values, object_kinds=kinds,
-                              object_labels=labels)
+    return values
 
 
 def csv_load_table(path, delimiter=",", orientation="samples-rows",

@@ -153,7 +153,7 @@ def test_criterion_4_oracle_equivalence():
                 J = joint_matrix(X, CumbiaConfig(k_samples=K))
                 O = graph_oracle(A, lam1, K)
             checked += 1
-            if J.values.tobytes() != O.values.tobytes():
+            if J.tobytes() != O.tobytes():
                 all_equal = False
     elapsed = time.time() - start
     ok = all_equal and elapsed < 10
@@ -179,7 +179,7 @@ def test_criterion_5_dissimilarity_invariants():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CumbiaWarning)
             J = joint_matrix(X, CumbiaConfig(k_samples=K))
-        V = J.values
+        V = J
         lam1 = float(f.singular_values[0])
         off = V[:n, n:]
         checks = [
@@ -333,10 +333,10 @@ def test_criterion_7_negative_eigenvalue_kind_split(planted_block_runs):
             purities.append(0.0)
             continue
         D = joint_matrix(Z, CumbiaConfig(k_samples=3))
-        C = double_center(D.values)
+        C = double_center(D)
         evals, evecs = np.linalg.eigh(C)
         vec = evecs[:, int(np.argmin(evals))]
-        kinds = np.array([k == "sample" for k in D.object_kinds])
+        kinds = np.array([k == "sample" for k in Z.objects()[0]])
         pos = vec > 0
         purities.append(max((pos == kinds).mean(), (pos == ~kinds).mean()))
     min_purity = min(purities)
@@ -394,7 +394,7 @@ def test_criterion_9_determinism():
             emb = cumbia(X, CumbiaConfig(k_samples=3), dims=3)
             trace = shave(X, CumbiaConfig(k_samples=3), k0=3,
                           drop_fraction=0.1)
-        blobs = [J.values.tobytes(), emb.coordinates.tobytes(),
+        blobs = [J.tobytes(), emb.coordinates.tobytes(),
                  emb.eigenvalues.tobytes()]
         for step in trace.steps:
             blobs.append(step.sample_indices.tobytes())
@@ -416,7 +416,7 @@ def test_criterion_9_determinism():
         "    warnings.simplefilter('ignore', CumbiaWarning)\n"
         "    J = joint_matrix(X, CumbiaConfig(k_samples=3))\n"
         "    emb = cumbia(X, CumbiaConfig(k_samples=3), dims=3)\n"
-        "print(hashlib.sha256(J.values.tobytes()\n"
+        "print(hashlib.sha256(J.tobytes()\n"
         "                     + emb.coordinates.tobytes()).hexdigest())\n"
     )
     # the child imports cumbia from this checkout's src, wherever it runs

@@ -11,7 +11,7 @@ from cumbia import (
     DataMatrix,
     ParameterError,
     bicluster,
-    embedding,
+    matrix_core,
     sample_variable_diss,
     shave,
     svd,
@@ -339,7 +339,7 @@ class TestMemoryGuard:
     def test_too_large_for_memory_raises_before_any_svd(self, monkeypatch):
         # 60 x 20,000 needs about 73 MiB with two kernel threads
         monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)
-        monkeypatch.setattr(embedding, "_physical_memory_bytes",
+        monkeypatch.setattr(matrix_core, "_physical_memory_bytes",
                             lambda: 64 * 2**20)
         monkeypatch.setattr(bicluster, "svd", None)
         with pytest.raises(ParameterError, match=r"73 MiB.*64 MiB"):
@@ -350,11 +350,11 @@ class TestMemoryGuard:
         monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)
         X, _ = synth_block(N=6, p=8, n_planted=2, p_planted=2, seed=0)
         need = bicluster._peak_buffers((6, 8), 3) * 6 * 8 * 8
-        monkeypatch.setattr(embedding, "_physical_memory_bytes",
+        monkeypatch.setattr(matrix_core, "_physical_memory_bytes",
                             lambda: int(need) - 1)
         with pytest.raises(ParameterError, match="physical memory"):
             shave(X)
-        monkeypatch.setattr(embedding, "_physical_memory_bytes",
+        monkeypatch.setattr(matrix_core, "_physical_memory_bytes",
                             lambda: int(need) + 1)
         assert len(shave(X).steps) > 1
 
@@ -376,7 +376,7 @@ class TestMemoryGuard:
 
         have = (need(*small) + need(*large)) / 2
         assert need(*small) < have < need(*large)
-        monkeypatch.setattr(embedding, "_physical_memory_bytes",
+        monkeypatch.setattr(matrix_core, "_physical_memory_bytes",
                             lambda: int(have))
         monkeypatch.setattr(bicluster, "svd", None)
         use_threads(large[0])

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -10,8 +11,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from cumbia import (DataMatrix, cli, cumbia, load_table, scree, synth_block,
-                    zscore_variables)
+from cumbia import (CumbiaWarning, DataMatrix, cli, cumbia, load_table, scree,
+                    synth_block, zscore_variables)
 from cumbia._fsio import write_table
 from cumbia.cli import (_read_label_file, _write_coords, _write_matrix,
                         build_parser, main)
@@ -112,6 +113,25 @@ class TestExitCodes:
                      "--in", str(small_table), "--out", str(tmp_path / "e")])
         assert code == 1
         assert f"{flag} 5 is above --dims 3" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["small.csv"]
+
+    @pytest.mark.parametrize("argv, error, shortfall", [
+        (["pca", "--component-y", "99"],
+         "--component-y 99 is above the 6 available components", None),
+        (["cumbia", "--dims", "15", "--component-x", "14"],
+         "--component-x 14 is above the 13 available components",
+         "only 13 positive eigenvalues for 15"),
+    ], ids=["pca-rank", "cumbia-shortfall"])
+    def test_component_above_the_plotted_columns_is_named(
+            self, tmp_path, small_table, capsys, argv, error, shortfall):
+        # the 6 x 9 table has rank 6, and its embedding 13 positive
+        # eigenvalues: a flag within --dims can still exceed the columns
+        out = str(tmp_path / "e.csv")
+        argv = argv + ["--plot", "--in", str(small_table), "--out", out]
+        with (pytest.warns(CumbiaWarning, match=shortfall) if shortfall
+              else contextlib.nullcontext()):
+            assert main(argv) == 1
+        assert error in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["small.csv"]
 
 

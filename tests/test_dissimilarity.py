@@ -200,16 +200,17 @@ class TestJointMatrix:
             [0.0, 1.0, 0.0, 1.0],
             [1.0, 0.0, 1.0, 0.0],
         ])
-        assert np.abs(J.values - expect).max() < 1e-12
-        assert J.object_kinds == ["sample"] * 2 + ["variable"] * 2
+        assert np.abs(J - expect).max() < 1e-12
+        kinds, _ = DataMatrix(np.eye(2)).objects()
+        assert kinds == ["sample"] * 2 + ["variable"] * 2
 
     def test_identical_sample_rows_get_zero_distance(self):
         A = np.array([[1.0, 2.0, 3.0],
                       [0.5, -1.0, 2.0],
                       [1.0, 2.0, 3.0]])
         J = joint_from(A, k=2)
-        assert J.values[0, 2] == 0.0
-        assert J.values[0, 1] > 0.0
+        assert J[0, 2] == 0.0
+        assert J[0, 1] > 0.0
 
     def test_samples_with_equal_edges_are_duplicates(self):
         # sample 3 is sample 1 with one entry moved by one ulp: at full
@@ -224,7 +225,7 @@ class TestJointMatrix:
         assert X[1].tobytes() != X[3].tobytes()
         assert D_sv[1].tobytes() == D_sv[3].tobytes()
         J = joint_from(X, k=2)
-        assert J.values[1, 3] == J.values[3, 1] == 0.0
+        assert J[1, 3] == J[3, 1] == 0.0
         step = shave(X, CumbiaConfig(k_samples=2), k0=1).steps[0]
         assert step.sample_scores[1] == step.sample_scores[3] == 0.0
 
@@ -234,7 +235,7 @@ class TestJointMatrix:
         X = DataMatrix(A)
         f = svd(X)
         J = joint_matrix(X, CumbiaConfig(k_samples=2))
-        V = J.values
+        V = J
         assert np.abs(V - V.T).max() <= 1e-12
         assert np.all(np.diag(V) == 0.0)
         assert V.min() >= 0.0
@@ -251,13 +252,14 @@ class TestJointMatrix:
         X = DataMatrix(np.eye(2), sample_labels=["a", "b"],
                        variable_labels=["x", "y"])
         J = joint_matrix(X, CumbiaConfig(k_samples=1))
-        assert J.object_labels == ["a", "b", "x", "y"]
+        assert J.shape == (4, 4)
+        assert X.objects()[1] == ["a", "b", "x", "y"]
 
     def test_triangle_bound_for_k1(self):
         rng = np.random.default_rng(33)
         A = rng.standard_normal((6, 7))
         J = joint_from(A, k=1)
-        V = J.values
+        V = J
         N = 6
         for i in range(N):
             for j in range(i + 1, N):
@@ -291,7 +293,7 @@ class TestGraphOracle:
         J = joint_from(np.eye(2), k=1)
         f = svd(np.eye(2))
         O = graph_oracle(np.eye(2), float(f.singular_values[0]), 1)
-        assert J.values.tobytes() == O.values.tobytes()
+        assert J.tobytes() == O.tobytes()
 
     def test_single_sample_row_clamps_k(self):
         A = np.array([[0.3, -1.2, 0.8, 2.0]])
@@ -299,10 +301,10 @@ class TestGraphOracle:
         with pytest.warns(CumbiaWarning, match="clamped"):
             O = graph_oracle(A, float(f.singular_values[0]), 3)
         # variable pairs have exactly one two-edge path through the sample
-        w = O.values[0, 1:]
+        w = O[0, 1:]
         for a in range(4):
             for b in range(a + 1, 4):
-                assert O.values[1 + a, 1 + b] == w[a] + w[b]
+                assert O[1 + a, 1 + b] == w[a] + w[b]
 
     def test_exact_equality_on_seeded_batch(self):
         rng = np.random.default_rng(55)
@@ -316,7 +318,7 @@ class TestGraphOracle:
             for K in (1, 2, 3):
                 J = joint_matrix(X, CumbiaConfig(k_samples=K))
                 O = graph_oracle(A, lam1, K)
-                assert J.values.tobytes() == O.values.tobytes()
+                assert J.tobytes() == O.tobytes()
 
     def test_size_guard(self):
         with pytest.raises(ParameterError, match="limited"):

@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -12,7 +14,6 @@ from cumbia import (
     DataMatrix,
     InputError,
     InvariantViolation,
-    JointDissimilarity,
     ParameterError,
     classical_mds,
     cumbia,
@@ -22,7 +23,7 @@ from cumbia import (
     svd,
     zscore_variables,
 )
-from cumbia import dissimilarity, embedding
+from cumbia import _kernels, dissimilarity, embedding, matrix_core
 from cumbia.embedding import SYMMETRY_TILE
 
 
@@ -111,14 +112,10 @@ class TestDoubleCenter:
     def test_callers_matrix_left_unchanged(self):
         pts = np.random.default_rng(14).standard_normal((30, 3))
         D = pairwise(pts)
-        J = JointDissimilarity(D.copy(), ["object"] * 30,
-                               [f"o{i}" for i in range(30)])
         before = D.tobytes()
         double_center(D)
         classical_mds(D, 2)
-        classical_mds(J, 2)
         assert D.tobytes() == before
-        assert J.values.tobytes() == before
 
 class TestClassicalMds:
     def test_two_points_at_distance_two(self):
@@ -249,7 +246,7 @@ class TestTopEigenvectors:
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         C = (Q * np.linspace(-0.5, 1.0, n)) @ Q.T
         C = (C + C.T) / 2.0
-        eigenvalues, vectors = embedding._eigen_in_place(C.copy(), 3)
+        eigenvalues, vectors = _kernels._eigen_in_place(C.copy(), 3)
         top = eigenvalues[:3]
         assert np.abs(top - np.linspace(-0.5, 1.0, n)[::-1][:3]).max() < 1e-12
         assert np.abs(C @ vectors - vectors * top).max() < 1e-10
@@ -269,14 +266,14 @@ class TestTopEigenvectors:
         pts = rng.standard_normal((50, 3)) * [3.0, 2.0, 1.0]
         D = pairwise(pts)
         lapack = classical_mds(D, dims=3)
-        monkeypatch.setattr(embedding, "_lapack", lambda: None)
+        monkeypatch.setattr(_kernels, "_lapack", lambda: None)
         fallback = classical_mds(D, dims=3)
         assert np.abs(fallback.coordinates - lapack.coordinates).max() < 1e-8
         assert np.abs(fallback.eigenvalues - lapack.eigenvalues).max() < 1e-8
 
-    @pytest.mark.parametrize("routine", embedding.LAPACK_ROUTINES)
+    @pytest.mark.parametrize("routine", _kernels.LAPACK_ROUTINES)
     def test_nonzero_lapack_info_raises(self, monkeypatch, routine):
-        bound = embedding._lapack()
+        bound = _kernels._lapack()
         if bound is None:
             pytest.skip("numpy links a LAPACK without the bundled routines")
 
@@ -285,7 +282,7 @@ class TestTopEigenvectors:
             info = next(a for a in reversed(args) if hasattr(a, "_obj"))
             info._obj.value = 3
 
-        monkeypatch.setattr(embedding, "_lapack",
+        monkeypatch.setattr(_kernels, "_lapack",
                             lambda: {**bound, routine: failing})
         with pytest.raises(InvariantViolation, match=f"{routine} returned "
                                                      "info=3"):
@@ -322,31 +319,50 @@ class TestTopEigenvectors:
         assert peak <= 1.25 * n * n * 8, f"peak {peak / (n * n * 8):.2f} buffers"
 
 
+# prints cumbia()'s resident peak above the pre-call RSS on z-scored
+# synth_block(100, 3000), in (N+p)^2 float64 buffers, and its estimate.
+# The peak is VmHWM, this process image's own: ru_maxrss is kept across
+# execve, so in a child of a larger process it starts at the parent's RSS
+RESIDENT_PEAK_SCRIPT = """
+import os
+from cumbia import cumbia, synth_block, zscore_variables
+from cumbia.embedding import _resident_peak_buffers
+Z = zscore_variables(synth_block(100, 3000)[0])
+with open("/proc/self/statm") as statm:
+    before = int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+cumbia(Z, dims=3)
+with open("/proc/self/status") as status:
+    peak = next(int(line.split()[1]) * 1024 for line in status
+                if line.startswith("VmHWM:"))
+print((peak - before) / (8 * 3100**2), _resident_peak_buffers())
+"""
+
+
 class TestMemoryGuard:
     def test_too_large_for_memory_raises_up_front(self, monkeypatch):
         # 60 x 20,000 needs about 3.4 GiB (16.2 GiB where the eigh fallback
         # runs); refuse before any SVD or kernel
-        monkeypatch.setattr(embedding, "_physical_memory_bytes",
+        monkeypatch.setattr(matrix_core, "_physical_memory_bytes",
                             lambda: 3 * 2**30)
         monkeypatch.setattr(dissimilarity, "svd", None)
         X = np.zeros((60, 20000))
         need = embedding._resident_peak_buffers() * 20060**2 * 8
         with pytest.raises(ParameterError,
-                           match=re.escape(embedding._size(need))
+                           match=re.escape(matrix_core._size(need))
                            + r".*3\.0 GiB"):
             cumbia(X)
-        if embedding._lapack() is not None:
-            assert embedding._size(need) == "3.4 GiB"
+        if _kernels._lapack() is not None:
+            assert matrix_core._size(need) == "3.4 GiB"
 
     def test_estimate_scales_with_squared_object_count(self, monkeypatch):
         n = 4 + 6
         need = embedding._resident_peak_buffers() * n * n * 8
         X = np.random.default_rng(42).standard_normal((4, 6))
-        monkeypatch.setattr(embedding, "_physical_memory_bytes",
+        monkeypatch.setattr(matrix_core, "_physical_memory_bytes",
                             lambda: int(need) - 1)
         with pytest.raises(ParameterError, match="physical memory"):
             cumbia(X, dims=2)
-        monkeypatch.setattr(embedding, "_physical_memory_bytes",
+        monkeypatch.setattr(matrix_core, "_physical_memory_bytes",
                             lambda: int(need) + 1)
         assert cumbia(X, dims=2).coordinates.shape == (n, 2)
 
@@ -354,12 +370,12 @@ class TestMemoryGuard:
         n = 4 + 6
         need = embedding.EIGH_RESIDENT_PEAK_BUFFERS * n * n * 8
         X = np.random.default_rng(46).standard_normal((4, 6))
-        monkeypatch.setattr(embedding, "_lapack", lambda: None)
-        monkeypatch.setattr(embedding, "_physical_memory_bytes",
+        monkeypatch.setattr(_kernels, "_lapack", lambda: None)
+        monkeypatch.setattr(matrix_core, "_physical_memory_bytes",
                             lambda: int(need) - 1)
         with pytest.raises(ParameterError, match="physical memory"):
             cumbia(X, dims=2)
-        monkeypatch.setattr(embedding, "_physical_memory_bytes",
+        monkeypatch.setattr(matrix_core, "_physical_memory_bytes",
                             lambda: int(need) + 1)
         assert cumbia(X, dims=2).coordinates.shape == (n, 2)
 
@@ -370,12 +386,12 @@ class TestMemoryGuard:
     @pytest.mark.parametrize("version", [0, 1], ids=["v2", "v1"])
     def test_a_cgroup_limit_below_installed_memory_counts(self, monkeypatch,
                                                           version):
-        path = embedding.CGROUP_MEMORY_LIMITS[version]
-        monkeypatch.setattr(embedding, "_first_line",
+        path = matrix_core.CGROUP_MEMORY_LIMITS[version]
+        monkeypatch.setattr(matrix_core, "_first_line",
                             lambda p: "1073741824" if p == path else None)
-        assert embedding._physical_memory_bytes() == min(2**30,
-                                                         self.installed())
-        monkeypatch.setattr(embedding, "_first_line",
+        assert matrix_core._physical_memory_bytes() == min(
+            2**30, self.installed())
+        monkeypatch.setattr(matrix_core, "_first_line",
                             lambda p: "100" if p == path else None)
         X = np.random.default_rng(47).standard_normal((4, 6))
         with pytest.raises(ParameterError, match="the 0 MiB of physical"):
@@ -386,20 +402,35 @@ class TestMemoryGuard:
                              ids=["no-limit", "missing", "v2-only"])
     def test_no_cgroup_limit_leaves_installed_memory(self, monkeypatch,
                                                      texts):
-        limits = dict(zip(embedding.CGROUP_MEMORY_LIMITS, texts))
-        monkeypatch.setattr(embedding, "_first_line", limits.get)
-        assert embedding._physical_memory_bytes() == self.installed()
+        limits = dict(zip(matrix_core.CGROUP_MEMORY_LIMITS, texts))
+        monkeypatch.setattr(matrix_core, "_first_line", limits.get)
+        assert matrix_core._physical_memory_bytes() == self.installed()
 
     def test_limit_reader_takes_the_first_line(self, tmp_path):
         limit = tmp_path / "memory.limit_in_bytes"
         limit.write_text("1073741824\nignored\n")
-        assert embedding._first_line(str(limit)) == "1073741824"
-        assert embedding._first_line(str(tmp_path / "missing")) is None
+        assert matrix_core._first_line(str(limit)) == "1073741824"
+        assert matrix_core._first_line(str(tmp_path / "missing")) is None
 
     def test_unknown_memory_skips_the_check(self, monkeypatch):
-        monkeypatch.setattr(embedding, "_physical_memory_bytes", lambda: None)
+        monkeypatch.setattr(matrix_core, "_physical_memory_bytes", lambda: None)
         X = np.random.default_rng(44).standard_normal((4, 6))
         assert cumbia(X, dims=2).coordinates.shape == (10, 2)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="the RSS is read from /proc/self")
+    def test_resident_peak_is_within_the_estimate(self):
+        # the peak is the whole process's, so the call gets a fresh one
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        res = subprocess.run([sys.executable, "-c", RESIDENT_PEAK_SCRIPT],
+                             env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        peak, bound = map(float, res.stdout.split())
+        assert peak <= bound, f"resident peak {peak:.3f} (N+p)^2 buffers"
 
 
 class TestPcaBiplot:

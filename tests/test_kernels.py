@@ -411,7 +411,7 @@ def test_no_park_without_the_bundled_openblas(monkeypatch, library):
     monkeypatch.setattr(_kernels, "_worker_count", lambda: 3)
     monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
     if library is None:
-        assert embedding._lapack.__wrapped__() is None
+        assert _kernels._lapack.__wrapped__() is None
     R = np.abs(np.random.default_rng(13).standard_normal((10, 4)))
     assert pair_mean_k_smallest(R, 2).tobytes() == reference(R, 2).tobytes()
     assert len(counting.made) == 2

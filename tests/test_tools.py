@@ -30,3 +30,24 @@ def test_wide_run_times_every_stage(tmp_path, flags, stages):
     assert res.returncode == 0, res.stderr
     (run,) = json.loads(out.read_text())["runs"]
     assert set(run["stage_s"]) == stages
+
+
+def test_src_lines_sum_to_each_module_line_count():
+    res = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "src_lines.py")],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    rows = [line.split() for line in res.stdout.splitlines()[1:]]
+    wc = 0
+    for name, *counts, lines in rows[:-1]:
+        path = os.path.join(ROOT, "src", "cumbia", name)
+        with open(path, "rb") as handle:
+            newlines = handle.read().count(b"\n")
+        assert sum(map(int, counts)) == int(lines) == newlines, name
+        wc += newlines
+    name, *counts, lines = rows[-1]
+    assert name == "total" and sum(map(int, counts)) == int(lines) == wc
+    modules = sorted(name for name in os.listdir(os.path.join(ROOT, "src",
+                                                              "cumbia"))
+                     if name.endswith(".py"))
+    assert [row[0] for row in rows[:-1]] == modules

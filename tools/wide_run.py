@@ -63,7 +63,7 @@ STAGES = [
     (embedding, "_require_symmetric", "symmetry_check"),
     (embedding, "_double_center_in_place", "double_center_in_place"),
     (embedding, "_embed_gram", "embed_gram"),
-    (embedding, "_eigen_in_place", "eigen_in_place"),
+    (_kernels, "_eigen_in_place", "eigen_in_place"),
 ]
 # the stages no other stage of cumbia() calls; "other" is the rest
 TOP = ("joint_matrix", "symmetry_check", "double_center_in_place",
