@@ -34,6 +34,8 @@ from .matrix_core import (DataMatrix, _require_memory_for, require_finite,
 FIXED_PEAK_BUFFERS = 2.0
 # its part per kernel worker, fitted to the same runs
 THREAD_PEAK_BUFFERS = 2.3
+# its part that does not grow with N x p, fitted at 60 x 1500
+FIXED_PEAK_BYTES = 2.5 * 2**20
 
 
 @dataclass
@@ -81,12 +83,14 @@ def _step_scores(X_values, rows, cols, cfg, k0, notes):
 
 def _peak_buffers(shape, k0):
     """shave()'s estimated resident peak in N x p float64 buffers: the
-    measured parts plus, per object of the larger kind, the entries of the
-    running lists (K0 + 2 PANEL_ROWS per thread) and of their final merge
-    (K0 per thread, and 2 K0 for the shared own lists and their copy)."""
+    measured parts, FIXED_PEAK_BYTES among them, plus, per object of the
+    larger kind, the entries of the running lists (K0 + 2 PANEL_ROWS per
+    thread) and of their final merge (K0 per thread, and 2 K0 for the
+    shared own lists and their copy)."""
     threads = _kernels._worker_count()
     lists = (threads * (2 * k0 + 2 * PANEL_ROWS) + 2 * k0) / min(shape)
-    return FIXED_PEAK_BUFFERS + threads * THREAD_PEAK_BUFFERS + lists
+    return (FIXED_PEAK_BUFFERS + threads * THREAD_PEAK_BUFFERS + lists
+            + FIXED_PEAK_BYTES / (8 * shape[0] * shape[1]))
 
 
 def _worst(scores, count):

@@ -41,17 +41,15 @@ class _Parser(argparse.ArgumentParser):
 DELIMS = {"comma": ",", "tab": "\t"}
 
 
-def _add_io_flags(p, need_in=True):
-    if need_in:
+def _add_io_flags(p, table=True):
+    if table:
         p.add_argument("--in", dest="in_path", required=True, metavar="PATH")
     p.add_argument("--out", dest="out_path", required=True, metavar="PATH")
     p.add_argument("--delim", choices=["comma", "tab"], default="comma")
-
-
-def _add_table_flags(p):
-    p.add_argument("--orient", choices=["samples-rows", "variables-rows"],
-                   default="samples-rows")
-    p.add_argument("--missing", default="NA", metavar="TOKEN")
+    if table:
+        p.add_argument("--orient", choices=["samples-rows", "variables-rows"],
+                       default="samples-rows")
+        p.add_argument("--missing", default="NA", metavar="TOKEN")
 
 
 def _add_cfg_flags(p):
@@ -73,14 +71,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate the seeded planted-block benchmark")
-    _add_io_flags(p, need_in=False)
+    _add_io_flags(p, table=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--labels", default=None, metavar="PATH",
                    help="also write planted/background object labels here")
 
     p = sub.add_parser("preprocess", help="filter, log2, and/or z-score a table")
     _add_io_flags(p)
-    _add_table_flags(p)
     p.add_argument("--steps", default="filter-log2,zscore",
                    help="comma-separated pipeline from {filter-log2, zscore}")
     p.add_argument("--zero-variance", choices=["error", "drop"],
@@ -88,27 +85,23 @@ def build_parser():
 
     p = sub.add_parser("cumbia", help="joint sample-variable embedding")
     _add_io_flags(p)
-    _add_table_flags(p)
     _add_cfg_flags(p)
     p.add_argument("--dims", type=int, default=3)
     _add_plot_flags(p)
 
     p = sub.add_parser("pca", help="biplot coordinates from the SVD")
     _add_io_flags(p)
-    _add_table_flags(p)
     p.add_argument("--s", default="full")
     p.add_argument("--alpha", type=float, default=1.0)
     _add_plot_flags(p)
 
     p = sub.add_parser("scree", help="spectrum fractions for PCA or the embedding")
     _add_io_flags(p)
-    _add_table_flags(p)
     # eigenvalues: --in is a spectrum file such as cumbia's <out>.spectrum.txt
     p.add_argument("--mode", choices=["pca", "eigenvalues"], default="pca")
 
     p = sub.add_parser("shave", help="backward-elimination biclustering trace")
     _add_io_flags(p)
-    _add_table_flags(p)
     _add_cfg_flags(p)
     p.add_argument("--k0", type=int, default=3)
     p.add_argument("--drop-fraction", type=float, default=0.1)

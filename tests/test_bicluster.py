@@ -337,12 +337,12 @@ def test_step_keeps_only_live_arrays(monkeypatch, workers, bound):
 
 class TestMemoryGuard:
     def test_too_large_for_memory_raises_before_any_svd(self, monkeypatch):
-        # 60 x 20,000 needs about 73 MiB with two kernel threads
+        # 60 x 20,000 needs about 75 MiB with two kernel threads
         monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)
         monkeypatch.setattr(matrix_core, "_physical_memory_bytes",
                             lambda: 64 * 2**20)
         monkeypatch.setattr(bicluster, "svd", None)
-        with pytest.raises(ParameterError, match=r"73 MiB.*64 MiB"):
+        with pytest.raises(ParameterError, match=r"75 MiB.*64 MiB"):
             shave(np.zeros((60, 20000)))
 
     @CLAMPS_AT_TWO_SAMPLES

@@ -319,22 +319,25 @@ class TestTopEigenvectors:
         assert peak <= 1.25 * n * n * 8, f"peak {peak / (n * n * 8):.2f} buffers"
 
 
-# prints cumbia()'s resident peak above the pre-call RSS on z-scored
-# synth_block(100, 3000), in (N+p)^2 float64 buffers, and its estimate.
-# The peak is VmHWM, this process image's own: ru_maxrss is kept across
-# execve, so in a child of a larger process it starts at the parent's RSS
+# prints a call's resident peak above the pre-call RSS on z-scored
+# synth_block(N, p), in float64 buffers of the size its guard counts, and
+# the guard's estimate in those buffers. The peak is VmHWM, this process
+# image's own: ru_maxrss is kept across execve, so in a child of a larger
+# process it starts at the parent's RSS
 RESIDENT_PEAK_SCRIPT = """
-import os
-from cumbia import cumbia, synth_block, zscore_variables
-from cumbia.embedding import _resident_peak_buffers
-Z = zscore_variables(synth_block(100, 3000)[0])
+import os, warnings
+from cumbia import (CumbiaWarning, bicluster, cumbia, embedding, shave,
+                    synth_block, zscore_variables)
+warnings.simplefilter("ignore", CumbiaWarning)
+N, p = {shape}
+Z = zscore_variables(synth_block(N, p)[0])
 with open("/proc/self/statm") as statm:
     before = int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
-cumbia(Z, dims=3)
+{call}
 with open("/proc/self/status") as status:
     peak = next(int(line.split()[1]) * 1024 for line in status
                 if line.startswith("VmHWM:"))
-print((peak - before) / (8 * 3100**2), _resident_peak_buffers())
+print((peak - before) / (8 * {cells}), {bound})
 """
 
 
@@ -419,18 +422,27 @@ class TestMemoryGuard:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
                         reason="the RSS is read from /proc/self")
-    def test_resident_peak_is_within_the_estimate(self):
+    @pytest.mark.parametrize("shape, call, cells, bound", [
+        ((100, 3000), "cumbia(Z, dims=3)", "(N + p) ** 2",
+         "embedding._resident_peak_buffers()"),
+        ((60, 1500), "shave(Z)", "N * p",
+         "bicluster._peak_buffers((N, p), 3)"),
+    ], ids=["cumbia", "shave"])
+    def test_resident_peak_is_within_the_estimate(self, shape, call, cells,
+                                                  bound):
         # the peak is the whole process's, so the call gets a fresh one
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         path = os.pathsep.join(filter(None, [src,
                                              os.environ.get("PYTHONPATH")]))
-        res = subprocess.run([sys.executable, "-c", RESIDENT_PEAK_SCRIPT],
+        script = RESIDENT_PEAK_SCRIPT.format(shape=shape, call=call,
+                                             cells=cells, bound=bound)
+        res = subprocess.run([sys.executable, "-c", script],
                              env=dict(os.environ, PYTHONPATH=path),
                              capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         peak, bound = map(float, res.stdout.split())
-        assert peak <= bound, f"resident peak {peak:.3f} (N+p)^2 buffers"
+        assert peak <= bound, f"resident peak {peak:.3f} buffers"
 
 
 class TestPcaBiplot:

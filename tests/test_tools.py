@@ -30,6 +30,33 @@ def test_wide_run_times_every_stage(tmp_path, flags, stages):
     assert res.returncode == 0, res.stderr
     (run,) = json.loads(out.read_text())["runs"]
     assert set(run["stage_s"]) == stages
+    # "other" excludes only the outermost stages, so nested ones are not
+    # subtracted twice
+    assert 0 <= run["stage_s"]["other"] <= run["call_s"]
+
+
+# touches 256 MiB, then runs wide_run.py at 8 x 30 in a child process
+LARGE_PARENT_SCRIPT = """
+import subprocess, sys
+held = b"x" * 2**28
+subprocess.run(sys.argv[1:], check=True, capture_output=True)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="wide_run.py reads /proc/self/status")
+def test_wide_run_peak_is_its_own_process(tmp_path):
+    # Linux keeps ru_maxrss across execve, so a peak read from it would be
+    # the larger parent's 256 MiB, not this 8 x 30 call's
+    out = tmp_path / "wide.json"
+    res = subprocess.run(
+        [sys.executable, "-c", LARGE_PARENT_SCRIPT, sys.executable,
+         os.path.join(ROOT, "tools", "wide_run.py"), "--out", str(out),
+         "--shape", "8", "30"], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    (run,) = json.loads(out.read_text())["runs"]
+    peak = run["resident_peak_buffers"] * 8 * 38**2
+    assert peak < 64 * 2**20, f"resident peak {peak / 2**20:.1f} MiB"
 
 
 def test_src_lines_sum_to_each_module_line_count():

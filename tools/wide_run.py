@@ -10,28 +10,30 @@ default, refused without --shave), once on z-scored synth_block(N, p,
 seed=0): by default 60 x 20,000, or 60 x 16,000 when MemAvailable is below
 the memory guard's estimate for 20,000 variables plus 1 GiB. A shape whose
 estimate plus 1 GiB exceeds MemAvailable is skipped, not run. The run's record holds the
-wall time of each stage and the resident peak (ru_maxrss minus the RSS
-before the call) of a call made with tracemalloc off, and the tracemalloc
-peak of a second call of its own, both peaks in float64 buffers of the
-size the call's memory guard counts: (N+p)^2 entries for cumbia(), N x p
-for shave(). tracemalloc slows allocation-heavy code (shave at 60 x 1500:
-0.74-0.78 s traced against 0.45-0.46 s plain), so no stage is timed under
-it; a first call longer than TRACED_PASS_MAX_S gets no second one, and
-its tracemalloc peak is null. A shave() record also holds K0 and the
-kernel's worker count, which taskset can lower. It is appended to the runs
-in --out, next to the machine facts. ru_maxrss is the peak of the whole
-process, so each run needs a process of its own. Stages are timed by
-wrapping the module-level functions the call makes; cumbia()'s in-place
-squaring and shave()'s bookkeeping have no function of their own and are
-left in "other". Linux only: it reads /proc/meminfo and /proc/self/statm.
+wall time of each stage and the resident peak (VmHWM from
+/proc/self/status minus the RSS before the call) of a call made with
+tracemalloc off, and the tracemalloc peak of a second call of its own, both
+peaks in float64 buffers of the size the call's memory guard counts:
+(N+p)^2 entries for cumbia(), N x p for shave(). tracemalloc slows
+allocation-heavy code (shave at 60 x 1500: 0.74-0.78 s traced against
+0.45-0.46 s plain), so no stage is timed under it; a first call longer than
+TRACED_PASS_MAX_S gets no second one, and its tracemalloc peak is null. A
+shave() record also holds K0 and the kernel's worker count, which taskset
+can lower. It is appended to the runs in --out, next to the machine facts.
+VmHWM is the peak of the whole process image (unlike ru_maxrss, which
+Linux carries across execve from a larger parent), so each run needs a
+process of its own. Stages are timed by wrapping the module-level
+functions the call makes. A stage call that ends while no other stage is
+open is outermost, and "other" is the call's time minus the outermost
+calls': cumbia()'s in-place squaring and shave()'s bookkeeping have no
+function of their own and are left there. Linux only: it reads
+/proc/meminfo and /proc/self/statm and status.
 """
 
 import argparse
-import functools
 import json
 import os
 import platform
-import resource
 import sys
 import time
 import tracemalloc
@@ -53,7 +55,10 @@ SHAVE_K0 = 3  # shave()'s default
 TRACED_PASS_MAX_S = 60.0
 
 # (module, function, span name); a span name ending in "." gets the kind
-# argument appended
+# argument appended. svd and sample_variable_diss are wrapped in each module
+# that binds them, and a stage the call never reaches adds no key. shave()'s
+# k0_scores is the kernel with its duplicate detection and its running
+# K0-smallest lists
 STAGES = [
     (embedding, "joint_matrix", "joint_matrix"),
     (dissimilarity, "svd", "svd"),
@@ -64,21 +69,10 @@ STAGES = [
     (embedding, "_double_center_in_place", "double_center_in_place"),
     (embedding, "_embed_gram", "embed_gram"),
     (_kernels, "_eigen_in_place", "eigen_in_place"),
-]
-# the stages no other stage of cumbia() calls; "other" is the rest
-TOP = ("joint_matrix", "symmetry_check", "double_center_in_place",
-       "embed_gram")
-# shave()'s svd, sample_variable_diss and k0_scores call one another only
-# through functions that are not timed, so they are top-level; k0_scores
-# is the kernel with its duplicate detection (identical_index_groups,
-# nested in it) and its running K0-smallest lists
-SHAVE_STAGES = [
     (bicluster, "svd", "svd"),
     (bicluster, "sample_variable_diss", "sample_variable_diss"),
-    (_kernels, "identical_index_groups", "identical_index_groups"),
     (bicluster, "_kind_scores", "k0_scores."),
 ]
-SHAVE_TOP = ("svd", "sample_variable_diss", "k0_scores")
 
 
 def meminfo():
@@ -95,20 +89,34 @@ def rss_bytes():
         return int(handle.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
-def install_timers(stages, seconds):
+def peak_rss_bytes():
+    with open("/proc/self/status") as handle:
+        return next(int(line.split()[1]) * 1024 for line in handle
+                    if line.startswith("VmHWM:"))
+
+
+def install_timers(seconds, outer):
+    """Wrap every STAGES function so that each call adds its wall time to
+    seconds under its span name, and to outer[0] too if no other stage is
+    open when it ends; return the originals."""
     originals = []
-    for module, name, span in stages:
+    open_stages = [0]
+    for module, name, span in STAGES:
         func = getattr(module, name)
         originals.append((module, name, func))
 
         def timed(*args, _func=func, _span=span, **kwargs):
             label = _span + args[2] if _span.endswith(".") else _span
+            open_stages[0] += 1
             t0 = time.perf_counter()
             try:
                 return _func(*args, **kwargs)
             finally:
-                seconds[label] = seconds.get(label, 0.0) + (
-                    time.perf_counter() - t0)
+                elapsed = time.perf_counter() - t0
+                open_stages[0] -= 1
+                seconds[label] = seconds.get(label, 0.0) + elapsed
+                if not open_stages[0]:
+                    outer[0] += elapsed
 
         setattr(module, name, timed)
     return originals
@@ -128,14 +136,14 @@ def machine_facts(mem):
     }
 
 
-def timed_call(call, Z, stages, top, buffer):
+def timed_call(call, Z, buffer):
     """Run call(Z) once under the stage timers with tracemalloc off, then,
     if that took at most TRACED_PASS_MAX_S, once more under tracemalloc
     alone; return the first result and the record of its time and memory,
-    in buffers of buffer bytes. top names the stages whose times "other"
-    excludes."""
+    in buffers of buffer bytes."""
     seconds = {}
-    originals = install_timers(stages, seconds)
+    outer = [0.0]
+    originals = install_timers(seconds, outer)
     before = rss_bytes()
     try:
         t0 = time.perf_counter()
@@ -145,7 +153,7 @@ def timed_call(call, Z, stages, top, buffer):
         for module, name, func in originals:
             setattr(module, name, func)
     # read before the traced call, whose traces take memory of their own
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    peak = peak_rss_bytes()
     traced = None
     if total <= TRACED_PASS_MAX_S:
         tracemalloc.start()
@@ -154,8 +162,7 @@ def timed_call(call, Z, stages, top, buffer):
             traced = tracemalloc.get_traced_memory()[1] / buffer
         finally:
             tracemalloc.stop()
-    seconds["other"] = total - sum(
-        t for label, t in seconds.items() if label.split(".")[0] in top)
+    seconds["other"] = total - outer[0]
     return result, {
         "call_s": total,
         "stage_s": seconds,
@@ -170,46 +177,29 @@ def wide_input(N, p):
     return cumbia.zscore_variables(X)
 
 
-def run_once(N, p):
-    """Time one cumbia() call on the N x p input; return its record."""
-    n = N + p
-    buffer = 8 * n * n
+def run_cumbia(N, p, buffer):
+    """Time one cumbia() call on the N x p input; return its record's own
+    fields."""
     emb, timing = timed_call(lambda Z: cumbia.cumbia(Z, dims=3),
-                             wide_input(N, p), STAGES, TOP, buffer)
+                             wide_input(N, p), buffer)
     return {
-        "workload": "cumbia",
-        "shape": [N, p],
-        "objects": n,
-        "buffer_gib": buffer / 2**30,
-        "guard_estimate_gib": embedding._resident_peak_buffers() * buffer
-        / 2**30,
+        "objects": N + p,
         **timing,
         "dims_used": emb.dims_used,
         "top_eigenvalues": emb.eigenvalues[:3].tolist(),
     }
 
 
-def shave_guard_buffers(N, p, k0):
-    return bicluster._peak_buffers((N, p), k0)
-
-
-def run_shave(N, p, k0):
+def run_shave(N, p, buffer, guard, k0):
     """Time one shave() call at its defaults but k0 on the N x p input;
-    return its record."""
-    buffer = 8 * N * p
-    guard = shave_guard_buffers(N, p, k0)
+    return its record's own fields."""
     trace, timing = timed_call(lambda Z: cumbia.shave(Z, k0=k0),
-                               wide_input(N, p), SHAVE_STAGES, SHAVE_TOP,
-                               buffer)
+                               wide_input(N, p), buffer)
     last = trace.steps[-1]
     return {
-        "workload": "shave",
-        "shape": [N, p],
-        "buffer_gib": buffer / 2**30,
         "k0": k0,
         "kernel_threads": _kernels._worker_count(),
         "guard_buffers": guard,
-        "guard_estimate_gib": guard * buffer / 2**30,
         **timing,
         "steps": len(trace.steps),
         "last_step_shape": [last.sample_indices.size,
@@ -230,15 +220,8 @@ def main():
     if args.k0 is not None and not args.shave:
         parser.error("--k0 applies only with --shave")
     warnings.simplefilter("ignore", cumbia.CumbiaWarning)
-    if args.shave:
-        k0 = SHAVE_K0 if args.k0 is None else args.k0
-        run = functools.partial(run_shave, k0=k0)
-        guard = functools.partial(shave_guard_buffers, k0=k0)
-        cells = lambda N, p: N * p  # noqa: E731
-    else:
-        run = run_once
-        guard = lambda N, p: embedding._resident_peak_buffers()  # noqa: E731
-        cells = lambda N, p: (N + p) ** 2  # noqa: E731
+    k0 = SHAVE_K0 if args.k0 is None else args.k0
+    workload = "shave" if args.shave else "cumbia"
 
     record = {"runs": [], "skipped": []}
     if os.path.exists(args.out):
@@ -253,17 +236,26 @@ def main():
         record["resident_peak_buffers_constant"] = \
             embedding._resident_peak_buffers()
     for N, p in [tuple(args.shape)] if args.shape else WIDE_SHAPES:
-        need = guard(N, p) * cells(N, p) * 8
-        if mem["MemAvailable"] >= need + HEADROOM:
-            result = run(N, p)
-            result["MemAvailable_gib"] = mem["MemAvailable"] / 2**30
-            record["runs"].append(result)
+        if args.shave:
+            buffer = 8 * N * p
+            guard = bicluster._peak_buffers((N, p), k0)
+        else:
+            buffer = 8 * (N + p) ** 2
+            guard = embedding._resident_peak_buffers()
+        facts = {
+            "workload": workload,
+            "shape": [N, p],
+            "guard_estimate_gib": guard * buffer / 2**30,
+            "MemAvailable_gib": mem["MemAvailable"] / 2**30,
+        }
+        if mem["MemAvailable"] >= guard * buffer + HEADROOM:
+            run = (run_shave(N, p, buffer, guard, k0) if args.shave
+                   else run_cumbia(N, p, buffer))
+            record["runs"].append({**facts, "buffer_gib": buffer / 2**30,
+                                   **run})
             break
         record["skipped"].append({
-            "workload": "shave" if args.shave else "cumbia",
-            "shape": [N, p],
-            "guard_estimate_gib": need / 2**30,
-            "MemAvailable_gib": mem["MemAvailable"] / 2**30,
+            **facts,
             "reason": "MemAvailable below the guard's estimate plus 1 GiB",
         })
     with open(args.out, "w", encoding="utf-8") as handle:
