@@ -140,8 +140,8 @@ def shave(X, cfg=None, k0=3, drop_fraction=0.1, min_objects=2):
         s_scores, v_scores = _step_scores(
             X.values, sample_idx, variable_idx, cfg, k0, notes)
         trace.steps.append(ShaveStep(
-            sample_indices=sample_idx.copy(),
-            variable_indices=variable_idx.copy(),
+            sample_indices=sample_idx,
+            variable_indices=variable_idx,
             sample_scores=s_scores,
             variable_scores=v_scores,
         ))

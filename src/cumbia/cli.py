@@ -131,11 +131,9 @@ def _load(args):
                       orientation=args.orient, missing_token=args.missing)
 
 
-def _require_complete(X):
+def _require_complete(X, remedy="run preprocess first"):
     if np.isnan(X.values).any():
-        raise InputError(
-            "input contains missing values; run preprocess first"
-        )
+        raise InputError(f"input contains missing values; {remedy}")
 
 
 def _write_matrix(X, path, delim):
@@ -176,10 +174,10 @@ def _read_label_file(path, object_labels):
 
 
 def _read_spectrum(path):
-    """Spectrum file: one number per line, as cmd_cumbia writes it."""
+    """Spectrum file: one number per line (a BOM and blank lines skipped)."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return [float(line) for line in handle]
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            return [float(line) for line in handle if line.strip()]
     except OSError as exc:
         raise InputError(f"cannot read spectrum file {path}: {exc}") from exc
     except ValueError as exc:  # a line float cannot read, or bad UTF-8
@@ -262,7 +260,7 @@ def cmd_preprocess(args):
             report["dropped_negative"] += rep.dropped_negative
             report["log2"] = True
         elif step == "zscore":
-            _require_complete(X)
+            _require_complete(X, "put filter-log2 before zscore in --steps")
             before = X.n_variables
             X = zscore_variables(X, zero_variance_policy=args.zero_variance)
             report["dropped_zero_variance"] += before - X.n_variables

@@ -97,16 +97,13 @@ def _double_center_in_place(C):
     C -= row_means[None, :]
     C += grand_mean
     C *= -0.5
-    # (C + C.T) / 2, one tile pair at a time
+    # (C + C.T) / 2 per tile pair; numpy copies lower.T where it overlaps upper
     for rows, cols in _tile_pairs(C.shape[0]):
         upper = C[rows, cols]
         lower = C[cols, rows]
-        if rows == cols:
-            upper[...] = (upper + lower.T) / 2.0
-        else:
-            upper += lower.T
-            upper /= 2.0
-            lower[...] = upper.T
+        upper += lower.T
+        upper /= 2.0
+        lower[...] = upper.T
     return C
 
 

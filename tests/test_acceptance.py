@@ -27,6 +27,7 @@ from cumbia import (
 )
 from cumbia._kernels import pair_mean_k_smallest
 
+from measure import child_env
 from oracle import graph_oracle
 
 
@@ -380,7 +381,6 @@ def test_criterion_8_shave_recovers_planted_block():
 
 def test_criterion_9_determinism():
     """Joint matrices, embeddings, and shave traces repeat bit-for-bit."""
-    import os
     import subprocess
     import sys
 
@@ -419,15 +419,9 @@ def test_criterion_9_determinism():
         "print(hashlib.sha256(J.tobytes()\n"
         "                     + emb.coordinates.tobytes()).hexdigest())\n"
     )
-    # the child imports cumbia from this checkout's src, wherever it runs
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-        __file__))), "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     digests = set()
     for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=path)
-        env["OMP_NUM_THREADS"] = threads
-        env["OPENBLAS_NUM_THREADS"] = threads
+        env = child_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
         digests.add(out.stdout.strip())

@@ -1,9 +1,9 @@
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from measure import traced_peak
 
 from cumbia import (
     CumbiaConfig,
@@ -299,14 +299,7 @@ def test_peak_holds_one_step_of_blocks(monkeypatch):
     monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)
     X, _ = synth_block(N=20, p=600, seed=0)
     Np = X.n_samples * X.n_variables
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        shave(X)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: shave(X))
     assert peak <= 13 * Np * 8, f"peak {peak / (Np * 8):.2f} N x p buffers"
 
 
@@ -322,14 +315,7 @@ def test_step_keeps_only_live_arrays(monkeypatch, workers, bound):
     monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
     X, _ = synth_block(N=30, p=800, seed=0)
     buffer = X.n_samples * X.n_variables * 8
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        shave(X)
-        peak = (tracemalloc.get_traced_memory()[1] - before) / buffer
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: shave(X))[1] / buffer
     assert peak <= bound, (
         f"peak {peak:.2f} N x p buffers with {workers} kernel workers, "
         f"bound {bound}")

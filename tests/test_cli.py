@@ -10,6 +10,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from measure import TOOLS, child_env, traced_peak
 
 from cumbia import (CumbiaWarning, DataMatrix, cli, cumbia, load_table, scree,
                     synth_block, zscore_variables)
@@ -19,17 +20,10 @@ from cumbia.cli import (_read_label_file, _write_coords, _write_matrix,
 from cumbia.plot import PALETTE
 
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(ROOT, "src")
-
-
 def run_cli(args, cwd):
-    # absolute, because the child runs in cwd, where a relative path breaks
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
         [sys.executable, "-m", "cumbia.cli"] + args,
-        cwd=cwd, capture_output=True, text=True, env=env,
+        cwd=cwd, capture_output=True, text=True, env=child_env(),
     )
 
 
@@ -185,6 +179,18 @@ class TestPreprocess:
         assert out[0] == "id,a"
         assert out[1].startswith("s1,1.0")
 
+    @pytest.mark.parametrize("steps", ["zscore", "zscore,filter-log2"])
+    def test_missing_values_before_zscore_name_the_step_order(
+            self, tmp_path, capsys, steps):
+        path = tmp_path / "m.csv"
+        path.write_text("id,a,b\ns1,1,NA\ns2,2,3\n")
+        code = main(["preprocess", "--in", str(path),
+                     "--out", str(tmp_path / "z.csv"), "--steps", steps])
+        assert code == 1
+        assert ("input contains missing values; put filter-log2 before "
+                "zscore in --steps") in capsys.readouterr().err
+        assert not (tmp_path / "z.csv").exists()
+
     def test_unknown_step_rejected(self, tmp_path, small_table):
         res = run_cli(["preprocess", "--in", str(small_table),
                        "--out", "z.csv", "--steps", "fourier"], tmp_path)
@@ -319,11 +325,17 @@ class TestScreeCommand:
                     cli.DELIMS[delim])
         emb = str(tmp_path / "emb.csv")
         assert main(["cumbia", "--in", str(small_table), "--out", emb]) == 0
-        out = str(tmp_path / "sc.txt")
-        assert main(["scree", "--in", emb + ".spectrum.txt", "--out", out,
-                     "--mode", "eigenvalues", "--delim", delim]) == 0
-        with open(out, "rb") as got, open(reference, "rb") as want:
-            assert got.read() == want.read()
+        # a BOM and a trailing blank line are read past, as in tables
+        variant = tmp_path / "bom.txt"
+        variant.write_bytes(b"\xef\xbb\xbf"
+                            + (tmp_path / "emb.csv.spectrum.txt").read_bytes()
+                            + b"\n")
+        for spectrum in (emb + ".spectrum.txt", str(variant)):
+            out = str(tmp_path / "sc.txt")
+            assert main(["scree", "--in", spectrum, "--out", out,
+                         "--mode", "eigenvalues", "--delim", delim]) == 0
+            with open(out, "rb") as got, open(reference, "rb") as want:
+                assert got.read() == want.read()
 
     @pytest.mark.parametrize("text,message", [
         ("1.5\nabc\n-0.25\n", "could not convert string to float: 'abc"),
@@ -546,12 +558,8 @@ class TestWritersByteIdentity:
 
 def test_write_matrix_peak_memory_below_the_matrix(tmp_path):
     X = zscore_variables(synth_block(40, 2000, seed=3)[0])
-    tracemalloc.start()
-    try:
-        _write_matrix(X, str(tmp_path / "m.csv"), ",")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    out = str(tmp_path / "m.csv")
+    _, peak = traced_peak(lambda: _write_matrix(X, out, ","))
     assert peak <= X.values.nbytes, peak / X.values.nbytes
 
 
@@ -582,13 +590,9 @@ def test_a_table_command_holds_its_input_and_one_matrix(
     # and 4.29 for the default steps, when each step held two or three
     # matrices)
     directory, nbytes = wide_tables
-    tracemalloc.start()
-    try:
-        code = main([command, "--in", str(directory / source),
-                     "--out", str(tmp_path / "out"), *extra])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(lambda: main([
+        command, "--in", str(directory / source),
+        "--out", str(tmp_path / "out"), *extra]))
     assert code == 0
     assert peak <= 2.25 * nbytes, peak / nbytes
 
@@ -608,12 +612,9 @@ def test_scree_holds_only_the_spectrum_while_it_writes(wide_tables, tmp_path,
 
     for name in ("write_table", "_manifest"):
         monkeypatch.setattr(cli, name, spy(name))
-    tracemalloc.start()
-    try:
-        code = main(["scree", "--in", str(directory / "z.csv"),
-                     "--out", str(tmp_path / "sc.txt"), "--mode", "pca"])
-    finally:
-        tracemalloc.stop()
+    code, _ = traced_peak(lambda: main([
+        "scree", "--in", str(directory / "z.csv"),
+        "--out", str(tmp_path / "sc.txt"), "--mode", "pca"]))
     assert code == 0
     assert [name for name, _ in held] == ["write_table", "_manifest"]
     # the matrix and the SVD factors are gone: 0.0 measured (2.0 when the
@@ -702,7 +703,7 @@ def test_cli_digests_tool_runs_the_whole_chain(tmp_path):
     # tools/cli_digests.py is how CLI byte identity is checked between two
     # checkouts; it must keep running and naming every output it makes
     res = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "tools", "cli_digests.py"),
+        [sys.executable, os.path.join(TOOLS, "cli_digests.py"),
          "--dir", str(tmp_path)], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()

@@ -2,11 +2,11 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from measure import TOOLS, child_env, traced_peak
 
 from cumbia import (
     CumbiaConfig,
@@ -307,37 +307,25 @@ class TestTopEigenvectors:
         n = 1000
         pts = np.random.default_rng(56).standard_normal((n, 5))
         D = pairwise(pts)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            emb = classical_mds(D, dims=3)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        emb, peak = traced_peak(lambda: classical_mds(D, dims=3))
         assert emb.dims_used == 3
         assert peak <= 1.25 * n * n * 8, f"peak {peak / (n * n * 8):.2f} buffers"
 
 
-# prints a call's resident peak above the pre-call RSS on z-scored
-# synth_block(N, p), in float64 buffers of the size its guard counts, and
-# the guard's estimate in those buffers. The peak is VmHWM, this process
-# image's own: ru_maxrss is kept across execve, so in a child of a larger
-# process it starts at the parent's RSS
+# prints a call's resident peak above the pre-call RSS on wide_run's
+# input, z-scored synth_block(N, p), in float64 buffers of the size its
+# guard counts, and the guard's estimate in those buffers, both read as
+# tools/wide_run.py reads them
 RESIDENT_PEAK_SCRIPT = """
-import os, warnings
-from cumbia import (CumbiaWarning, bicluster, cumbia, embedding, shave,
-                    synth_block, zscore_variables)
+import warnings
+from wide_run import peak_rss_bytes, rss_bytes, wide_input
+from cumbia import CumbiaWarning, bicluster, cumbia, embedding, shave
 warnings.simplefilter("ignore", CumbiaWarning)
 N, p = {shape}
-Z = zscore_variables(synth_block(N, p)[0])
-with open("/proc/self/statm") as statm:
-    before = int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+Z = wide_input(N, p)
+before = rss_bytes()
 {call}
-with open("/proc/self/status") as status:
-    peak = next(int(line.split()[1]) * 1024 for line in status
-                if line.startswith("VmHWM:"))
-print((peak - before) / (8 * {cells}), {bound})
+print((peak_rss_bytes() - before) / (8 * {cells}), {bound})
 """
 
 
@@ -431,15 +419,11 @@ class TestMemoryGuard:
     def test_resident_peak_is_within_the_estimate(self, shape, call, cells,
                                                   bound):
         # the peak is the whole process's, so the call gets a fresh one
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        path = os.pathsep.join(filter(None, [src,
-                                             os.environ.get("PYTHONPATH")]))
         script = RESIDENT_PEAK_SCRIPT.format(shape=shape, call=call,
                                              cells=cells, bound=bound)
         res = subprocess.run([sys.executable, "-c", script],
-                             env=dict(os.environ, PYTHONPATH=path),
-                             capture_output=True, text=True)
+                             env=child_env(TOOLS), capture_output=True,
+                             text=True)
         assert res.returncode == 0, res.stderr
         peak, bound = map(float, res.stdout.split())
         assert peak <= bound, f"resident peak {peak:.3f} buffers"
@@ -578,14 +562,7 @@ class TestCumbiaPipeline:
         if zscored:
             X = zscore_variables(DataMatrix(X))
         buffer = 8 * 1000 * 1000
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            emb = cumbia(X, dims=3)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        emb, peak = traced_peak(lambda: cumbia(X, dims=3))
         assert emb.coordinates.shape == (1000, 3)
         assert peak <= 1.2 * buffer, f"peak {peak / buffer:.3f} buffers"
 

@@ -1,9 +1,7 @@
-import os
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-    __file__))), "src")
+from measure import child_env
 
 # scipy.linalg alone takes about 0.3 s to import, concurrent.futures
 # about 6 ms; neither is needed by the pipeline
@@ -22,10 +20,9 @@ print(",".join(heavy))
 
 
 def test_pipeline_imports_no_scipy_or_executor():
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-c", CHILD], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        env=child_env(), timeout=120,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "", (

@@ -1,8 +1,8 @@
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from measure import traced_peak
 from oracle import csv_load_table
 
 from cumbia import (
@@ -18,18 +18,6 @@ from cumbia import (
     zscore_variables,
 )
 from cumbia._fsio import _quote, write_table
-
-
-def traced_peak(call):
-    """Bytes traced by tracemalloc during call() above those held before."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
 
 
 def write(tmp_path, text, name="t.csv"):
@@ -244,12 +232,8 @@ class TestLoadTable:
         else:
             write_table(path, ["id", *X.sample_labels], zip(X.variable_labels),
                         (X.values.T,), ",")
-        tracemalloc.start()
-        try:
-            Y = load_table(path, orientation=orientation)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        Y, peak = traced_peak(lambda: load_table(path,
+                                                 orientation=orientation))
         assert Y.values.tobytes() == X.values.tobytes()
         # one row of text at a time: the float buffer (the matrix and its
         # growth slack), one row and the labels, then the buffer's copy
@@ -302,7 +286,7 @@ class TestFilterAndLog2:
         X.values[:] = np.exp2(X.values)
         X.values[3, 7] = np.nan
         X.values[5, 11] = -1.0
-        peak = traced_peak(lambda: filter_and_log2(X))
+        _, peak = traced_peak(lambda: filter_and_log2(X))
         # the masks, then one copy of the kept columns and their labels.
         # Measured: 1.05 (1.18 with a set of the labels and the masks held
         # through its check, 3.19 with a copy per filter and one for log2)
@@ -344,7 +328,7 @@ class TestZscore:
 
     def test_peak_is_one_copy_above_the_input(self):
         X = synth_block(60, 10_000, seed=5)[0]
-        peak = traced_peak(lambda: zscore_variables(X))
+        _, peak = traced_peak(lambda: zscore_variables(X))
         # np.std's temporary, then the masked copy and its labels.
         # Measured: 1.07 (1.21 with a set of the labels and the column
         # statistics held through its check, 2.07 when the difference was

@@ -1,10 +1,10 @@
 import sys
 import threading
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from measure import traced_peak
 
 from cumbia import _kernels, bicluster, cumbia, embedding, shave, svd
 from cumbia._kernels import pair_mean_k0_smallest, pair_mean_k_smallest
@@ -457,17 +457,6 @@ def test_many_workers_switching_often_keep_the_bytes(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def _traced_peak(call):
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 # shave's last steps keep 2 samples
 @pytest.mark.filterwarnings(
     "ignore:K=3 exceeds the 2 available intermediaries for variables pairs"
@@ -484,9 +473,9 @@ def test_guards_hold_on_duplicate_heavy_input(monkeypatch):
     rng = np.random.default_rng(0)
     X = np.repeat(rng.standard_normal((N, 1)), p, axis=1)
     X[:, :N] = rng.standard_normal((N, N))
-    peak = _traced_peak(lambda: cumbia(X, dims=3)) / (8 * (N + p) ** 2)
+    peak = traced_peak(lambda: cumbia(X, dims=3))[1] / (8 * (N + p) ** 2)
     bound = embedding._resident_peak_buffers()
     assert peak <= bound, f"cumbia() peak {peak:.2f} (N+p)^2 buffers, {bound}"
-    peak = _traced_peak(lambda: shave(X)) / (8 * N * p)
+    peak = traced_peak(lambda: shave(X))[1] / (8 * N * p)
     bound = bicluster._peak_buffers((N, p), 3)
     assert peak <= bound, f"shave() peak {peak:.2f} N x p buffers, {bound:.2f}"

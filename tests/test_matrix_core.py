@@ -1,8 +1,8 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
+from measure import traced_peak
 
 from cumbia import (
     CumbiaConfig,
@@ -61,14 +61,7 @@ def test_datamatrix_names_the_first_label_that_repeats(make):
 def test_datamatrix_label_check_holds_no_set():
     values = np.ones((2, 10_000))
     labels = [f"v{j}" for j in range(10_000)]
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        DataMatrix(values, variable_labels=labels)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: DataMatrix(values, variable_labels=labels))
     # the rebuilt label list and one sorted list of references to it.
     # Measured: 0.17 MB (0.74 MB with a set of the labels)
     assert peak <= 0.3e6, peak / 1e6
@@ -203,14 +196,7 @@ def test_svd_traced_peak_is_one_factor_above_the_input():
     # LAPACK's copy of the input is made outside tracemalloc's view; V^T
     # is the one N x p array it sees, and V is a view of it, not a copy
     A = np.random.default_rng(2).standard_normal((60, 10_000))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        f = svd(A)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+    f, peak = traced_peak(lambda: svd(A))
     assert not f.V.flags.c_contiguous and f.V.flags.f_contiguous
     # measured: 1.02 (2.02 when V was copied into C order)
     assert peak <= 1.1 * A.nbytes, peak / A.nbytes

@@ -1,3 +1,4 @@
+import xml.etree.ElementTree as ET
 from xml.dom import minidom
 
 import numpy as np
@@ -103,3 +104,13 @@ def test_markup_in_labels_is_escaped(tmp_path, label):
                  out=str(out))
     titles = minidom.parse(str(out)).getElementsByTagName("title")
     assert [t.firstChild.data for t in titles][3] == label
+
+
+def test_characters_xml_forbids_in_labels_are_replaced(tmp_path):
+    # a control character in a table's label cell reaches the title as is
+    bp = pca_biplot(DataMatrix(np.random.default_rng(8).standard_normal((3, 3)),
+                               sample_labels=["a\x01b", "c\uffff", "d"]))
+    out = tmp_path / "f.svg"
+    emit_scatter(bp, 0, 1, out=str(out))
+    titles = ET.parse(out).getroot().iter("{http://www.w3.org/2000/svg}title")
+    assert [t.text for t in titles][:3] == ["a\ufffdb", "c\ufffd", "d"]
