@@ -161,7 +161,7 @@ def _read_label_file(path, object_labels):
             handle.seek(0)
             rows = [[cell.strip() for cell in row]
                     for row in records(handle, delimiter)]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read label file {path}: {exc}") from exc
     rows = list(filter(any, rows))
     for row in rows:

@@ -49,44 +49,43 @@ def load_table(path, delimiter=",", orientation="samples-rows",
     except (TypeError, ValueError):
         whole_rows = True
     try:
-        handle = open(path, "r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        # one row of text at a time, its values appended to one float64 buffer
-        rows = records(handle, delimiter)
-        header = [cell.strip() for cell in next(rows, [])]
-        width = len(header)
-        column_labels = header[1:]
-        row_labels, cells = [], array("d")
-        for lineno, row in enumerate(rows, start=2):
-            # checked once a data row exists: a lone header reports that first
-            if width < 2:
-                raise InputError(
-                    f"{path}: need a label column and at least one value column")
-            if len(row) != width:
-                raise InputError(
-                    f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
-                )
-            row_labels.append(row[0].strip())
-            if whole_rows:
-                # the row's floats are made before any is appended, so a
-                # row that fails leaves nothing to roll back
-                try:
-                    cells.fromlist(list(map(float, row[1:])))
-                    continue
-                except ValueError:
-                    pass  # a missing or bad cell: parse this row cell by cell
-            for col, cell in enumerate(row[1:], start=1):
-                cell = cell.strip()
-                try:
-                    cells.append(
-                        math.nan if cell in (missing_token, "") else float(cell))
-                except ValueError:
+        with open(path, "r", encoding="utf-8-sig", newline="") as handle:
+            # one row of text at a time, its values appended to one float64 buffer
+            rows = records(handle, delimiter)
+            header = [cell.strip() for cell in next(rows, [])]
+            width = len(header)
+            column_labels = header[1:]
+            row_labels, cells = [], array("d")
+            for lineno, row in enumerate(rows, start=2):
+                # checked once a data row exists: a lone header reports that first
+                if width < 2:
                     raise InputError(
-                        f"{path}: line {lineno}, column {header[col]!r}: "
-                        f"cell {cell!r} is not numeric"
-                    ) from None
+                        f"{path}: need a label column and at least one value column")
+                if len(row) != width:
+                    raise InputError(
+                        f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
+                    )
+                row_labels.append(row[0].strip())
+                if whole_rows:
+                    # the row's floats are made before any is appended, so a
+                    # row that fails leaves nothing to roll back
+                    try:
+                        cells.fromlist(list(map(float, row[1:])))
+                        continue
+                    except ValueError:
+                        pass  # a missing or bad cell: parse this row cell by cell
+                for col, cell in enumerate(row[1:], start=1):
+                    cell = cell.strip()
+                    try:
+                        cells.append(
+                            math.nan if cell in (missing_token, "") else float(cell))
+                    except ValueError:
+                        raise InputError(
+                            f"{path}: line {lineno}, column {header[col]!r}: "
+                            f"cell {cell!r} is not numeric"
+                        ) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
     if not row_labels:
         raise InputError(f"{path}: need a header row and at least one data row")
     # the last record's cells (one string per column) and the header go

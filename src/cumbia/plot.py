@@ -18,8 +18,10 @@ SAMPLE_COLOR = "#1f77b4"
 VARIABLE_COLOR = "#d62728"
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd",
            "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f"]
-# characters XML 1.0 forbids: C0 controls but tab, LF and CR; U+FFFE, U+FFFF
+# a raw CR would be read back as LF, so it goes as a reference; characters
+# XML 1.0 forbids: C0 controls but tab, LF and CR; U+FFFE, U+FFFF
 _XML_TEXT = {ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;",
+             ord("\r"): "&#13;",
              **dict.fromkeys([*range(9), 11, 12, *range(14, 32), 0xFFFE,
                               0xFFFF], "\ufffd")}
 
@@ -30,8 +32,8 @@ def _fmt(x):
 
 def _xml_text(text):
     """text with &, < and > escaped, as xml.sax.saxutils.escape does
-    (importing that module would import urllib.request with it), and each
-    character XML 1.0 forbids replaced with U+FFFD."""
+    (importing that module would import urllib.request with it), CR as
+    &#13;, and each character XML 1.0 forbids replaced with U+FFFD."""
     return text.translate(_XML_TEXT)
 
 

@@ -1,8 +1,8 @@
-"""Brute-force references for cumbia.joint_matrix,
-cumbia._kernels.identical_index_groups and cumbia.load_table, used by
-the tests.
-
-    from oracle import bytes_index_groups, csv_load_table, graph_oracle
+"""Brute-force references for the two-edge-path kernel, for
+cumbia.joint_matrix, cumbia._kernels.identical_index_groups and
+cumbia.load_table, used by the tests. The kernel references call no
+cumbia function and select with sorted(), so a bug in the kernel cannot
+reach the expectation it is checked against.
 """
 
 import csv
@@ -10,11 +10,7 @@ import math
 
 import numpy as np
 
-from cumbia import (DataMatrix, InputError, ParameterError,
-                    sample_variable_diss)
-from cumbia.dissimilarity import _clamp
-
-ORACLE_SIZE_LIMIT = 50
+from cumbia import DataMatrix, InputError, ParameterError
 
 
 def bytes_index_groups(M):
@@ -26,61 +22,62 @@ def bytes_index_groups(M):
     return [g for g in seen.values() if len(g) > 1]
 
 
-def graph_oracle(X_s, lambda1, K):
-    """Brute-force reference for joint_matrix, for small inputs only.
+def k_smallest_mean(values, K):
+    """The K smallest of values, summed in ascending order from the
+    smallest, divided by K last."""
+    smallest = sorted(values)[:K]
+    total = smallest[0]
+    for value in smallest[1:]:
+        total += value
+    return total / K
 
-    Builds the complete bipartite graph explicitly, enumerates every
-    two-edge path per same-kind pair as (length, intermediary) tuples,
-    sorts them, and averages the K smallest. Two objects of a kind whose
-    edge weights in w are bitwise identical are duplicates at distance 0.
-    Matches joint_matrix exactly, including the floating-point operation
-    order.
+
+def pair_oracle(R, K):
+    """Reference for pair_mean_k_smallest: entry (i, j) is the mean of the
+    K smallest of R[i] + R[j]. The diagonal is 0, and so is every pair of
+    rows with the same bytes (bytes_index_groups)."""
+    R = np.asarray(R, dtype=np.float64)
+    rows, n = R.tolist(), R.shape[0]
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            sums = [a + b for a, b in zip(rows[i], rows[j])]
+            out[i, j] = out[j, i] = k_smallest_mean(sums, K)
+    for group in bytes_index_groups(R):
+        out[np.ix_(group, group)] = 0.0
+    return out
+
+
+def k0_oracle(M, k0):
+    """Reference for shave's scores (pair_mean_k0_smallest): per row of the
+    pair matrix M, the mean of its min(k0, n - 1) smallest off-diagonal
+    entries."""
+    rows = np.asarray(M, dtype=np.float64).tolist()
+    k = min(k0, len(rows) - 1)
+    return np.array([k_smallest_mean(row[:i] + row[i + 1:], k)
+                     for i, row in enumerate(rows)], dtype=np.float64)
+
+
+def graph_oracle(X_s, lambda1, K):
+    """Reference for joint_matrix, for small inputs.
+
+    The complete bipartite graph: sample i and variable j are joined by
+    an edge of weight sqrt(max(lambda1 - X_s[i, j], 0)). A same-kind pair
+    is at the mean of its K smallest two-edge path lengths (pair_oracle),
+    with K at most the other kind's count; objects whose edges have the
+    same bytes are at distance 0. joint_matrix must give the same bytes.
     """
     X_s = np.asarray(X_s, dtype=np.float64)
     N, p = X_s.shape
-    if N > ORACLE_SIZE_LIMIT or p > ORACLE_SIZE_LIMIT:
-        raise ParameterError(
-            f"graph oracle limited to {ORACLE_SIZE_LIMIT} objects per kind, "
-            f"got {N}x{p}"
-        )
     if K < 1:
         raise ParameterError(f"K={K} must be >= 1")
-    w = sample_variable_diss(X_s, lambda1)
-    n = N + p
-    values = np.zeros((n, n), dtype=np.float64)
+    w = np.array([[math.sqrt(max(lambda1 - x, 0.0)) for x in row]
+                  for row in X_s.tolist()])
+    values = np.empty((N + p, N + p))
+    values[:N, :N] = pair_oracle(w, min(K, p))
     values[:N, N:] = w
     values[N:, :N] = w.T
-
-    def k_smallest_mean(paths, K):
-        paths.sort()
-        total = 0.0
-        for t in range(K):
-            total += paths[t][0]
-        return total / K
-
-    Ks = _clamp(K, p, "K", "available intermediaries for samples pairs")
-    for i in range(N):
-        for j in range(i + 1, N):
-            paths = [(w[i, k] + w[j, k], k) for k in range(p)]
-            values[i, j] = values[j, i] = k_smallest_mean(paths, Ks)
-    Kv = _clamp(K, N, "K", "available intermediaries for variables pairs")
-    for a in range(p):
-        for b in range(a + 1, p):
-            paths = [(w[k, a] + w[k, b], k) for k in range(N)]
-            va, vb = N + a, N + b
-            values[va, vb] = values[vb, va] = k_smallest_mean(paths, Kv)
-
-    for group in bytes_index_groups(w):
-        for x in range(len(group)):
-            for y in range(x + 1, len(group)):
-                values[group[x], group[y]] = 0.0
-                values[group[y], group[x]] = 0.0
-    for group in bytes_index_groups(w.T):
-        for x in range(len(group)):
-            for y in range(x + 1, len(group)):
-                values[N + group[x], N + group[y]] = 0.0
-                values[N + group[y], N + group[x]] = 0.0
-
+    values[N:, N:] = pair_oracle(w.T, min(K, N))
     return values
 
 

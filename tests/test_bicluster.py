@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from measure import traced_peak
+from oracle import k0_oracle, pair_oracle
 
 from cumbia import (
     CumbiaConfig,
@@ -104,20 +105,6 @@ def test_k0_clamped_with_warning():
         shave(X, CumbiaConfig(k_samples=2), k0=10, drop_fraction=0.3)
 
 
-def _k0_row_loop(M, k0):
-    # reference: one row at a time, diagonal removed with np.delete
-    n = M.shape[0]
-    k = min(k0, n - 1)
-    scores = np.empty(n)
-    for i in range(n):
-        smallest = np.sort(np.partition(np.delete(M[i], i), k - 1)[:k])
-        acc = smallest[0]
-        for t in range(1, k):
-            acc = acc + smallest[t]
-        scores[i] = acc / k
-    return scores
-
-
 def _rows_for(M):
     # R whose K=1 pair values are exactly M off the diagonal: one column
     # per pair (a, b) holding M[a, b] / 2 in rows a and b and 10 elsewhere,
@@ -149,7 +136,7 @@ def test_mean_k0_smallest_matches_row_loop(k0):
     M[:, [3, 5]] = M[:, [0]]
     M[np.ix_(group, group)] = 0.0
     assert within_kind_diss(R, 1, "samples").tobytes() == M.tobytes()
-    expect = _k0_row_loop(M, k0)
+    expect = k0_oracle(M, k0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = _kind_scores(R, 1, "samples", k0, set())
@@ -173,10 +160,10 @@ def test_k0_scores_independent_of_worker_count(monkeypatch, workers):
     sys.setswitchinterval(1e-6)
     try:
         for K in (1, 2, 6):
-            M = within_kind_diss(R, K, "samples")
+            M = pair_oracle(R, K)
             for k0 in (1, 2, 3, 8, 69):
                 got = pair_mean_k0_smallest(R, K, k0)
-                assert got.tobytes() == _k0_row_loop(M, k0).tobytes()
+                assert got.tobytes() == k0_oracle(M, k0).tobytes()
     finally:
         sys.setswitchinterval(interval)
 
@@ -190,10 +177,10 @@ def test_k0_scores_with_rows_longer_than_sort_columns():
     R = np.array([0.0, 0.25, 0.5, 1.0])[rng.integers(0, 4, size=(n, 5))]
     R[200] = R[7]
     for K in (1, 3):
-        M = within_kind_diss(R, K, "samples")
+        M = pair_oracle(R, K)
         for k0 in (1, 3):
             got = pair_mean_k0_smallest(R, K, k0)
-            assert got.tobytes() == _k0_row_loop(M, k0).tobytes()
+            assert got.tobytes() == k0_oracle(M, k0).tobytes()
 
 
 def test_k0_out_of_range_rejected():
@@ -287,7 +274,7 @@ def test_scores_match_public_functions_on_each_step():
             for kind, got in (("samples", step.sample_scores),
                               ("variables", step.variable_scores)):
                 M = within_kind_diss(D_sv, 3, kind)
-                expect = _k0_row_loop(M, 3)
+                expect = k0_oracle(M, 3)
                 assert got.tobytes() == expect.tobytes(), kind
 
 

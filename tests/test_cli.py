@@ -60,6 +60,19 @@ class TestExitCodes:
         res = run_cli(["explode"], tmp_path)
         assert res.returncode == 1
 
+    @pytest.mark.parametrize("flag, error", [
+        ("--in", "cannot read"), ("--labels", "cannot read label file")],
+        ids=["table", "labels"])
+    def test_a_file_that_is_not_utf8_exits_one(self, tmp_path, small_table,
+                                               capsys, flag, error):
+        # é in cp1252, a common spreadsheet export encoding, is the byte 0xe9
+        bad = tmp_path / "cp1252.csv"
+        bad.write_bytes(b"id,g1\ncaf\xe9,1.0\n")
+        assert main(["pca", "--plot", "--in", str(small_table), "--out",
+                     str(tmp_path / "o.csv"), flag, str(bad)]) == 1
+        assert (f"{error} {bad}: 'utf-8' codec can't decode byte 0xe9"
+                in capsys.readouterr().err)
+
     def test_invariant_violation_maps_to_two(self, monkeypatch, capsys):
         import cumbia.cli as cli_mod
         from cumbia.errors import InvariantViolation

@@ -17,7 +17,7 @@ from cumbia import (
 )
 from cumbia._kernels import identical_index_groups
 
-from oracle import bytes_index_groups, graph_oracle
+from oracle import bytes_index_groups
 
 
 def joint_from(A, k=1, s=None, k_vars=None):
@@ -287,39 +287,12 @@ class TestJointMatrix:
         clamps = [w for w in caught if "variables pairs" in str(w.message)]
         assert len(clamps) == 2
 
-
-class TestGraphOracle:
-    def test_identity_matches_joint(self):
-        J = joint_from(np.eye(2), k=1)
-        f = svd(np.eye(2))
-        O = graph_oracle(np.eye(2), float(f.singular_values[0]), 1)
-        assert J.tobytes() == O.tobytes()
-
     def test_single_sample_row_clamps_k(self):
         A = np.array([[0.3, -1.2, 0.8, 2.0]])
-        f = svd(A)
         with pytest.warns(CumbiaWarning, match="clamped"):
-            O = graph_oracle(A, float(f.singular_values[0]), 3)
+            J = joint_from(A, k=3)
         # variable pairs have exactly one two-edge path through the sample
-        w = O[0, 1:]
+        w = J[0, 1:]
         for a in range(4):
             for b in range(a + 1, 4):
-                assert O[1 + a, 1 + b] == w[a] + w[b]
-
-    def test_exact_equality_on_seeded_batch(self):
-        rng = np.random.default_rng(55)
-        for _ in range(6):
-            n = int(rng.integers(2, 9))
-            p = int(rng.integers(2, 13))
-            A = rng.standard_normal((n, p))
-            X = DataMatrix(A)
-            f = svd(X)
-            lam1 = float(f.singular_values[0])
-            for K in (1, 2, 3):
-                J = joint_matrix(X, CumbiaConfig(k_samples=K))
-                O = graph_oracle(A, lam1, K)
-                assert J.tobytes() == O.tobytes()
-
-    def test_size_guard(self):
-        with pytest.raises(ParameterError, match="limited"):
-            graph_oracle(np.zeros((51, 3)) + 1.0, 10.0, 1)
+                assert J[1 + a, 1 + b] == w[a] + w[b]

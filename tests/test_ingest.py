@@ -170,6 +170,11 @@ class TestLoadTable:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="cannot read"):
             load_table(str(tmp_path / "absent.csv"))
+        path = tmp_path / "cp1252.csv"  # é, not UTF-8, in a label cell
+        path.write_bytes(b"id,g1\ncaf\xe9,1.0\n")
+        with pytest.raises(InputError, match=r"cannot read .*cp1252\.csv: "
+                           "'utf-8' codec can't decode byte 0xe9"):
+            load_table(str(path))
 
     def test_header_only_rejected(self, tmp_path):
         with pytest.raises(InputError, match="need a header row and at least one"):

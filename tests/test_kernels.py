@@ -5,23 +5,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from measure import traced_peak
+from oracle import k0_oracle, pair_oracle
 
 from cumbia import _kernels, bicluster, cumbia, embedding, shave, svd
 from cumbia._kernels import pair_mean_k0_smallest, pair_mean_k_smallest
 from cumbia.errors import ParameterError
-
-
-def reference(R, K):
-    n, m = R.shape
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            sums = sorted(R[i, k] + R[j, k] for k in range(m))
-            acc = 0.0
-            for t in range(K):
-                acc += sums[t]
-            out[i, j] = out[j, i] = acc / K
-    return out
 
 
 def test_matches_sorted_reference():
@@ -32,7 +20,7 @@ def test_matches_sorted_reference():
         R = np.abs(rng.standard_normal((n, m)))
         for K in range(1, m + 1):
             got = pair_mean_k_smallest(R, K)
-            assert got.tobytes() == reference(R, K).tobytes()
+            assert got.tobytes() == pair_oracle(R, K).tobytes()
 
 
 def test_ties_at_selection_boundary():
@@ -45,7 +33,7 @@ def test_ties_at_selection_boundary():
     out = pair_mean_k_smallest(R, 2)
     assert out[0, 1] == 2.0
     assert out[0, 2] == 1.5
-    assert out.tobytes() == reference(R, 2).tobytes()
+    assert out.tobytes() == pair_oracle(R, 2).tobytes()
 
 
 def test_k_equals_m_averages_everything():
@@ -89,7 +77,7 @@ def test_bytes_independent_of_worker_count(monkeypatch, workers):
                                     lambda: workers)
                 got = pair_mean_k_smallest(R, K).tobytes()
                 assert got == single
-                assert got == reference(R, K).tobytes()
+                assert got == pair_oracle(R, K).tobytes()
 
 
 def no_thread(*args, **kwargs):
@@ -113,7 +101,7 @@ def test_small_input_runs_on_the_caller_thread(monkeypatch):
     monkeypatch.setattr(_kernels, "threading",
                         SimpleNamespace(Thread=no_thread))
     R = np.abs(np.random.default_rng(4).standard_normal((12, 120)))
-    assert pair_mean_k_smallest(R, 3).tobytes() == reference(R, 3).tobytes()
+    assert pair_mean_k_smallest(R, 3).tobytes() == pair_oracle(R, 3).tobytes()
 
 
 def test_worker_exception_reraised_on_caller(monkeypatch):
@@ -171,11 +159,10 @@ def test_chunks_of_a_row_keep_the_bytes(monkeypatch, workers):
         R = np.abs(rng.standard_normal((19, m)))
         for group in groups:
             R[group[1:]] = R[group[0]]
-        expected = reference(R, 3)
+        expected = pair_oracle(R, 3)
         for group in groups:
-            expected[np.ix_(group, group)] = 0.0
-        k0 = _kernels._mean_k_smallest(
-            np.where(np.eye(19, dtype=bool), np.inf, expected), 4)
+            assert not expected[np.ix_(group, group)].any()
+        k0 = k0_oracle(expected, 4)
         for chunk in (1, 3, 18):
             monkeypatch.setattr(_kernels, "SCRATCH_VALUES", chunk * m)
             got = pair_mean_k_smallest(R, 3)
@@ -222,7 +209,7 @@ def test_both_selection_branches_match_reference(m):
     for R in (ties, rng.random((5, m))):
         for K in (1, 3, m // 2, m):
             got = pair_mean_k_smallest(R, K)
-            assert got.tobytes() == reference(R, K).tobytes()
+            assert got.tobytes() == pair_oracle(R, K).tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -258,9 +245,9 @@ def test_panels_and_duplicate_groups_match_the_zeroed_reference(monkeypatch,
     for group in groups:
         R[group[1:]] = R[group[0]]
     for K in (1, 3, 5):
-        expected = reference(R, K)
+        expected = pair_oracle(R, K)
         for group in groups:
-            expected[np.ix_(group, group)] = 0.0
+            assert not expected[np.ix_(group, group)].any()
         got = pair_mean_k_smallest(R, K)
         assert got.tobytes() == expected.tobytes()
 
@@ -276,11 +263,10 @@ def test_identical_rows_are_zeroed_without_being_named():
     R = D.T
     assert not R.flags.c_contiguous
     for K in (2, 6):
-        expected = reference(R, K)
+        expected = pair_oracle(R, K)
         assert expected[2, 5] > 0.0
-        expected[np.ix_([1, 4, 7], [1, 4, 7])] = 0.0
-        k0 = _kernels._mean_k_smallest(
-            np.where(np.eye(9, dtype=bool), np.inf, expected), 3)
+        assert not expected[np.ix_([1, 4, 7], [1, 4, 7])].any()
+        k0 = k0_oracle(expected, 3)
         assert pair_mean_k_smallest(R, K).tobytes() == expected.tobytes()
         assert pair_mean_k0_smallest(R, K, 3).tobytes() == k0.tobytes()
 
@@ -306,7 +292,7 @@ def test_the_caller_is_worker_zero(monkeypatch):
     monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
     monkeypatch.setattr(_kernels, "threading", counting)
     R = np.abs(np.random.default_rng(8).standard_normal((10, 4)))
-    assert pair_mean_k_smallest(R, 2).tobytes() == reference(R, 2).tobytes()
+    assert pair_mean_k_smallest(R, 2).tobytes() == pair_oracle(R, 2).tobytes()
     assert len(counting.made) == 2
     assert pair_mean_k0_smallest(R, 2, 3).shape == (10,)
     assert len(counting.made) == 4
@@ -368,7 +354,7 @@ def test_openblas_parked_once_before_the_threads_start(monkeypatch,
                                                        recorder):
     monkeypatch.setattr(_kernels, "_worker_count", lambda: 3)
     R = np.abs(np.random.default_rng(10).standard_normal((10, 4)))
-    assert pair_mean_k_smallest(R, 2).tobytes() == reference(R, 2).tobytes()
+    assert pair_mean_k_smallest(R, 2).tobytes() == pair_oracle(R, 2).tobytes()
     assert recorder.events == ["park", "start", "start"]
     pair_mean_k0_smallest(R, 2, 3)
     assert recorder.events == ["park", "start", "start"] * 2
@@ -396,7 +382,7 @@ def test_no_park_while_another_python_thread_is_alive(monkeypatch,
         release.set()
         waiting.join(timeout=60)
     assert not waiting.is_alive()
-    assert got.tobytes() == reference(R, 2).tobytes()
+    assert got.tobytes() == pair_oracle(R, 2).tobytes()
     assert recorder.events == ["start", "start"]
 
 
@@ -413,7 +399,7 @@ def test_no_park_without_the_bundled_openblas(monkeypatch, library):
     if library is None:
         assert _kernels._lapack.__wrapped__() is None
     R = np.abs(np.random.default_rng(13).standard_normal((10, 4)))
-    assert pair_mean_k_smallest(R, 2).tobytes() == reference(R, 2).tobytes()
+    assert pair_mean_k_smallest(R, 2).tobytes() == pair_oracle(R, 2).tobytes()
     assert len(counting.made) == 2
 
 

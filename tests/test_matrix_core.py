@@ -14,8 +14,7 @@ from cumbia import (
     svd,
     truncate,
 )
-from cumbia.matrix_core import (RANK_TOLERANCE, _fix_column_signs,
-                                require_finite)
+from cumbia.matrix_core import RANK_TOLERANCE, _fix_column_signs
 
 
 def test_datamatrix_generates_default_labels():
@@ -222,20 +221,3 @@ def test_truncation_rank_rule_is_shared():
         with pytest.raises(ParameterError, match=f"^{re.escape(text)}$"):
             call()
 
-
-def frobenius_norm(A):
-    """Square root of the sum of squared entries."""
-    M = np.atleast_2d(np.asarray(A, dtype=np.float64))
-    require_finite(M)
-    return float(np.linalg.norm(M))
-
-
-def test_frobenius_norm_examples():
-    assert frobenius_norm(np.zeros((2, 2))) == 0.0
-    assert abs(frobenius_norm(np.eye(2)) - np.sqrt(2)) < 1e-15
-    assert frobenius_norm(np.array([[3.0, 4.0]])) == 5.0
-
-
-def test_frobenius_norm_rejects_nonfinite():
-    with pytest.raises(InputError):
-        frobenius_norm(np.array([[1.0, np.inf]]))

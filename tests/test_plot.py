@@ -95,7 +95,7 @@ def test_degenerate_range_still_renders(tmp_path):
     assert out.read_text().count('class="marker"') == 2
 
 
-@pytest.mark.parametrize("label", ["A&B", "<v>"])
+@pytest.mark.parametrize("label", ["A&B", "<v>", "s\r1"])
 def test_markup_in_labels_is_escaped(tmp_path, label):
     bp = pca_biplot(DataMatrix(np.random.default_rng(7).standard_normal((3, 3)),
                                variable_labels=[label, "b", "c"]))
