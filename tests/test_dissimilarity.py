@@ -17,7 +17,7 @@ from cumbia import (
 )
 from cumbia._kernels import identical_index_groups
 
-from oracle import bytes_index_groups
+from oracle import bytes_index_groups, graph_oracle
 
 
 def joint_from(A, k=1, s=None, k_vars=None):
@@ -296,3 +296,11 @@ class TestJointMatrix:
         for a in range(4):
             for b in range(a + 1, 4):
                 assert J[1 + a, 1 + b] == w[a] + w[b]
+
+
+class TestGraphOracle:
+    def test_identity_matches_joint(self):
+        J = joint_from(np.eye(2), k=1)
+        f = svd(np.eye(2))
+        O = graph_oracle(np.eye(2), float(f.singular_values[0]), 1)
+        assert J.tobytes() == O.tobytes()
