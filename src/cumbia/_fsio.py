@@ -8,6 +8,8 @@ import tempfile
 
 import numpy as np
 
+from .errors import InputError
+
 
 def atomic_write_text(path, text):
     atomic_write(path, (text,))
@@ -16,16 +18,19 @@ def atomic_write_text(path, text):
 def atomic_write(path, chunks):
     """Write text chunks to a temp file beside path, then rename it over path."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-cumbia-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(chunks)
-        os.chmod(tmp, 0o644)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-cumbia-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.writelines(chunks)
+            os.chmod(tmp, 0o644)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:  # a missing folder, a folder at path, a full disk
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def write_table(path, header, first_cells, blocks, delim, missing="nan"):

@@ -127,8 +127,9 @@ def _cfg_from(args):
 
 
 def _load(args):
-    return load_table(args.in_path, delimiter=DELIMS[args.delim],
-                      orientation=args.orient, missing_token=args.missing)
+    X = load_table(args.in_path, delimiter=DELIMS[args.delim],
+                   orientation=args.orient, missing_token=args.missing)
+    return X, sha256_file(args.in_path)  # before any output replaces it
 
 
 def _require_complete(X, remedy="run preprocess first"):
@@ -184,16 +185,15 @@ def _read_spectrum(path):
         raise InputError(f"spectrum file {path}: {exc}") from None
 
 
-def _manifest(args, outputs, report=None):
+def _manifest(args, source, outputs, report=None):
     """Write <out>.manifest.json: each parsed flag under its dest name (in
-    and out for the paths), the input digest and each output's digest."""
+    and out for the paths), the input digest source and output digests."""
     parameters = {key.removesuffix("_path"): value
                   for key, value in vars(args).items() if key != "command"}
-    source = parameters.get("in")
     payload = {
         "command": args.command,
         "parameters": parameters,
-        "input_sha256": sha256_file(source) if source else None,
+        "input_sha256": source,
         "outputs": {path: sha256_file(path) for path in outputs},
         "version": __version__,
     }
@@ -241,12 +241,12 @@ def cmd_synth(args):
                     zip(X.sample_labels + X.variable_labels, groups + tags),
                     (np.empty((X.n_samples + X.n_variables, 0)),), ",")
         outputs.append(args.labels)
-    _manifest(args, outputs)
+    _manifest(args, None, outputs)
     return 0
 
 
 def cmd_preprocess(args):
-    X = _load(args)
+    X, source = _load(args)
     steps = [s.strip() for s in args.steps.split(",") if s.strip()]
     if not steps:
         raise InputError("--steps must name at least one step")
@@ -270,14 +270,14 @@ def cmd_preprocess(args):
                 f"unknown step {step!r}; choose from filter-log2, zscore"
             )
     _write_matrix(X, args.out_path, DELIMS[args.delim])
-    _manifest(args, [args.out_path], report)
+    _manifest(args, source, [args.out_path], report)
     return 0
 
 
 def cmd_cumbia(args):
     # before any work, and again against the columns the embedding has
     _check_components(args, args.dims, f"--dims {args.dims}")
-    X = _load(args)
+    X, source = _load(args)
     _require_complete(X)
     emb = cumbia(X, _cfg_from(args), dims=args.dims)
     # the plot first: its checks then fail before any table is written
@@ -287,13 +287,13 @@ def cmd_cumbia(args):
     spectrum_path = args.out_path + ".spectrum.txt"
     atomic_write_text(spectrum_path,
                       "\n".join(map(repr, emb.eigenvalues.tolist())) + "\n")
-    _manifest(args, outputs + [args.out_path, spectrum_path])
+    _manifest(args, source, outputs + [args.out_path, spectrum_path])
     return 0
 
 
 def cmd_pca(args):
     _check_components(args)
-    X = _load(args)
+    X, source = _load(args)
     _require_complete(X)
     bp = pca_biplot(X, s=_parse_s(args.s), alpha=args.alpha)
     del X  # the biplot holds what the plot and the table need
@@ -301,13 +301,13 @@ def cmd_pca(args):
     _write_coords(bp.object_labels, bp.object_kinds,
                   (bp.sample_coords, bp.variable_coords), args.out_path,
                   DELIMS[args.delim])
-    _manifest(args, outputs + [args.out_path])
+    _manifest(args, source, outputs + [args.out_path])
     return 0
 
 
 def cmd_scree(args):
     if args.mode == "pca":
-        X = _load(args)
+        X, source = _load(args)
         _require_complete(X)
         # only the spectrum is kept: the matrix and the factors are released
         # before the table and the manifest are written
@@ -315,6 +315,7 @@ def cmd_scree(args):
         del X
     else:
         spectrum, mode = _read_spectrum(args.in_path), "eigenvalues"
+        source = sha256_file(args.in_path)
     fractions, negatives = scree(spectrum, mode)
     first = [("positive_fraction", str(i)) for i in range(1, len(fractions) + 1)]
     first += [("negative_eigenvalue", str(i))
@@ -322,12 +323,12 @@ def cmd_scree(args):
     write_table(args.out_path, ["kind", "index", "value"], first,
                 (np.concatenate([fractions, negatives])[:, None],),
                 DELIMS[args.delim])
-    _manifest(args, [args.out_path])
+    _manifest(args, source, [args.out_path])
     return 0
 
 
 def cmd_shave(args):
-    X = _load(args)
+    X, source = _load(args)
     _require_complete(X)
     trace = shave(X, _cfg_from(args), k0=args.k0,
                   drop_fraction=args.drop_fraction,
@@ -341,7 +342,7 @@ def cmd_shave(args):
         scores += [step.sample_scores[:, None], step.variable_scores[:, None]]
     write_table(args.out_path, ["step", "kind", "object_label", "score"],
                 first, scores, DELIMS[args.delim])
-    _manifest(args, [args.out_path])
+    _manifest(args, source, [args.out_path])
     return 0
 
 

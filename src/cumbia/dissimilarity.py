@@ -109,8 +109,6 @@ def within_kind_diss(D_sv, K, kind, out=None):
         R = D_sv.T
     else:
         raise ParameterError(f"kind must be samples or variables, not {kind!r}")
-    if K < 1:
-        raise ParameterError(f"K={K} must be >= 1")
     K = _clamp(K, R.shape[1], "K",
                f"available intermediaries for {kind} pairs")
     return pair_mean_k_smallest(R, K, out=out)

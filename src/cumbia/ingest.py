@@ -186,6 +186,8 @@ def synth_block(N=60, p=1500, n_planted=6, p_planted=PLANTED_VARIABLES,
         raise ParameterError(
             f"planted block {n_planted}x{p_planted} exceeds matrix {N}x{p}"
         )
+    if seed < 0:
+        raise ParameterError(f"seed={seed} must be >= 0")
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((N, p))
     values[:n_planted, :p_planted] += shift

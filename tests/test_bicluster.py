@@ -1,4 +1,3 @@
-import sys
 import warnings
 
 import numpy as np
@@ -20,7 +19,7 @@ from cumbia import (
     within_kind_diss,
 )
 from cumbia import _kernels
-from cumbia._kernels import identical_index_groups, pair_mean_k0_smallest
+from cumbia._kernels import pair_mean_k0_smallest
 from cumbia.bicluster import _kind_scores
 
 # the last steps of shave on these small inputs keep 2 samples, fewer than
@@ -42,19 +41,6 @@ def test_trace_is_strictly_nested():
         assert set(cur.variable_indices) < set(prev.variable_indices)
     assert trace.steps[-1].sample_indices.size >= 2
     assert trace.steps[-1].variable_indices.size >= 2
-
-
-@CLAMPS_AT_TWO_SAMPLES
-def test_identical_inputs_identical_traces():
-    X, _ = synth_block(N=12, p=20, n_planted=3, p_planted=4, seed=3)
-    t1 = shave(X, CumbiaConfig(), k0=3, drop_fraction=0.15)
-    t2 = shave(X, CumbiaConfig(), k0=3, drop_fraction=0.15)
-    assert len(t1.steps) == len(t2.steps)
-    for a, b in zip(t1.steps, t2.steps):
-        assert a.sample_indices.tolist() == b.sample_indices.tolist()
-        assert a.variable_indices.tolist() == b.variable_indices.tolist()
-        assert a.sample_scores.tobytes() == b.sample_scores.tobytes()
-        assert a.variable_scores.tobytes() == b.variable_scores.tobytes()
 
 
 @CLAMPS_AT_TWO_SAMPLES
@@ -142,30 +128,6 @@ def test_mean_k0_smallest_matches_row_loop(k0):
         got = _kind_scores(R, 1, "samples", k0, set())
     assert got.tobytes() == expect.tobytes()
     assert len(caught) == (1 if k0 >= n else 0)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_k0_scores_independent_of_worker_count(monkeypatch, workers):
-    # 70 rows over panels of 4: full and partial panels on every worker
-    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
-    monkeypatch.setattr(_kernels, "PANEL_ROWS", 4)
-    monkeypatch.setattr(_kernels, "_worker_count", lambda: workers)
-    rng = np.random.default_rng(17)
-    R = np.array([0.0, 0.25, 0.5, 1.0])[rng.integers(0, 4, size=(70, 6))]
-    R[9] = R[2]
-    R[40] = R[2]
-    assert [2, 9, 40] in identical_index_groups(R)
-    # switch threads often, so a lost write to the shared lists would show
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for K in (1, 2, 6):
-            M = pair_oracle(R, K)
-            for k0 in (1, 2, 3, 8, 69):
-                got = pair_mean_k0_smallest(R, K, k0)
-                assert got.tobytes() == k0_oracle(M, k0).tobytes()
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_k0_scores_with_rows_longer_than_sort_columns():

@@ -14,7 +14,7 @@ from measure import TOOLS, child_env, traced_peak
 
 from cumbia import (CumbiaWarning, DataMatrix, cli, cumbia, load_table, scree,
                     synth_block, zscore_variables)
-from cumbia._fsio import write_table
+from cumbia._fsio import sha256_file, write_table
 from cumbia.cli import (_read_label_file, _write_coords, _write_matrix,
                         build_parser, main)
 from cumbia.plot import PALETTE
@@ -72,6 +72,23 @@ class TestExitCodes:
                      str(tmp_path / "o.csv"), flag, str(bad)]) == 1
         assert (f"{error} {bad}: 'utf-8' codec can't decode byte 0xe9"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv, error", [
+        (["synth", "--seed", "-1", "--out", "m.csv"], "seed=-1 must be >= 0"),
+        (["pca", "--in", "small.csv", "--out", "missing/o.csv"],
+         "cannot write missing/o.csv: "),
+        (["pca", "--in", "small.csv", "--out", "folder"],
+         "cannot write folder: ")],
+        ids=["negative-seed", "no-such-folder", "folder-at-path"])
+    def test_bad_seed_or_unwritable_output_exits_one(
+            self, tmp_path, small_table, monkeypatch, capsys, argv, error):
+        # the folder is left as it was: no output, manifest or temp file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "folder").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv) == 1
+        assert f"error: {error}" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_invariant_violation_maps_to_two(self, monkeypatch, capsys):
         import cumbia.cli as cli_mod
@@ -208,6 +225,17 @@ class TestPreprocess:
         res = run_cli(["preprocess", "--in", str(small_table),
                        "--out", "z.csv", "--steps", "fourier"], tmp_path)
         assert res.returncode == 1
+
+    def test_in_place_manifest_records_the_bytes_read(self, tmp_path,
+                                                      small_table):
+        # the output replaces the input; the manifest keeps both digests
+        read, path = sha256_file(small_table), str(small_table)
+        assert main(["preprocess", "--in", path, "--out", path,
+                     "--steps", "zscore"]) == 0
+        manifest = json.loads((tmp_path / "small.csv.manifest.json").read_text())
+        written = sha256_file(path)
+        assert manifest["input_sha256"] == read != written
+        assert manifest["outputs"] == {path: written}
 
     def test_input_never_mutated(self, tmp_path, small_table):
         before = small_table.read_bytes()

@@ -412,3 +412,7 @@ class TestSynthBlock:
             synth_block(N=5, p=10, n_planted=6, p_planted=2)
         with pytest.raises(ParameterError):
             synth_block(N=5, p=10, n_planted=2, p_planted=11)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed=-1"):
+            synth_block(seed=-1)

@@ -61,23 +61,69 @@ def test_numpy_path_handles_single_row():
     assert out[0, 0] == 0.0
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 8])
-def test_bytes_independent_of_worker_count(monkeypatch, workers):
-    # n runs from 1 (no pairs) through n - 1 < workers to n - 1 > workers
-    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
+def sweep_inputs():
+    """(R, duplicate groups, Ks, k0s) of each input the sweep checks."""
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 4, 9, 17):
         for m in (1, 2, 5):
             R = np.abs(rng.standard_normal((n, m)))
             R[:, -1] = R[:, 0]  # ties at the selection boundary
-            for K in range(1, m + 1):
-                monkeypatch.setattr(_kernels, "_worker_count", lambda: 1)
-                single = pair_mean_k_smallest(R, K).tobytes()
-                monkeypatch.setattr(_kernels, "_worker_count",
-                                    lambda: workers)
-                got = pair_mean_k_smallest(R, K).tobytes()
-                assert got == single
-                assert got == pair_oracle(R, K).tobytes()
+            yield R, [], range(1, m + 1), (1, n - 1)[:n - 1]  # k0: 1, n - 1
+    rng = np.random.default_rng(10)
+    for m in (5, _kernels.SORT_COLUMNS + 3):
+        R = np.abs(rng.standard_normal((19, m)))
+        yield R, [[1, 6, 17], [9, 12]], (3,), (4,)
+    R = np.abs(np.random.default_rng(7).standard_normal((23, 5)))
+    yield R, [[0, 7, 13, 22], [4, 5], [20, 9]], (1, 3, 5), (1, 22)
+    R = np.random.default_rng(17).choice([0.0, 0.25, 0.5, 1.0], (70, 6))
+    yield R, [[2, 9, 40]], (1, 2, 6), (1, 2, 3, 8, 69)
+    R = np.abs(np.random.default_rng(6).standard_normal((40, 30)))
+    R[:, 7] = R[:, 3]
+    yield R, [[2, 11]], (1, 3, 30), (1, 3, 39)
+
+
+@pytest.fixture(scope="module")
+def expected():
+    """Each input, its groups planted, and its oracle bytes per K and k0."""
+    cases = []
+    for R, groups, Ks, k0s in sweep_inputs():
+        for group in groups:
+            R[group[1:]] = R[group[0]]
+        pairs, scores = {}, {}
+        for K in Ks:
+            M = pair_oracle(R, K)
+            assert all(not M[np.ix_(g, g)].any() for g in groups), R.shape
+            pairs[K] = M.tobytes()
+            scores.update({(K, k0): k0_oracle(M, k0).tobytes() for k0 in k0s})
+        cases.append((R, pairs, scores))
+    return cases
+
+
+@pytest.mark.parametrize("workers, panel_rows, chunk_rows, sort_columns", [
+    (1, _kernels.PANEL_ROWS, 1, _kernels.SORT_COLUMNS), (2, 4, 3, 0),
+    (3, 4, 18, 10**9), (8, 2, None, _kernels.SORT_COLUMNS),
+    (2, _kernels.PANEL_ROWS, None, 0), (3, 2, 3, 10**9)])
+def test_speed_only_constants_keep_the_oracle_bytes(
+        monkeypatch, expected, workers, panel_rows, chunk_rows, sort_columns):
+    # chunk_rows is SCRATCH_VALUES in rows of m sums, None its default;
+    # threads switch as often as they can, so a lost write would show
+    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: workers)
+    monkeypatch.setattr(_kernels, "PANEL_ROWS", panel_rows)
+    monkeypatch.setattr(_kernels, "SORT_COLUMNS", sort_columns)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for R, pairs, scores in expected:
+            if chunk_rows is not None:
+                monkeypatch.setattr(_kernels, "SCRATCH_VALUES",
+                                    chunk_rows * R.shape[1])
+            got = [pair_mean_k_smallest(R, K).tobytes() for K in pairs]
+            assert got == list(pairs.values()), (R.shape, list(pairs))
+            got = [pair_mean_k0_smallest(R, *key).tobytes() for key in scores]
+            assert got == list(scores.values()), (R.shape, list(scores))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def no_thread(*args, **kwargs):
@@ -148,30 +194,6 @@ def test_worker_scratch_stays_within_the_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_chunks_of_a_row_keep_the_bytes(monkeypatch, workers):
-    # one, three and all columns j of a row per chunk, the last chunk of a
-    # row short, with duplicate groups and both selection branches
-    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
-    monkeypatch.setattr(_kernels, "_worker_count", lambda: workers)
-    rng = np.random.default_rng(10)
-    groups = [[1, 6, 17], [9, 12]]
-    for m in (5, _kernels.SORT_COLUMNS + 3):
-        R = np.abs(rng.standard_normal((19, m)))
-        for group in groups:
-            R[group[1:]] = R[group[0]]
-        expected = pair_oracle(R, 3)
-        for group in groups:
-            assert not expected[np.ix_(group, group)].any()
-        k0 = k0_oracle(expected, 4)
-        for chunk in (1, 3, 18):
-            monkeypatch.setattr(_kernels, "SCRATCH_VALUES", chunk * m)
-            got = pair_mean_k_smallest(R, 3)
-            assert got.tobytes() == expected.tobytes(), (m, chunk)
-            got = pair_mean_k0_smallest(R, 3, 4)
-            assert got.tobytes() == k0.tobytes(), (m, chunk)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
 def test_out_view_gets_the_allocating_bytes(monkeypatch, workers):
     # out is an off-diagonal block of a larger NaN-filled buffer: a strided
     # view whose diagonal is not the buffer's; every entry of it is written
@@ -210,46 +232,6 @@ def test_both_selection_branches_match_reference(m):
         for K in (1, 3, m // 2, m):
             got = pair_mean_k_smallest(R, K)
             assert got.tobytes() == pair_oracle(R, K).tobytes()
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_selection_branch_does_not_change_bytes(monkeypatch, workers):
-    # every row sorted whole, then every row partitioned: same bytes
-    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
-    monkeypatch.setattr(_kernels, "_worker_count", lambda: workers)
-    rng = np.random.default_rng(6)
-    R = np.abs(rng.standard_normal((40, 30)))
-    R[:, 7] = R[:, 3]  # ties at the selection boundary
-    R[11] = R[2]
-    got = {}
-    for columns in (0, 10**9):
-        monkeypatch.setattr(_kernels, "SORT_COLUMNS", columns)
-        got[columns] = [pair_mean_k_smallest(R, K).tobytes()
-                        for K in (1, 3, 30)]
-        got[columns] += [pair_mean_k0_smallest(R, K, k0).tobytes()
-                         for K in (1, 3) for k0 in (1, 3, 39)]
-    assert got[0] == got[10**9]
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_panels_and_duplicate_groups_match_the_zeroed_reference(monkeypatch,
-                                                                workers):
-    # panels of 4 rows, so each worker hands over full panels and a short
-    # last one; the groups' members fall to different workers
-    monkeypatch.setattr(_kernels, "PANEL_ROWS", 4)
-    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
-    monkeypatch.setattr(_kernels, "_worker_count", lambda: workers)
-    rng = np.random.default_rng(7)
-    R = np.abs(rng.standard_normal((23, 5)))
-    groups = [[0, 7, 13, 22], [4, 5], [20, 9]]
-    for group in groups:
-        R[group[1:]] = R[group[0]]
-    for K in (1, 3, 5):
-        expected = pair_oracle(R, K)
-        for group in groups:
-            assert not expected[np.ix_(group, group)].any()
-        got = pair_mean_k_smallest(R, K)
-        assert got.tobytes() == expected.tobytes()
 
 
 def test_identical_rows_are_zeroed_without_being_named():
@@ -416,31 +398,6 @@ def test_a_real_park_keeps_the_svd_bytes():
     assert lib.scipy_openblas_get_num_threads64_() == threads
     for name in ("U", "singular_values", "V"):
         assert getattr(after, name).tobytes() == getattr(before, name).tobytes()
-
-
-def test_many_workers_switching_often_keep_the_bytes(monkeypatch):
-    # more workers than cores, and the interpreter switching threads as often
-    # as it can: the writer's entries and each worker's lists stay its own
-    monkeypatch.setattr(_kernels, "PANEL_ROWS", 2)
-    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
-    R = np.abs(np.random.default_rng(9).standard_normal((60, 7)))
-    R[[30, 59]] = R[1]
-    R[2] = R[3]
-
-    def both():
-        return (pair_mean_k_smallest(R, 3).tobytes(),
-                pair_mean_k0_smallest(R, 3, 4).tobytes())
-
-    monkeypatch.setattr(_kernels, "_worker_count", lambda: 1)
-    expected = both()
-    monkeypatch.setattr(_kernels, "_worker_count", lambda: 8)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            assert both() == expected
-    finally:
-        sys.setswitchinterval(interval)
 
 
 # shave's last steps keep 2 samples
