@@ -12,38 +12,32 @@ from .errors import InputError
 
 
 def atomic_write_text(path, text):
-    atomic_write(path, (text,))
+    atomic_write([(path, (text,))])
 
 
-def atomic_write(path, chunks):
-    """Write text chunks to a temp file beside path, then rename it over path."""
-    directory = os.path.dirname(os.path.abspath(path))
+def atomic_write(outputs):
+    """Write each (path, lines) pair of outputs to a temp file beside its
+    path, then rename them all: a failure, or a folder at a path, replaces
+    no file before the renames and leaves no temp file."""
+    temps, path = [], None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-cumbia-")
-        try:
+        for path, lines in outputs:
+            if os.path.isdir(path):
+                raise InputError(f"cannot write {path}: Is a directory")
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
+                                       prefix=".tmp-cumbia-")
+            temps.append((tmp, path))
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-                handle.writelines(chunks)
+                handle.writelines(lines)
             os.chmod(tmp, 0o644)
+        for tmp, path in temps:
             os.replace(tmp, path)
-        except BaseException:
+    except OSError as exc:  # a missing folder, a full disk
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:  # the temp files not renamed
+        for tmp, _ in temps:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-            raise
-    except OSError as exc:  # a missing folder, a folder at path, a full disk
-        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def write_table(path, header, first_cells, blocks, delim, missing="nan"):
-    """Write a header line, then per row its leading cells and its values.
-
-    blocks is a sequence of 2-D arrays with one column count, whose rows
-    follow one another; first_cells holds a tuple of leading text cells
-    per row. Header and leading cells are quoted by _quote. A value is
-    written as repr of its Python float, the shortest text that reads back
-    as the same double; NaN is written as `missing`. Each line goes to the
-    file as it is made, so one row of text is held at a time.
-    """
-    atomic_write(path, _table_lines(header, first_cells, blocks, delim, missing))
 
 
 def _quote(cell, delim):
@@ -54,7 +48,16 @@ def _quote(cell, delim):
     return cell
 
 
-def _table_lines(header, first_cells, blocks, delim, missing):
+def table_lines(header, first_cells, blocks, delim, missing="nan"):
+    """Yield a header line, then per row its leading cells and its values.
+
+    blocks is a sequence of 2-D arrays with one column count, whose rows
+    follow one another; first_cells holds a tuple of leading text cells
+    per row. Header and leading cells are quoted by _quote. A value is
+    written as repr of its Python float, the shortest text that reads back
+    as the same double; NaN is written as `missing`. Lines are made as
+    they are asked for, so one row of text is held at a time.
+    """
     yield delim.join([_quote(cell, delim) for cell in header]) + "\n"
     # zip takes a block's rows before the leading cells, so the end of a
     # block consumes none of the next block's cells

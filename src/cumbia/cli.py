@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: synth, preprocess, cumbia, pca, scree, shave. Every command
-writes its outputs atomically and drops a JSON manifest next to the main
-output recording the resolved parameters, the input digest, and the
-digests of everything written, so a run can be reproduced from the
-manifest alone.
+returns its outputs as lines; run writes them all atomically and then a
+JSON manifest next to the main output recording the resolved parameters,
+the input digest, and the digests of everything written, so a run can be
+reproduced from the manifest alone.
 
 Exit codes: 0 success, 1 input or usage error, 2 internal invariant
 violation.
@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._fsio import atomic_write_text, records, sha256_file, write_table
+from ._fsio import (atomic_write, atomic_write_text, records, sha256_file,
+                    table_lines)
 from .bicluster import shave
 from .dissimilarity import CumbiaConfig
 from .embedding import cumbia, pca_biplot, scree
@@ -30,7 +31,7 @@ from .ingest import (
     zscore_variables,
 )
 from .matrix_core import svd
-from .plot import emit_scatter
+from .plot import svg_lines
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,17 +138,22 @@ def _require_complete(X, remedy="run preprocess first"):
         raise InputError(f"input contains missing values; {remedy}")
 
 
+def _matrix_lines(X, delim):
+    return table_lines(["id", *X.variable_labels], zip(X.sample_labels),
+                       (X.values,), delim, missing="NA")
+
+
 def _write_matrix(X, path, delim):
-    write_table(path, ["id", *X.variable_labels], zip(X.sample_labels),
-                (X.values,), delim, missing="NA")
+    atomic_write([(path, _matrix_lines(X, delim))])
 
 
-def _write_coords(labels, kinds, blocks, path, delim):
-    """Write the coordinate rows of blocks, 2-D arrays of d columns whose
-    rows follow one another, beside each object's label and kind."""
+def _coords_lines(obj, blocks, delim):
+    """Table lines of blocks, 2-D arrays of d columns whose rows follow one
+    another, beside each of obj's object labels and kinds."""
     d = blocks[0].shape[1]
     header = ["object_label", "kind"] + [f"coord_{k + 1}" for k in range(d)]
-    write_table(path, header, zip(labels, kinds), blocks, delim)
+    return table_lines(header, zip(obj.object_labels, obj.object_kinds),
+                       blocks, delim)
 
 
 def _read_label_file(path, object_labels):
@@ -185,16 +191,16 @@ def _read_spectrum(path):
         raise InputError(f"spectrum file {path}: {exc}") from None
 
 
-def _manifest(args, source, outputs, report=None):
+def _manifest(args, source, outputs, report):
     """Write <out>.manifest.json: each parsed flag under its dest name (in
-    and out for the paths), the input digest source and output digests."""
+    and out for the paths), the input digest source and outputs' digests."""
     parameters = {key.removesuffix("_path"): value
                   for key, value in vars(args).items() if key != "command"}
     payload = {
         "command": args.command,
         "parameters": parameters,
         "input_sha256": source,
-        "outputs": {path: sha256_file(path) for path in outputs},
+        "outputs": {path: sha256_file(path) for path, _ in outputs},
         "version": __version__,
     }
     if report is not None:
@@ -203,7 +209,7 @@ def _manifest(args, source, outputs, report=None):
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _check_components(args, dims=float("inf"), limit=""):
+def _check_components(args, dims, limit):
     """Reject a plotted component below 1 or above dims, which limit
     names in the error."""
     if args.plot and min(args.component_x, args.component_y) < 1:
@@ -215,34 +221,31 @@ def _check_components(args, dims=float("inf"), limit=""):
 
 
 def _maybe_plot(args, emb_or_biplot, dims):
-    """Write <out>.svg of an object with dims coordinate columns when
-    --plot is given; return the paths written."""
+    """[(<out>.svg, its lines)] for an object with dims coordinate columns
+    when --plot is given, else []."""
     if not args.plot:
         return []
     _check_components(args, dims, f"the {dims} available components")
     color_by = None
     if args.labels:
         color_by = _read_label_file(args.labels, emb_or_biplot.object_labels)
-    path = args.out_path + ".svg"
-    emit_scatter(emb_or_biplot, component_x=args.component_x - 1,
-                 component_y=args.component_y - 1, color_by=color_by, out=path)
-    return [path]
+    return [(args.out_path + ".svg",
+             svg_lines(emb_or_biplot, args.component_x - 1,
+                       args.component_y - 1, color_by))]
 
 
 def cmd_synth(args):
     X, groups = synth_block(seed=args.seed)
-    _write_matrix(X, args.out_path, DELIMS[args.delim])
-    outputs = [args.out_path]
+    outputs = [(args.out_path, _matrix_lines(X, DELIMS[args.delim]))]
     if args.labels:
         # variables of the planted block are known here too; tag them for plots
         tags = ["planted" if j < PLANTED_VARIABLES else "background"
                 for j in range(X.n_variables)]
-        write_table(args.labels, ["object_label", "group"],
-                    zip(X.sample_labels + X.variable_labels, groups + tags),
-                    (np.empty((X.n_samples + X.n_variables, 0)),), ",")
-        outputs.append(args.labels)
-    _manifest(args, None, outputs)
-    return 0
+        outputs.append((args.labels, table_lines(
+            ["object_label", "group"],
+            zip(X.sample_labels + X.variable_labels, groups + tags),
+            (np.empty((X.n_samples + X.n_variables, 0)),), ",")))
+    return None, outputs, None
 
 
 def cmd_preprocess(args):
@@ -269,9 +272,8 @@ def cmd_preprocess(args):
             raise InputError(
                 f"unknown step {step!r}; choose from filter-log2, zscore"
             )
-    _write_matrix(X, args.out_path, DELIMS[args.delim])
-    _manifest(args, source, [args.out_path], report)
-    return 0
+    lines = _matrix_lines(X, DELIMS[args.delim])
+    return source, [(args.out_path, lines)], report
 
 
 def cmd_cumbia(args):
@@ -280,39 +282,28 @@ def cmd_cumbia(args):
     X, source = _load(args)
     _require_complete(X)
     emb = cumbia(X, _cfg_from(args), dims=args.dims)
-    # the plot first: its checks then fail before any table is written
-    outputs = _maybe_plot(args, emb, emb.dims_used)
-    _write_coords(emb.object_labels, emb.object_kinds, (emb.coordinates,),
-                  args.out_path, DELIMS[args.delim])
-    spectrum_path = args.out_path + ".spectrum.txt"
-    atomic_write_text(spectrum_path,
-                      "\n".join(map(repr, emb.eigenvalues.tolist())) + "\n")
-    _manifest(args, source, outputs + [args.out_path, spectrum_path])
-    return 0
+    return source, [
+        *_maybe_plot(args, emb, emb.dims_used),
+        (args.out_path, _coords_lines(emb, (emb.coordinates,),
+                                      DELIMS[args.delim])),
+        (args.out_path + ".spectrum.txt",
+         (f"{v!r}\n" for v in emb.eigenvalues.tolist()))], None
 
 
 def cmd_pca(args):
-    _check_components(args)
     X, source = _load(args)
     _require_complete(X)
     bp = pca_biplot(X, s=_parse_s(args.s), alpha=args.alpha)
-    del X  # the biplot holds what the plot and the table need
-    outputs = _maybe_plot(args, bp, bp.s)
-    _write_coords(bp.object_labels, bp.object_kinds,
-                  (bp.sample_coords, bp.variable_coords), args.out_path,
-                  DELIMS[args.delim])
-    _manifest(args, source, outputs + [args.out_path])
-    return 0
+    blocks = (bp.sample_coords, bp.variable_coords)
+    return source, [*_maybe_plot(args, bp, bp.s), (
+        args.out_path, _coords_lines(bp, blocks, DELIMS[args.delim]))], None
 
 
 def cmd_scree(args):
     if args.mode == "pca":
         X, source = _load(args)
         _require_complete(X)
-        # only the spectrum is kept: the matrix and the factors are released
-        # before the table and the manifest are written
         spectrum, mode = svd(X).singular_values, "singular-values"
-        del X
     else:
         spectrum, mode = _read_spectrum(args.in_path), "eigenvalues"
         source = sha256_file(args.in_path)
@@ -320,11 +311,10 @@ def cmd_scree(args):
     first = [("positive_fraction", str(i)) for i in range(1, len(fractions) + 1)]
     first += [("negative_eigenvalue", str(i))
               for i in range(1, len(negatives) + 1)]
-    write_table(args.out_path, ["kind", "index", "value"], first,
-                (np.concatenate([fractions, negatives])[:, None],),
-                DELIMS[args.delim])
-    _manifest(args, source, [args.out_path])
-    return 0
+    return source, [(args.out_path, table_lines(
+        ["kind", "index", "value"], first,
+        (np.concatenate([fractions, negatives])[:, None],),
+        DELIMS[args.delim]))], None
 
 
 def cmd_shave(args):
@@ -340,10 +330,9 @@ def cmd_shave(args):
         first += [(str(t), "variable", X.variable_labels[i])
                   for i in step.variable_indices.tolist()]
         scores += [step.sample_scores[:, None], step.variable_scores[:, None]]
-    write_table(args.out_path, ["step", "kind", "object_label", "score"],
-                first, scores, DELIMS[args.delim])
-    _manifest(args, source, [args.out_path])
-    return 0
+    return source, [(args.out_path, table_lines(
+        ["step", "kind", "object_label", "score"], first, scores,
+        DELIMS[args.delim]))], None
 
 
 COMMANDS = {
@@ -357,8 +346,12 @@ COMMANDS = {
 
 
 def run(argv):
+    """Run a command, write every output it returns, then its manifest."""
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    source, outputs, report = COMMANDS[args.command](args)
+    atomic_write(outputs)
+    _manifest(args, source, outputs, report)
+    return 0
 
 
 def main(argv=None):

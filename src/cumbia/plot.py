@@ -69,8 +69,8 @@ def _axis_scale(lo, hi, pixel_lo, pixel_hi):
     return to_pixel
 
 
-def emit_scatter(obj, component_x=0, component_y=1, color_by=None, *, out):
-    """Write an SVG scatter of two embedding components to the path out.
+def svg_lines(obj, component_x, component_y, color_by):
+    """Yield the SVG scatter of two embedding components line by line.
 
     component_x and component_y are zero-based column indices. color_by,
     when given, is a sequence of category names aligned with the objects;
@@ -95,44 +95,47 @@ def emit_scatter(obj, component_x=0, component_y=1, color_by=None, *, out):
         colors = [SAMPLE_COLOR if k == "sample" else VARIABLE_COLOR
                   for k in kinds]
 
-    parts = [
+    yield from (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:.0f}" '
-        f'height="{HEIGHT:.0f}" viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">',
+        f'height="{HEIGHT:.0f}" viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">\n',
         f'<rect x="0" y="0" width="{WIDTH:.0f}" height="{HEIGHT:.0f}" '
-        'fill="#ffffff"/>',
+        'fill="#ffffff"/>\n',
         f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(HEIGHT - MARGIN_BOTTOM)}" '
         f'x2="{_fmt(WIDTH - MARGIN_RIGHT)}" y2="{_fmt(HEIGHT - MARGIN_BOTTOM)}" '
-        'stroke="#333333"/>',
+        'stroke="#333333"/>\n',
         f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(MARGIN_TOP)}" '
         f'x2="{_fmt(MARGIN_LEFT)}" y2="{_fmt(HEIGHT - MARGIN_BOTTOM)}" '
-        'stroke="#333333"/>',
+        'stroke="#333333"/>\n',
         f'<text x="{_fmt((MARGIN_LEFT + WIDTH - MARGIN_RIGHT) / 2)}" '
         f'y="{_fmt(HEIGHT - 14)}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14">Component {component_x + 1}'
-        '</text>',
+        '</text>\n',
         f'<text x="18" y="{_fmt(HEIGHT / 2)}" text-anchor="middle" '
         'font-family="sans-serif" font-size="14" '
         f'transform="rotate(-90 18 {_fmt(HEIGHT / 2)})">'
-        f'Component {component_y + 1}</text>',
-    ]
+        f'Component {component_y + 1}</text>\n',
+    )
     for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
         px, py = to_px(x), to_py(y)
         color = colors[i]
         title = f"<title>{_xml_text(labels[i])}</title>"
         if kinds[i] == "sample":
-            parts.append(
+            yield (
                 f'<circle class="marker" cx="{_fmt(px)}" cy="{_fmt(py)}" '
-                f'r="3.5" fill="{color}" fill-opacity="0.85">{title}</circle>'
+                f'r="3.5" fill="{color}" fill-opacity="0.85">{title}</circle>\n'
             )
         else:
             d = (f"M {_fmt(px - 3)} {_fmt(py - 3)} L {_fmt(px + 3)} {_fmt(py + 3)} "
                  f"M {_fmt(px - 3)} {_fmt(py + 3)} L {_fmt(px + 3)} {_fmt(py - 3)}")
-            parts.append(
+            yield (
                 f'<path class="marker" d="{d}" stroke="{color}" '
-                f'stroke-width="1.4" fill="none">{title}</path>'
+                f'stroke-width="1.4" fill="none">{title}</path>\n'
             )
-    parts.append("</svg>\n")
-    text = "\n".join(parts)
-    del parts  # the joined text alone is alive while it is written
-    atomic_write_text(out, text)
+    yield "</svg>\n"
+
+
+def emit_scatter(obj, component_x=0, component_y=1, color_by=None, *, out):
+    """Write the SVG of svg_lines to the path out."""
+    atomic_write_text(out, "".join(svg_lines(obj, component_x, component_y,
+                                             color_by)))
     return out

@@ -14,9 +14,10 @@ from measure import TOOLS, child_env, traced_peak
 
 from cumbia import (CumbiaWarning, DataMatrix, cli, cumbia, load_table, scree,
                     synth_block, zscore_variables)
-from cumbia._fsio import sha256_file, write_table
-from cumbia.cli import (_read_label_file, _write_coords, _write_matrix,
+from cumbia._fsio import atomic_write, sha256_file, table_lines
+from cumbia.cli import (_coords_lines, _read_label_file, _write_matrix,
                         build_parser, main)
+from cumbia.errors import InputError
 from cumbia.plot import PALETTE
 
 
@@ -78,8 +79,14 @@ class TestExitCodes:
         (["pca", "--in", "small.csv", "--out", "missing/o.csv"],
          "cannot write missing/o.csv: "),
         (["pca", "--in", "small.csv", "--out", "folder"],
+         "cannot write folder: "),
+        # the folder is the last output: the ones before it are not renamed
+        (["pca", "--plot", "--in", "small.csv", "--out", "folder"],
+         "cannot write folder: "),
+        (["synth", "--out", "o.csv", "--labels", "folder"],
          "cannot write folder: ")],
-        ids=["negative-seed", "no-such-folder", "folder-at-path"])
+        ids=["negative-seed", "no-such-folder", "folder-at-path",
+             "folder-at-path-with-plot", "folder-at-labels-path"])
     def test_bad_seed_or_unwritable_output_exits_one(
             self, tmp_path, small_table, monkeypatch, capsys, argv, error):
         # the folder is left as it was: no output, manifest or temp file
@@ -361,9 +368,10 @@ class TestScreeCommand:
         first += [("negative_eigenvalue", str(i))
                   for i in range(1, len(negatives) + 1)]
         reference = str(tmp_path / "reference.txt")
-        write_table(reference, ["kind", "index", "value"], first,
-                    (np.concatenate([fractions, negatives])[:, None],),
-                    cli.DELIMS[delim])
+        atomic_write([(reference, table_lines(
+            ["kind", "index", "value"], first,
+            (np.concatenate([fractions, negatives])[:, None],),
+            cli.DELIMS[delim]))])
         emb = str(tmp_path / "emb.csv")
         assert main(["cumbia", "--in", str(small_table), "--out", emb]) == 0
         # a BOM and a trailing blank line are read past, as in tables
@@ -570,7 +578,9 @@ class TestWritersByteIdentity:
     def test_write_coords(self, tmp_path, values, delim):
         labels = [f"o{i}" for i in range(len(values))]
         kinds = ["sample", "sample", "variable", "variable", "variable"]
-        _write_coords(labels, kinds, (values,), str(tmp_path / "c"), delim)
+        obj = argparse.Namespace(object_labels=labels, object_kinds=kinds)
+        atomic_write([(str(tmp_path / "c"),
+                       _coords_lines(obj, (values,), delim))])
         header = ["object_label", "kind"] + [
             f"coord_{k + 1}" for k in range(values.shape[1])]
         first = [delim.join(pair) for pair in zip(labels, kinds)]
@@ -579,22 +589,39 @@ class TestWritersByteIdentity:
 
     def test_failed_write_keeps_target_and_leaves_no_temp(self, tmp_path,
                                                           values):
-        target = tmp_path / "m"
-        _write_matrix(DataMatrix(values), str(target), ",")
-        before = target.read_bytes()
+        # all or nothing: when the second of two outputs fails, neither
+        # target is replaced and no temp file is left
+        table, second, folder = (tmp_path / name for name in "mfd")
+        _write_matrix(DataMatrix(values), str(table), ",")
+        second.write_text("old\n")
+        folder.mkdir()
+        (folder / "kept").write_text("kept\n")
+
+        def files():
+            return {path.name: path.read_bytes()
+                    for path in tmp_path.rglob("*") if path.is_file()}
+
+        before = files()
         temps = []
 
         def first_cells():
-            yield from (("r1",), ("r2",))
+            yield ("r1",)
             temps.extend(tmp_path.glob(".tmp-cumbia-*"))
-            raise RuntimeError("row 3")
+            raise RuntimeError("row 2")
 
-        with pytest.raises(RuntimeError, match="row 3"):
-            write_table(str(target), ["id"] + ["c"] * values.shape[1],
-                        first_cells(), (values,), ",")
-        assert len(temps) == 1  # the table was being written, row by row
-        assert target.read_bytes() == before
-        assert [path.name for path in tmp_path.iterdir()] == ["m"]
+        # (a) the second output's lines raise after one row
+        lines = table_lines(["id"] + ["c"] * values.shape[1], first_cells(),
+                            (values,), ",")
+        with pytest.raises(RuntimeError, match="row 2"):
+            atomic_write([(str(table), ["new\n"]), (str(second), lines)])
+        assert len(temps) == 2  # both were being written, row by row
+        # (b) the second path is a folder
+        with pytest.raises(InputError,
+                           match=f"cannot write {folder}: Is a directory"):
+            atomic_write([(str(table), ["new\n"]), (str(folder), ["new\n"])])
+        assert files() == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "d", "f", "m"]
 
 
 def test_write_matrix_peak_memory_below_the_matrix(tmp_path):
@@ -651,13 +678,13 @@ def test_scree_holds_only_the_spectrum_while_it_writes(wide_tables, tmp_path,
             return write(*args, **kwargs)
         return call
 
-    for name in ("write_table", "_manifest"):
+    for name in ("atomic_write", "_manifest"):
         monkeypatch.setattr(cli, name, spy(name))
     code, _ = traced_peak(lambda: main([
         "scree", "--in", str(directory / "z.csv"),
         "--out", str(tmp_path / "sc.txt"), "--mode", "pca"]))
     assert code == 0
-    assert [name for name, _ in held] == ["write_table", "_manifest"]
+    assert [name for name, _ in held] == ["atomic_write", "_manifest"]
     # the matrix and the SVD factors are gone: 0.0 measured (2.0 when the
     # input and the whole SVD lived until the command returned)
     for name, size in held:
@@ -697,9 +724,9 @@ class TestLabelsSurviveEveryPath:
                 writer.writerow([label, *map(repr, row)])
         # comma-separated: its header line holds no tab
         label_file = str(tmp_path / "labels")
-        write_table(label_file, ["object_label", "category"],
-                    zip(labels, category_of), (np.empty((len(labels), 0)),),
-                    ",")
+        atomic_write([(label_file, table_lines(
+            ["object_label", "category"], zip(labels, category_of),
+            (np.empty((len(labels), 0)),), ","))])
         out = {name: str(tmp_path / name) for name in ("z", "emb", "bp", "tr")}
         flag = ["--delim", "comma" if delim == "," else "tab"]
         plot = ["--plot", "--labels", label_file]

@@ -17,7 +17,7 @@ from cumbia import (
     synth_block,
     zscore_variables,
 )
-from cumbia._fsio import _quote, write_table
+from cumbia._fsio import _quote, atomic_write, table_lines
 
 
 def write(tmp_path, text, name="t.csv"):
@@ -78,7 +78,7 @@ def parity_by_hand(rng, path, delim, token):
 
 
 def parity_by_writer(rng, path, delim, token):
-    """A random table written by write_table: the labels of parity_by_hand,
+    """A random table written from table_lines: the labels of parity_by_hand,
     normal values with missing, infinite, negative-zero and subnormal ones
     among them; NaN is written as the missing token."""
     n, p = rng.integers(1, 6, size=2)
@@ -87,8 +87,9 @@ def parity_by_writer(rng, path, delim, token):
     mask = rng.random((n, p)) < 0.2
     values[mask] = rng.choice(specials, size=mask.sum())
     header = [random_label(rng, "id")] + [random_label(rng, j) for j in range(p)]
-    write_table(path, header, ((random_label(rng, i),) for i in range(n)),
-                (values,), delim, missing=token)
+    atomic_write([(path, table_lines(
+        header, ((random_label(rng, i),) for i in range(n)), (values,),
+        delim, missing=token))])
 
 
 def outcome(reader, path, delim, orientation, token):
@@ -232,11 +233,12 @@ class TestLoadTable:
         X = zscore_variables(synth_block(40, 2000, seed=3)[0])
         path = str(tmp_path / "t.csv")
         if orientation == "samples-rows":
-            write_table(path, ["id", *X.variable_labels], zip(X.sample_labels),
-                        (X.values,), ",")
+            lines = table_lines(["id", *X.variable_labels],
+                                zip(X.sample_labels), (X.values,), ",")
         else:
-            write_table(path, ["id", *X.sample_labels], zip(X.variable_labels),
-                        (X.values.T,), ",")
+            lines = table_lines(["id", *X.sample_labels],
+                                zip(X.variable_labels), (X.values.T,), ",")
+        atomic_write([(path, lines)])
         Y, peak = traced_peak(lambda: load_table(path,
                                                  orientation=orientation))
         assert Y.values.tobytes() == X.values.tobytes()

@@ -126,6 +126,31 @@ def test_speed_only_constants_keep_the_oracle_bytes(
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("n, m, K, k0, chunked, partitioned", [
+    (1200, 60, 3, 3, True, False), (60, 6000, 3, 20, True, True),
+    (400, 300, 7, 7, True, True)])
+def test_permuting_rows_and_columns_permutes_the_bytes(
+        monkeypatch, n, m, K, k0, chunked, partitioned):
+    # at sizes the oracle cannot reach: two workers, rows walked in chunks
+    # of SCRATCH_VALUES sums, rows longer than SORT_COLUMNS partitioned. An
+    # entry sums the same K values in ascending order whatever the order of
+    # rows and columns, so the bytes permute exactly
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)
+    assert _kernels._workers_for(n, m) == 2
+    assert (n - 1 > _kernels.SCRATCH_VALUES // m) == chunked
+    assert (m > _kernels.SORT_COLUMNS) == partitioned
+    rng = np.random.default_rng(n + m)
+    R = np.abs(rng.standard_normal((n, m)))
+    R[n // 2] = R[3]  # a duplicate pair, at 0 in both orders
+    p, q = rng.permutation(n), rng.permutation(m)
+    P = R[np.ix_(p, q)]
+    M = pair_mean_k_smallest(R, K)
+    assert M[3, n // 2] == 0.0
+    assert pair_mean_k_smallest(P, K).tobytes() == M[np.ix_(p, p)].tobytes()
+    scores = pair_mean_k0_smallest(R, K, k0)
+    assert pair_mean_k0_smallest(P, K, k0).tobytes() == scores[p].tobytes()
+
+
 def no_thread(*args, **kwargs):
     raise AssertionError("thread started")
 
