@@ -15,21 +15,42 @@ def atomic_write_text(path, text):
     atomic_write([(path, (text,))])
 
 
-def atomic_write(outputs):
+def _write_temp(path, lines, temps):
+    """Write lines to a new temp file beside path, noted in temps."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-cumbia-")
+    temps.append((tmp, path))
+    with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+        handle.writelines(lines)
+    os.chmod(tmp, 0o644)
+
+
+def atomic_write(outputs, manifest=None):
     """Write each (path, lines) pair of outputs to a temp file beside its
-    path, then rename them all: a failure, or a folder at a path, replaces
-    no file before the renames and leaves no temp file."""
-    temps, path = [], None
+    path, then rename them all: a failure, a folder at a path or two paths
+    naming one file replaces no file and leaves no temp file.
+
+    manifest, if given, is a (path, describe) pair: describe takes the
+    sha256 hex digests of the outputs' temp files, keyed by path, and
+    returns the lines of one more file, written after the outputs and
+    renamed with them.
+    """
+    last = [] if manifest is None else [manifest]
+    paths = [path for path, _ in [*outputs, *last]]
+    real = [os.path.realpath(path) for path in paths]
+    for i, path in enumerate(paths):
+        if os.path.isdir(path):
+            raise InputError(f"cannot write {path}: Is a directory")
+        if real[i] in real[:i]:
+            raise InputError(f"cannot write {path}: outputs "
+                             f"{paths[real.index(real[i])]} and {path} are "
+                             "one file")
+    temps = []
     try:
         for path, lines in outputs:
-            if os.path.isdir(path):
-                raise InputError(f"cannot write {path}: Is a directory")
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                       prefix=".tmp-cumbia-")
-            temps.append((tmp, path))
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-                handle.writelines(lines)
-            os.chmod(tmp, 0o644)
+            _write_temp(path, lines, temps)
+        for path, describe in last:
+            _write_temp(path, describe({p: sha256_file(tmp)
+                                        for tmp, p in temps}), temps)
         for tmp, path in temps:
             os.replace(tmp, path)
     except OSError as exc:  # a missing folder, a full disk

@@ -108,7 +108,9 @@ def shave(X, cfg=None, k0=3, drop_fraction=0.1, min_objects=2):
     falls below min_objects; the loop stops once either kind reaches it.
     Raises ParameterError before any SVD if X has fewer than 2 samples or
     2 variables, or if the estimated resident peak, _peak_buffers N x p
-    float64 buffers, exceeds physical memory.
+    float64 buffers, exceeds physical memory, and InputError before any
+    kernel work if lambda_1 > dissimilarity.LAMBDA1_LIMIT (no submatrix's
+    lambda_1 is larger than X's).
     """
     if not isinstance(X, DataMatrix):
         X = DataMatrix(X)

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: synth, preprocess, cumbia, pca, scree, shave. Every command
-returns its outputs as lines; run writes them all atomically and then a
-JSON manifest next to the main output recording the resolved parameters,
+returns its outputs as lines; run writes them all atomically together with
+a JSON manifest next to the main output recording the resolved parameters,
 the input digest, and the digests of everything written, so a run can be
 reproduced from the manifest alone.
 
@@ -17,8 +17,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._fsio import (atomic_write, atomic_write_text, records, sha256_file,
-                    table_lines)
+# atomic_write_text is re-exported for perfbench/tracer.py, which wraps it here
+from ._fsio import (atomic_write, atomic_write_text, records,  # noqa: F401
+                    sha256_file, table_lines)
 from .bicluster import shave
 from .dissimilarity import CumbiaConfig
 from .embedding import cumbia, pca_biplot, scree
@@ -191,22 +192,22 @@ def _read_spectrum(path):
         raise InputError(f"spectrum file {path}: {exc}") from None
 
 
-def _manifest(args, source, outputs, report):
-    """Write <out>.manifest.json: each parsed flag under its dest name (in
-    and out for the paths), the input digest source and outputs' digests."""
+def _manifest(args, source, digests, report):
+    """The lines of <out>.manifest.json: each parsed flag under its dest
+    name (in and out for the paths), the input digest source and the
+    outputs' digests, keyed by path."""
     parameters = {key.removesuffix("_path"): value
                   for key, value in vars(args).items() if key != "command"}
     payload = {
         "command": args.command,
         "parameters": parameters,
         "input_sha256": source,
-        "outputs": {path: sha256_file(path) for path, _ in outputs},
+        "outputs": digests,
         "version": __version__,
     }
     if report is not None:
         payload["report"] = report
-    atomic_write_text(args.out_path + ".manifest.json",
-                      json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
 
 
 def _check_components(args, dims, limit):
@@ -346,11 +347,13 @@ COMMANDS = {
 
 
 def run(argv):
-    """Run a command, write every output it returns, then its manifest."""
+    """Run a command and write every output it returns, and its manifest,
+    all or nothing."""
     args = build_parser().parse_args(argv)
     source, outputs, report = COMMANDS[args.command](args)
-    atomic_write(outputs)
-    _manifest(args, source, outputs, report)
+    atomic_write(outputs, (args.out_path + ".manifest.json",
+                           lambda digests: _manifest(args, source, digests,
+                                                     report)))
     return 0
 
 

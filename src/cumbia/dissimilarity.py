@@ -9,11 +9,12 @@ variable) and every variable pair by N two-edge paths (one per sample),
 and the distance is the mean of the K smallest path lengths. Objects of
 a kind with bitwise identical edges coincide: the kernel zeroes their pairs.
 
-joint_matrix assembles all four blocks in one symmetric (N + p) x (N + p)
-buffer: sample_variable_diss writes D_sv straight into an off-diagonal
-block, and the kernel reads its rows from there and writes the two
-same-kind blocks straight into the diagonal blocks, so no block is built
-apart and copied in.
+joint_matrix assembles all four blocks in one bitwise symmetric
+(N + p) x (N + p) buffer: sample_variable_diss writes D_sv straight into
+an off-diagonal block, and the kernel reads its rows from there and writes
+the two same-kind blocks straight into the diagonal blocks, so no block is
+built apart and copied in. _rank_s refuses a lambda_1 above LAMBDA1_LIMIT
+before any of that work, here and in shave's steps, so every entry is finite.
 """
 
 import warnings
@@ -23,10 +24,20 @@ import numpy as np
 
 # re-exported for perfbench/tracer.py, its last reader of the name here
 from ._kernels import identical_index_groups, pair_mean_k_smallest  # noqa: F401
-from .errors import CumbiaWarning, InvariantViolation, ParameterError
+from .errors import (CumbiaWarning, InputError, InvariantViolation,
+                     ParameterError)
 from .matrix_core import DataMatrix, _truncation_rank, svd, truncate
 
 RADICAND_CLAMP = 1e-12
+# the largest lambda_1 the joint path accepts, sqrt(float64 max), about
+# 1.34e154. Every edge, kernel entry, squared dissimilarity and Gram entry
+# stays below 16 lambda_1, but the double-centring's row sums and the
+# Gram's eigenvalues reach about 8 (N + p) lambda_1, so the exact limit
+# falls as N + p grows: a 20 x 10 input at float64 max / 64 overflows in
+# those sums and then fails in dsterf. One bound for every shape leaves
+# N + p a factor of 1e153; it also refuses small inputs above it that
+# would not have overflowed
+LAMBDA1_LIMIT = float(np.sqrt(np.finfo(np.float64).max))
 
 
 @dataclass
@@ -116,12 +127,18 @@ def within_kind_diss(D_sv, K, kind, out=None):
 
 def _rank_s(values, f, s):
     """lambda_1 and the rank-s truncation X_s of values, which f factors;
-    1 <= s <= f.r."""
+    1 <= s <= f.r. Raises InputError if lambda_1 exceeds LAMBDA1_LIMIT."""
+    lambda1 = float(f.singular_values[0])
+    if lambda1 > LAMBDA1_LIMIT:
+        raise InputError(
+            f"largest singular value {lambda1!r} is above "
+            f"{LAMBDA1_LIMIT:.3g}, where the joint dissimilarities may "
+            "overflow; rescale the input")
     # rank-r truncation of X is X itself; reconstructing it through the
     # factors would only add rounding noise and break bitwise duplicate
     # detection for identical rows or columns of X
     X_s = values if s == f.r else truncate(f, s)
-    return float(f.singular_values[0]), X_s
+    return lambda1, X_s
 
 
 def joint_matrix(X, cfg):

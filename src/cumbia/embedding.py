@@ -9,11 +9,11 @@ in the reported spectrum, because their presence (and sign pattern) is
 informative for joint sample-variable matrices. cumbia() chains SVD,
 truncation, the joint dissimilarity, and MDS into the end-to-end method.
 
-double_center and classical_mds leave their argument as it is and put the
-Gram matrix in a new buffer. cumbia() owns its joint matrix, so _gram
-squares and double-centers that buffer in place, and the eigensolver
-reduces it in place: the joint matrix is the one (N+p)^2 buffer of the
-call (README "Memory" gives its measured peaks).
+double_center and classical_mds check the matrix they are given and put
+the Gram matrix in a new buffer. cumbia() squares and double-centers the
+joint matrix it builds, finite and bitwise symmetric, in place, and the
+eigensolver reduces it in place: the joint matrix is the one (N+p)^2
+buffer of the call (README "Memory" gives its measured peaks).
 """
 
 import warnings
@@ -107,23 +107,17 @@ def _double_center_in_place(C):
     return C
 
 
-def _gram(V, out=None):
-    """The Gram matrix of the float64 dissimilarities V, once V is checked
-    square, finite and symmetric: V squared into out (a new buffer, or V
-    itself where the caller owns it), then double-centered there."""
-    _require_symmetric(V)
-    # C order whatever V's layout: the eigensolver reads C's buffer as is
-    return _double_center_in_place(np.multiply(V, V, out=out, order="C"))
-
-
 def double_center(D):
     """Gram matrix C = -1/2 J (D o D) J with J = I - (1/n) 11^T.
 
     Expanded directly from row means, column means, and the grand mean of
-    the squared dissimilarities, then symmetrized against rounding. D is
-    left as it is; C is one new n x n buffer.
+    the squared dissimilarities, then symmetrized against rounding. D,
+    checked square, finite and symmetric, is left as it is; C is new.
     """
-    return _gram(np.asarray(D, dtype=np.float64))
+    V = np.asarray(D, dtype=np.float64)
+    _require_symmetric(V)
+    # C order whatever V's layout: the eigensolver reads C's buffer as is
+    return _double_center_in_place(np.multiply(V, V, order="C"))
 
 
 def _require_dims(dims):
@@ -167,10 +161,9 @@ def classical_mds(D, dims):
     objects are of kind "object", labelled o1, o2, ...
     """
     _require_dims(dims)
-    V = np.asarray(D, dtype=np.float64)
-    n = V.shape[0]
-    return _embed_gram(double_center(V), dims, ["object"] * n,
-                       [f"o{i + 1}" for i in range(n)])
+    C = double_center(D)
+    n = C.shape[0]
+    return _embed_gram(C, dims, ["object"] * n, [f"o{i + 1}" for i in range(n)])
 
 
 def pca_biplot(X, s=None, alpha=1.0):
@@ -211,20 +204,23 @@ def scree(spectrum, mode):
     if mode == "singular-values":
         if np.any(arr < 0):
             raise ParameterError("singular values cannot be negative")
-        sq = arr * arr
-        total = sq.sum()
-        if total == 0:
-            raise ParameterError("spectrum is all zero")
-        return list(sq / total), []
-    if mode == "eigenvalues":
-        positive = arr[arr > 0]
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            parts, negatives, name = arr * arr, [], "squared spectrum"
+    elif mode == "eigenvalues":
+        parts, name = arr[arr > 0], "sum of the positive eigenvalues"
         negatives = [float(v) for v in arr[arr < 0]]
-        if positive.size == 0:
+        if parts.size == 0:
             return [], negatives
-        return list(positive / positive.sum()), negatives
-    raise ParameterError(
-        f"mode must be singular-values or eigenvalues, not {mode!r}"
-    )
+    else:
+        raise ParameterError(
+            f"mode must be singular-values or eigenvalues, not {mode!r}")
+    with np.errstate(over="ignore"):
+        total = parts.sum()
+    if not 0 < total < np.inf:
+        raise ParameterError("spectrum is all zero" if total == 0 else
+                             f"the {name} overflows float64; rescale the "
+                             "input")
+    return list(parts / total), negatives
 
 
 def _resident_peak_buffers():
@@ -245,7 +241,8 @@ def cumbia(X, cfg=None, dims=3):
     peak, RESIDENT_PEAK_BUFFERS (N+p)^2 float64 buffers
     (EIGH_RESIDENT_PEAK_BUFFERS where the np.linalg.eigh fallback runs),
     exceeds physical memory (installed memory or, if lower, the cgroup's
-    limit; not the memory free at the time of the call).
+    limit; not the memory free at the time of the call), and InputError
+    before the joint matrix exists if lambda_1 > dissimilarity.LAMBDA1_LIMIT.
     """
     if not isinstance(X, DataMatrix):
         X = DataMatrix(X)
@@ -257,6 +254,7 @@ def cumbia(X, cfg=None, dims=3):
     if cfg is None:
         cfg = CumbiaConfig()
     D = joint_matrix(X, cfg)
-    emb = _embed_gram(_gram(D, out=D), dims, *X.objects())
+    emb = _embed_gram(_double_center_in_place(np.multiply(D, D, out=D)),
+                      dims, *X.objects())
     emb.config = cfg
     return emb

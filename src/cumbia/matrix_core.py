@@ -166,7 +166,8 @@ def _fix_column_signs(M, *others):
 def svd(X):
     """Decompose X into SvdFactors.
 
-    The numerical rank r counts singular values above
+    Raises InputError if the largest singular value is zero or not
+    finite. The numerical rank r counts singular values above
     RANK_TOLERANCE * (largest singular value); factors are sliced to r
     columns. Each singular-vector pair is sign-fixed so that the
     largest-magnitude entry of the U column is positive, which makes the
@@ -176,8 +177,10 @@ def svd(X):
     A = X.values if isinstance(X, DataMatrix) else _as_float_matrix(X)
     require_finite(A)
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if s[0] == 0.0:
-        raise InputError("rank zero, no decomposition")
+    if not 0.0 < s[0] < np.inf:
+        raise InputError("rank zero, no decomposition" if s[0] == 0.0 else
+                         f"largest singular value {s[0]} is not finite; "
+                         "rescale the input")
     r = int(np.sum(s > RANK_TOLERANCE * s[0]))
     U = np.ascontiguousarray(U[:, :r])
     s = s[:r].copy()

@@ -97,6 +97,34 @@ class TestExitCodes:
         assert f"error: {error}" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
+    def test_a_folder_at_the_manifest_path_replaces_no_output(
+            self, tmp_path, small_table, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["pca", "--plot", "--in", "small.csv", "--out", "p.csv"]
+        assert main(argv) == 0
+        os.remove("p.csv.manifest.json")
+        os.mkdir("p.csv.manifest.json")
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()
+                  if path.is_file()}
+        assert main(argv + ["--alpha", "0.5"]) == 1
+        assert ("error: cannot write p.csv.manifest.json: Is a directory"
+                in capsys.readouterr().err)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()
+                if path.is_file()} == before
+        assert sorted(os.listdir()) == sorted([*before, "p.csv.manifest.json"])
+
+    @pytest.mark.parametrize("labels", ["s.csv", "./s.csv",
+                                        "s.csv.manifest.json"])
+    def test_two_outputs_at_one_file_exit_one(self, tmp_path, monkeypatch,
+                                              capsys, labels):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "s.csv").write_text("old\n")
+        assert main(["synth", "--out", "s.csv", "--labels", labels]) == 1
+        assert (f"error: cannot write {labels}: outputs "
+                in capsys.readouterr().err)
+        assert os.listdir() == ["s.csv"]
+        assert (tmp_path / "s.csv").read_text() == "old\n"
+
     def test_invariant_violation_maps_to_two(self, monkeypatch, capsys):
         import cumbia.cli as cli_mod
         from cumbia.errors import InvariantViolation
@@ -164,6 +192,40 @@ class TestExitCodes:
             assert main(argv) == 1
         assert error in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["small.csv"]
+
+
+# each entry is finite; the largest singular value is 5e307, 1e308 and inf
+OVERFLOW_TABLES = {
+    "5e307": "id,a,b,c\nx,5e307,0,1\ny,0,-4e307,2\nz,3,1,2\n",
+    "1e308": "id,a,b,c\nx,1e308,0,1\ny,0,-1e308,2\nz,3,1,2\n",
+    "inf": "id,a,b\nx,1e308,-1e308\ny,-1e308,1e308\n",
+}
+ABOVE = ("is above 1.34e+154, where the joint dissimilarities may overflow; "
+         "rescale the input")
+COMMAND_ARGV = {"cumbia": ["cumbia", "--plot"], "pca": ["pca", "--plot"],
+                "scree": ["scree", "--mode", "pca"], "shave": ["shave"]}
+
+
+@pytest.mark.parametrize("table, command", [
+    ("5e307", "cumbia"), ("5e307", "scree"), ("5e307", "shave"),
+    ("1e308", "cumbia"), ("1e308", "scree"), ("1e308", "shave"),
+    ("inf", "cumbia"), ("inf", "pca"), ("inf", "scree"), ("inf", "shave")])
+def test_an_input_beyond_float64s_range_exits_one(tmp_path, capsys, table,
+                                                  command):
+    # named, before any output, manifest or temp file is written. pca on
+    # the finite tables writes finite coordinates of up to 1e308
+    if table == "inf":
+        error = "largest singular value inf is not finite; rescale the input"
+    elif command == "scree":
+        error = "the squared spectrum overflows float64; rescale the input"
+    else:
+        error = f"largest singular value {float(table)!r} {ABOVE}"
+    path = tmp_path / "big.csv"
+    path.write_text(OVERFLOW_TABLES[table])
+    assert main([*COMMAND_ARGV[command], "--in", str(path),
+                 "--out", str(tmp_path / "o.csv")]) == 1
+    assert f"error: {error}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["big.csv"]
 
 
 class TestSynth:
@@ -391,7 +453,9 @@ class TestScreeCommand:
         (None, "cannot read spectrum file"),
         ("", "spectrum is empty"),
         ("1.5\nnan\n", "spectrum has a non-finite entry at row 0, column 1"),
-    ], ids=["non-numeric", "missing", "empty", "nan"])
+        ("1e308\n1e308\n", "the sum of the positive eigenvalues overflows "
+                           "float64; rescale the input"),
+    ], ids=["non-numeric", "missing", "empty", "nan", "overflow"])
     def test_eigenvalues_mode_rejects_a_bad_spectrum(self, tmp_path, capsys,
                                                      text, message):
         path = tmp_path / "spectrum.txt"

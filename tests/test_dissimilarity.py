@@ -1,4 +1,6 @@
+import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,15 +9,19 @@ from cumbia import (
     CumbiaConfig,
     CumbiaWarning,
     DataMatrix,
+    InputError,
     InvariantViolation,
     ParameterError,
+    cumbia,
     joint_matrix,
     sample_variable_diss,
     shave,
     svd,
     within_kind_diss,
 )
+from cumbia import _kernels, bicluster, dissimilarity
 from cumbia._kernels import identical_index_groups
+from cumbia.dissimilarity import LAMBDA1_LIMIT, _rank_s
 
 from oracle import bytes_index_groups, graph_oracle
 
@@ -283,6 +289,63 @@ class TestJointMatrix:
         for a in range(4):
             for b in range(a + 1, 4):
                 assert J[1 + a, 1 + b] == w[a] + w[b]
+
+    @pytest.mark.parametrize("shape", [(1200, 60), (60, 6000), (400, 300)])
+    def test_bitwise_symmetric_and_finite(self, monkeypatch, shape):
+        # cumbia() squares this matrix unchecked
+        monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)
+        N, p = shape
+        assert _kernels._workers_for(N, p) == _kernels._workers_for(p, N) == 2
+        X = np.random.default_rng(N + p).standard_normal(shape)
+        X[N // 2] = X[3]  # a duplicate pair of samples
+        J = joint_matrix(DataMatrix(X), CumbiaConfig())
+        assert np.isfinite(J).all()
+        bits = J.view(np.uint64)
+        assert (bits == bits.T).all()
+
+
+def lambda1_at(value, shape=(8, 12)):
+    """A seeded matrix scaled so that its largest singular value is value,
+    up to rounding."""
+    A = np.random.default_rng(63).standard_normal(shape)
+    return A * (value / svd(A).singular_values[0])
+
+
+class TestScaleLimit:
+    def test_rank_s_refuses_lambda1_just_above_the_limit(self):
+        values = np.ones((1, 1))
+
+        def factors(lambda1):
+            return SimpleNamespace(singular_values=np.array([lambda1]), r=1)
+
+        lambda1, X_s = _rank_s(values, factors(LAMBDA1_LIMIT), 1)
+        assert lambda1 == LAMBDA1_LIMIT and X_s is values
+        above = float(np.nextafter(LAMBDA1_LIMIT, np.inf))
+        with pytest.raises(InputError, match=re.escape(
+                f"largest singular value {above!r} is above 1.34e+154")):
+            _rank_s(values, factors(above), 1)
+
+    def test_cumbia_just_below_the_limit_is_finite(self):
+        emb = cumbia(lambda1_at(LAMBDA1_LIMIT * (1 - 1e-9)), dims=3)
+        assert np.isfinite(emb.coordinates).all()
+        assert np.isfinite(emb.eigenvalues).all()
+
+    @pytest.mark.parametrize("call", [cumbia, shave], ids=["cumbia", "shave"])
+    @pytest.mark.parametrize("X", [
+        lambda1_at(LAMBDA1_LIMIT * (1 + 1e-9)),
+        # below float64 max / 16, so every entry would be finite, yet
+        # unguarded cumbia()'s row sums overflow and dsterf then fails
+        lambda1_at(np.finfo(np.float64).max / 64, (20, 10)),
+    ], ids=["just-above", "max-over-64"])
+    def test_above_the_limit_refused_before_any_dissimilarity(
+            self, monkeypatch, call, X):
+        def fail(*args, **kwargs):
+            raise AssertionError("dissimilarities computed")
+
+        for module in (dissimilarity, bicluster):
+            monkeypatch.setattr(module, "sample_variable_diss", fail)
+        with pytest.raises(InputError, match="rescale the input"):
+            call(X)
 
 
 class TestGraphOracle:

@@ -497,6 +497,17 @@ class TestScree:
         with pytest.raises(ParameterError):
             scree([1.0, -1.0], "singular-values")
 
+    @pytest.mark.parametrize("spectrum, mode, total", [
+        ([1e154, 1e154, 1.0], "singular-values", "squared spectrum"),
+        ([1e308, 1e308, -1.0], "eigenvalues",
+         "sum of the positive eigenvalues"),
+    ])
+    def test_totals_beyond_float64_rejected(self, spectrum, mode, total):
+        # each value is finite, but not the total the fractions divide by
+        with pytest.raises(ParameterError,
+                           match=f"the {total} overflows float64"):
+            scree(spectrum, mode)
+
 
 class TestCumbiaPipeline:
     def test_identity_pairs_coincide_across_kinds(self):
@@ -564,3 +575,14 @@ class TestCumbiaPipeline:
         A[0, 0] = np.nan
         with pytest.raises(InputError):
             cumbia(A, CumbiaConfig(), dims=2)
+
+    def test_the_joint_matrix_is_squared_unchecked(self, monkeypatch):
+        # joint_matrix writes it finite and bitwise symmetric; only the
+        # matrices handed to double_center and classical_mds are checked
+        calls = []
+        monkeypatch.setattr(embedding, "_require_symmetric",
+                            lambda V: calls.append(V.shape))
+        cumbia(np.random.default_rng(62).standard_normal((6, 9)), dims=2)
+        assert calls == []
+        classical_mds(np.ones((3, 3)) - np.eye(3), 2)
+        assert calls == [(3, 3)]

@@ -138,6 +138,15 @@ def test_svd_rejects_zero_matrix():
         svd(np.zeros((3, 3)))
 
 
+def test_svd_rejects_a_top_singular_value_beyond_float64():
+    # every entry is finite, but the top singular value, 2e308, is not;
+    # its rank would count as 0
+    A = np.array([[1e308, -1e308], [-1e308, 1e308]])
+    with pytest.raises(InputError, match="largest singular value inf is not "
+                                         "finite; rescale the input"):
+        svd(A)
+
+
 def test_svd_rank_detection_drops_tiny_values():
     A = np.outer([1.0, 2.0, 3.0], [1.0, 0.5, 2.0, -1.0])
     f = svd(A)

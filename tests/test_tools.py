@@ -13,9 +13,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 @pytest.mark.parametrize("flags, stages", [
     ([], {"joint_matrix", "svd", "sample_variable_diss",
           "identical_index_groups", "within_kind_diss.samples",
-          "within_kind_diss.variables", "symmetry_check",
-          "double_center_in_place", "embed_gram", "eigen_in_place",
-          "other"}),
+          "within_kind_diss.variables", "double_center_in_place",
+          "embed_gram", "eigen_in_place", "other"}),
     (["--shave"], {"svd", "sample_variable_diss", "identical_index_groups",
                    "k0_scores.samples", "k0_scores.variables", "other"}),
 ], ids=["cumbia", "shave"])

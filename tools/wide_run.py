@@ -65,7 +65,6 @@ STAGES = [
     (dissimilarity, "sample_variable_diss", "sample_variable_diss"),
     (_kernels, "identical_index_groups", "identical_index_groups"),
     (dissimilarity, "within_kind_diss", "within_kind_diss."),
-    (embedding, "_require_symmetric", "symmetry_check"),
     (embedding, "_double_center_in_place", "double_center_in_place"),
     (embedding, "_embed_gram", "embed_gram"),
     (_kernels, "_eigen_in_place", "eigen_in_place"),
