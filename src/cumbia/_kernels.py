@@ -11,15 +11,17 @@ are sorted whole, longer ones partitioned first (_smallest_first).
 
 One producer (_fill_rows) makes the rows of the upper triangle, i and
 the entries (i, j) for j > i, and hands them to a consumer a panel of up
-to PANEL_ROWS rows at a time. It computes a row's pair sums a chunk of
-columns j at a time, at most SCRATCH_VALUES sums, so a worker's scratch
-does not grow with n. It also zeroes, in the panel, the pairs of
-duplicates, bitwise identical rows of R (identical_index_groups), held
-as one label per row.
+to PANEL_ROWS rows at a time, together with the worker's scratch. It
+computes a row's pair sums in that scratch a chunk of columns j at a
+time, at most SCRATCH_VALUES sums, so the scratch does not grow with n
+and holds no sums while the consumer runs. It also zeroes, in the panel,
+the pairs of duplicates, bitwise identical rows of R
+(identical_index_groups), held as one label per row.
 pair_mean_k_smallest's consumer copies each panel row and its mirror
-into the n x n result; pair_mean_k0_smallest's merges each panel into
-running lists of every object's k0 smallest entries, so the n x n matrix
-is never stored.
+into the n x n result. pair_mean_k0_smallest's keeps running lists of
+every object's k0 smallest entries, k0 per object, and merges each panel
+into them inside the scratch, a block of objects at a time, so neither
+the n x n matrix nor any merge space beside the lists is stored.
 
 Rows are split over one worker per CPU the process may run on, as long as
 each gets at least MIN_SUMS_PER_WORKER pair sums (_workers_for). Worker w
@@ -66,7 +68,7 @@ from .errors import InvariantViolation, ParameterError
 # more than the work they share
 MIN_SUMS_PER_WORKER = 1_000_000
 # rows a worker hands its consumer at once; the running lists merge a
-# panel with one selection
+# panel with one selection per block of objects
 PANEL_ROWS = 16
 # pair sums a worker holds at once; speed only (timed in README "Memory")
 SCRATCH_VALUES = 2**16
@@ -267,21 +269,29 @@ def identical_index_groups(M):
     return sorted(g for g in same.values() if len(g) > 1)
 
 
-def _fill_rows(R, K, consume, first, step, group, buf, panel):
+def _chunk_columns(n, m):
+    """Columns j whose pair sums with one row of an n x m R a worker holds
+    at once: at most SCRATCH_VALUES sums, and at least one column."""
+    return min(max(n - 1, 0), max(1, SCRATCH_VALUES // m))
+
+
+def _fill_rows(R, K, consume, first, step, group, scratch, panel):
     """Hand rows first, first + step, ... of the upper triangle to consume,
     a panel at a time.
 
     Panel row t holds row i = rows[t]: entry (i, j) at column j > i, 0 at
     each later j with group[j] == group[i] >= 0 (group, one label per row,
     is None without duplicates) and inf elsewhere.
-    consume(first, rows, panel) gets every PANEL_ROWS rows and the rest at
-    the end; it may reorder the panel, which is inf-filled again after.
-    buf, a c x m array, holds the pair sums of c columns j of a row at a
-    time and is reordered in place; panel is an inf-filled PANEL_ROWS x n
-    array.
+    consume(first, rows, panel, scratch) gets every PANEL_ROWS rows and the
+    rest at the end; it may reorder the panel, which is inf-filled again
+    after, and use all of scratch, which holds no sums then. scratch, a
+    1-D array of at least c x m values, c = _chunk_columns(n, m), holds the
+    pair sums of c columns j of a row at a time, reordered in place; panel
+    is an inf-filled PANEL_ROWS x n array.
     """
-    n = R.shape[0]
-    chunk = buf.shape[0]
+    n, m = R.shape
+    chunk = _chunk_columns(n, m)
+    buf = scratch[:chunk * m].reshape(chunk, m)
     rows = []
     for i in range(first, n - 1, step):
         row = panel[len(rows)]
@@ -293,18 +303,19 @@ def _fill_rows(R, K, consume, first, step, group, buf, panel):
             row[i + 1:][group[i + 1:] == group[i]] = 0.0
         rows.append(i)
         if len(rows) == PANEL_ROWS or i + step >= n - 1:
-            consume(first, rows, panel[:len(rows)])
+            consume(first, rows, panel[:len(rows)], scratch)
             panel.fill(np.inf)
             rows = []
 
 
-def _run_rows(R, K, consume, workers):
+def _run_rows(R, K, consume, workers, least=0):
     """Compute every row of the upper triangle of R and hand it to consume.
 
     Worker w of workers gets the rows i with i % workers == w (_fill_rows).
     Worker 0 is the calling thread, every other worker a thread of its own
     with scratch the calling thread allocated, started once OpenBLAS's pool
-    is parked. The pairs of bitwise identical rows of R are 0. An
+    is parked. Each scratch holds at least least values, which the
+    consumer may need. The pairs of bitwise identical rows of R are 0. An
     exception in any worker is re-raised on the caller once every thread
     is joined.
     """
@@ -316,8 +327,8 @@ def _run_rows(R, K, consume, workers):
     group = np.full(n, -1) if groups else None
     for label, members in enumerate(groups):
         group[members] = label
-    chunk = min(max(n - 1, 0), max(1, SCRATCH_VALUES // m))
-    scratch = [(np.empty((chunk, m)), np.full((PANEL_ROWS, n), np.inf))
+    values = max(_chunk_columns(n, m) * m, least)
+    scratch = [(np.empty(values), np.full((PANEL_ROWS, n), np.inf))
                for _ in range(workers)]
     errors = []
 
@@ -359,7 +370,7 @@ def pair_mean_k_smallest(R, K, out=None):
             f"{out.dtype}")
     np.fill_diagonal(out, 0.0)
 
-    def write(w, rows, panel):
+    def write(w, rows, panel, scratch):
         for i, row in zip(rows, panel):
             out[i, i + 1:] = row[i + 1:]
             out[i + 1:, i] = row[i + 1:]
@@ -375,28 +386,34 @@ def pair_mean_k0_smallest(R, K, k0):
     Equal to _mean_k_smallest of that matrix with an inf diagonal, byte
     for byte, without storing it: each worker keeps per object a running
     list of its k0 smallest entries, and the k0 smallest of a multiset
-    union of lists are the k0 smallest of the whole row. Needs
-    1 <= k0 <= n - 1.
+    union of lists are the k0 smallest of the whole row. A list and a
+    panel's column meet in one row of scratch whatever the block, so the
+    bytes do not depend on the scratch's size. Needs 1 <= k0 <= n - 1.
     """
     n, m = np.shape(R)
     if not 1 <= k0 <= n - 1:
         raise ParameterError(f"K0={k0} outside [1, {n - 1}]")
     workers = _workers_for(n, m)
     own = np.full((n, k0), np.inf)
-    lists = np.full((workers, n, k0 + PANEL_ROWS), np.inf)
+    lists = np.full((workers, n, k0), np.inf)
 
-    def merge(w, rows, panel):
-        # the panel's transpose joins the lists of the later objects j; each
-        # panel row's own k0 smallest go to its row of own, which the
-        # workers write at disjoint rows. Every panel row is inf at columns
-        # j <= rows[0], so only the lists after it can change
-        later = rows[0] + 1
-        merged = lists[w, later:, :k0 + len(rows)]
-        merged[:, k0:] = panel[:, later:].T
-        _smallest_first(merged, k0)
+    def merge(w, rows, panel, scratch):
+        # each later object j's list and its panel column meet in a row of
+        # scratch, a block of objects at a time; each panel row's own k0
+        # smallest go to its row of own, which the workers write at
+        # disjoint rows. Every panel row is inf at columns j <= rows[0], so
+        # only the lists after it can change
+        width = k0 + len(rows)
+        block = scratch.size // width
+        for j in range(rows[0] + 1, n, block):
+            merged = scratch[:width * min(block, n - j)].reshape(-1, width)
+            merged[:, :k0] = lists[w, j:j + block]
+            merged[:, k0:] = panel[:, j:j + block].T
+            _smallest_first(merged, k0)
+            lists[w, j:j + block] = merged[:, :k0]
         _smallest_first(panel, k0)
         own[rows] = panel[:, :k0]
 
-    _run_rows(R, K, merge, workers)
-    return _mean_k_smallest(np.concatenate([own, *lists[:, :, :k0]], axis=1),
-                            k0)
+    # the scratch holds at least one merge row
+    _run_rows(R, K, merge, workers, k0 + PANEL_ROWS)
+    return _mean_k_smallest(np.concatenate([own, *lists], axis=1), k0)

@@ -6,9 +6,10 @@ objects of the same kind (small score = tightly embedded), and removes the
 worst-scoring fraction of each kind. The full trace of nested
 sample-variable sets is returned; no single step is picked as the winner.
 
-No same-kind block is built: the kernel hands each of its rows to
-running lists of every object's K0 smallest distances, and the scores come
-from those lists, byte for byte what scoring the stored blocks would give.
+No same-kind block is built: each kernel worker merges its rows, in its
+idle scratch, into running lists of every object's K0 smallest
+distances, K0 entries per object, and the scores come from those lists,
+byte for byte what scoring the stored blocks would give.
 A step frees its SVD factors before D_sv is built and its submatrix once
 D_sv is, and scores the variables from D_sv's contiguous transpose, which
 replaces D_sv; the kernel finds duplicates on the rows it reads, and each
@@ -84,9 +85,10 @@ def _step_scores(X_values, rows, cols, cfg, k0, notes):
 def _peak_buffers(shape, k0):
     """shave()'s estimated resident peak in N x p float64 buffers: the
     measured parts, FIXED_PEAK_BYTES among them, plus, per object of the
-    larger kind, the entries of the running lists (K0 + 2 PANEL_ROWS per
-    thread) and of their final merge (K0 per thread, and 2 K0 for the
-    shared own lists and their copy)."""
+    larger kind, the entries of each thread's running lists and panel
+    (K0 + PANEL_ROWS, counted with PANEL_ROWS more as headroom) and of
+    their final merge (K0 per thread, and 2 K0 for the shared own lists
+    and their copy)."""
     threads = _kernels._worker_count()
     lists = (threads * (2 * k0 + 2 * PANEL_ROWS) + 2 * k0) / min(shape)
     return (FIXED_PEAK_BUFFERS + threads * THREAD_PEAK_BUFFERS + lists

@@ -216,9 +216,12 @@ def scree(spectrum, mode):
             f"mode must be singular-values or eigenvalues, not {mode!r}")
     with np.errstate(over="ignore"):
         total = parts.sum()
+    if total == 0 and not arr.any():
+        raise ParameterError("spectrum is all zero")
     if not 0 < total < np.inf:
-        raise ParameterError("spectrum is all zero" if total == 0 else
-                             f"the {name} overflows float64; rescale the "
+        # a zero total of nonzero values is squares that underflowed
+        bound = "underflows" if total == 0 else "overflows"
+        raise ParameterError(f"the {name} {bound} float64; rescale the "
                              "input")
     return list(parts / total), negatives
 

@@ -253,13 +253,16 @@ def test_peak_holds_one_step_of_blocks(monkeypatch):
 
 
 @CLAMPS_AT_TWO_SAMPLES
-@pytest.mark.parametrize("workers, bound", [(1, 5.2), (2, 6.6)])
+@pytest.mark.parametrize("workers, bound", [(1, 3.5), (2, 5.6)])
 def test_step_keeps_only_live_arrays(monkeypatch, workers, bound):
     # a step frees its SVD factors before D_sv is built and its submatrix
-    # once D_sv is, and scores the variables from D_sv's transpose alone:
-    # 3.70 and 5.88 N x p buffers here, against 4.88 and 6.21 with the
-    # factors alive beside D_sv, and 6.75 and 9.25 when the submatrix, V,
-    # D_sv and its transpose were all alive during the variables kernel
+    # once D_sv is, scores the variables from D_sv's transpose alone, and
+    # the kernel keeps K0 entries per object, merging in its idle scratch:
+    # 3.26 and 5.16 N x p buffers here, against 3.78 and 6.23 with
+    # PANEL_ROWS more entries per object in each worker's lists, 4.88 and
+    # 6.21 with the factors alive beside D_sv, and 6.75 and 9.25 when the
+    # submatrix, V, D_sv and its transpose were all alive during the
+    # variables kernel
     monkeypatch.setattr(_kernels, "_worker_count", lambda: workers)
     monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
     X, _ = synth_block(N=30, p=800, seed=0)

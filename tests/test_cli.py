@@ -194,11 +194,14 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == ["small.csv"]
 
 
-# each entry is finite; the largest singular value is 5e307, 1e308 and inf
-OVERFLOW_TABLES = {
+# each entry is finite; the largest singular value is 5e307, 1e308, inf
+# and about 1e-310, whose square underflows to 0
+RANGE_TABLES = {
     "5e307": "id,a,b,c\nx,5e307,0,1\ny,0,-4e307,2\nz,3,1,2\n",
     "1e308": "id,a,b,c\nx,1e308,0,1\ny,0,-1e308,2\nz,3,1,2\n",
     "inf": "id,a,b\nx,1e308,-1e308\ny,-1e308,1e308\n",
+    "1e-310": ("id,a,b,c\nx,1e-310,0,1e-311\ny,0,-1e-310,2e-311\n"
+               "z,3e-311,1e-311,2e-311\n"),
 }
 ABOVE = ("is above 1.34e+154, where the joint dissimilarities may overflow; "
          "rescale the input")
@@ -209,7 +212,8 @@ COMMAND_ARGV = {"cumbia": ["cumbia", "--plot"], "pca": ["pca", "--plot"],
 @pytest.mark.parametrize("table, command", [
     ("5e307", "cumbia"), ("5e307", "scree"), ("5e307", "shave"),
     ("1e308", "cumbia"), ("1e308", "scree"), ("1e308", "shave"),
-    ("inf", "cumbia"), ("inf", "pca"), ("inf", "scree"), ("inf", "shave")])
+    ("inf", "cumbia"), ("inf", "pca"), ("inf", "scree"), ("inf", "shave"),
+    ("1e-310", "scree")])
 def test_an_input_beyond_float64s_range_exits_one(tmp_path, capsys, table,
                                                   command):
     # named, before any output, manifest or temp file is written. pca on
@@ -217,11 +221,12 @@ def test_an_input_beyond_float64s_range_exits_one(tmp_path, capsys, table,
     if table == "inf":
         error = "largest singular value inf is not finite; rescale the input"
     elif command == "scree":
-        error = "the squared spectrum overflows float64; rescale the input"
+        bound = "underflows" if table == "1e-310" else "overflows"
+        error = f"the squared spectrum {bound} float64; rescale the input"
     else:
         error = f"largest singular value {float(table)!r} {ABOVE}"
     path = tmp_path / "big.csv"
-    path.write_text(OVERFLOW_TABLES[table])
+    path.write_text(RANGE_TABLES[table])
     assert main([*COMMAND_ARGV[command], "--in", str(path),
                  "--out", str(tmp_path / "o.csv")]) == 1
     assert f"error: {error}" in capsys.readouterr().err

@@ -508,6 +508,14 @@ class TestScree:
                            match=f"the {total} overflows float64"):
             scree(spectrum, mode)
 
+    @pytest.mark.parametrize("spectrum, message", [
+        ([0.0, 0.0], "spectrum is all zero"),
+        ([1e-170, 0.0], "the squared spectrum underflows float64; rescale"),
+    ])
+    def test_a_zero_total_names_its_cause(self, spectrum, message):
+        with pytest.raises(ParameterError, match=message):
+            scree(spectrum, "singular-values")
+
 
 class TestCumbiaPipeline:
     def test_identity_pairs_coincide_across_kinds(self):

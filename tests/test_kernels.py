@@ -200,13 +200,13 @@ def test_worker_scratch_stays_within_the_budget(monkeypatch):
     # row, whose 2999 entries take five chunks
     seen = []
 
-    def first_row(R, K, consume, first, step, zero, buf, panel):
-        seen.append(buf.size)
+    def first_row(R, K, consume, first, step, zero, scratch, panel):
+        seen.append(scratch.size)
 
-        def stop(w, rows, panel):
+        def stop(w, rows, panel, scratch):
             raise StopKernel
 
-        fill_rows(R, K, stop, first, R.shape[0], zero, buf, panel)
+        fill_rows(R, K, stop, first, R.shape[0], zero, scratch, panel)
 
     fill_rows = _kernels._fill_rows
     monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)
@@ -216,6 +216,41 @@ def test_worker_scratch_stays_within_the_budget(monkeypatch):
         pair_mean_k0_smallest(R, 3, 3)
     assert len(seen) == 2
     assert max(seen) <= _kernels.SCRATCH_VALUES
+
+
+def test_merges_run_in_blocks_inside_the_scratch(monkeypatch):
+    # at 2000 x 8 and K0 = 20 the merge rows of a panel, n x (K0 +
+    # PANEL_ROWS) values, do not fit SCRATCH_VALUES: the early panels merge
+    # in several blocks, each in its worker's scratch of 1999 x 8 sums, so
+    # the full panels take more selections than there are full panels,
+    # and the scores are those of the stored matrix
+    n, m, K, k0 = 2000, 8, 3, 20
+    width = k0 + _kernels.PANEL_ROWS
+    assert n * width > _kernels.SCRATCH_VALUES
+    scratches, blocks = [], []
+
+    def recording(R, K, consume, first, step, zero, scratch, panel):
+        scratches.append(scratch)
+        fill_rows(R, K, consume, first, step, zero, scratch, panel)
+
+    def selecting(rows, k):
+        if rows.shape[1] == width:  # a merge block of a whole panel
+            blocks.append(any(np.shares_memory(rows, s) for s in scratches))
+        smallest_first(rows, k)
+
+    fill_rows, smallest_first = _kernels._fill_rows, _kernels._smallest_first
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)
+    monkeypatch.setattr(_kernels, "_fill_rows", recording)
+    monkeypatch.setattr(_kernels, "_smallest_first", selecting)
+    R = np.abs(np.random.default_rng(12).standard_normal((n, m)))
+    scores = pair_mean_k0_smallest(R, K, k0)
+    assert len(scratches) == 2
+    assert all(s.size <= _kernels.SCRATCH_VALUES for s in scratches)
+    panels = sum((n - 1 - w) // (2 * _kernels.PANEL_ROWS) for w in (0, 1))
+    assert all(blocks) and len(blocks) > panels, (len(blocks), panels)
+    M = pair_mean_k_smallest(R, K)
+    np.fill_diagonal(M, np.inf)
+    assert scores.tobytes() == _kernels._mean_k_smallest(M, k0).tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
