@@ -24,17 +24,19 @@ into them inside the scratch, a block of objects at a time, so neither
 the n x n matrix nor any merge space beside the lists is stored.
 
 Rows are split over one worker per CPU the process may run on, as long as
-each gets at least MIN_SUMS_PER_WORKER pair sums (_workers_for). Worker w
-of T handles the rows i with i % T == w, which interleaves long and short
-rows so the workers get similar shares. Worker 0 is the calling thread,
+each gets at least MIN_SUMS_PER_WORKER pair sums (_workers_for). The
+workers take the rows from one shared queue in ascending order, each the
+next row when it finishes one, so no worker waits at the end while
+another works through a fixed share. Worker 0 is the calling thread,
 so a call starts T - 1 threads, none for small inputs. Each entry is
 computed by the same arithmetic whichever worker computes it; the
 writer's workers write disjoint entries, and the running lists are per
-worker and merged as a multiset at the end, so the output bytes do not
-depend on the worker count. The threads overlap because np.add,
-np.partition and np.sort release the interpreter lock. They are started
-and joined inside each call, so no pool outlives a call, survives a fork
-or is shared by concurrent callers. The calling thread allocates every
+worker and merged as a multiset at the end, so the output bytes depend
+neither on the worker count nor on which worker took which row. The
+threads overlap because np.add, np.partition and np.sort release the
+interpreter lock. They are started and joined inside each call, so no
+pool outlives a call, survives a fork or is shared by concurrent
+callers. The calling thread allocates every
 worker's scratch and panel before any thread starts, so the threads
 allocate nothing large and their allocators keep no freed buffers.
 
@@ -71,7 +73,7 @@ MIN_SUMS_PER_WORKER = 1_000_000
 # panel with one selection per block of objects
 PANEL_ROWS = 16
 # pair sums a worker holds at once; speed only (timed in README "Memory")
-SCRATCH_VALUES = 2**16
+SCRATCH_VALUES = 2**15
 # longest row _smallest_first sorts whole; speed only (README "Memory")
 SORT_COLUMNS = 256
 # eigenvalues at most this fraction of the largest get no MDS coordinate
@@ -275,25 +277,28 @@ def _chunk_columns(n, m):
     return min(max(n - 1, 0), max(1, SCRATCH_VALUES // m))
 
 
-def _fill_rows(R, K, consume, first, step, group, scratch, panel):
-    """Hand rows first, first + step, ... of the upper triangle to consume,
-    a panel at a time.
+def _fill_rows(R, K, consume, w, queue, group, scratch, panel):
+    """Take rows of the upper triangle from queue and hand them to consume
+    as worker w, a panel at a time.
 
-    Panel row t holds row i = rows[t]: entry (i, j) at column j > i, 0 at
-    each later j with group[j] == group[i] >= 0 (group, one label per row,
-    is None without duplicates) and inf elsewhere.
-    consume(first, rows, panel, scratch) gets every PANEL_ROWS rows and the
-    rest at the end; it may reorder the panel, which is inf-filled again
-    after, and use all of scratch, which holds no sums then. scratch, a
-    1-D array of at least c x m values, c = _chunk_columns(n, m), holds the
-    pair sums of c columns j of a row at a time, reordered in place; panel
-    is an inf-filled PANEL_ROWS x n array.
+    queue, an iterator of row indices in ascending order, may be shared
+    with other workers: each next row is taken when the last one is done,
+    so a panel's rows ascend and every panel row is inf at columns j <=
+    rows[0]. Panel row t holds row i = rows[t]: entry (i, j) at column
+    j > i, 0 at each later j with group[j] == group[i] >= 0 (group, one
+    label per row, is None without duplicates) and inf elsewhere.
+    consume(w, rows, panel, scratch) gets every PANEL_ROWS rows and the
+    rest once the queue is empty; it may reorder the panel, which is
+    inf-filled again before it is reused, and use all of scratch, which
+    holds no sums then. scratch, a 1-D array of at least c x m values, c =
+    _chunk_columns(n, m), holds the pair sums of c columns j of a row at a
+    time, reordered in place; panel is an inf-filled PANEL_ROWS x n array.
     """
     n, m = R.shape
     chunk = _chunk_columns(n, m)
     buf = scratch[:chunk * m].reshape(chunk, m)
     rows = []
-    for i in range(first, n - 1, step):
+    for i in queue:
         row = panel[len(rows)]
         for j in range(i + 1, n, chunk):
             sums = buf[:min(chunk, n - j)]
@@ -302,22 +307,25 @@ def _fill_rows(R, K, consume, first, step, group, scratch, panel):
         if group is not None and group[i] >= 0:
             row[i + 1:][group[i + 1:] == group[i]] = 0.0
         rows.append(i)
-        if len(rows) == PANEL_ROWS or i + step >= n - 1:
-            consume(first, rows, panel[:len(rows)], scratch)
+        if len(rows) == PANEL_ROWS:
+            consume(w, rows, panel, scratch)
             panel.fill(np.inf)
             rows = []
+    if rows:
+        consume(w, rows, panel[:len(rows)], scratch)
 
 
 def _run_rows(R, K, consume, workers, least=0):
     """Compute every row of the upper triangle of R and hand it to consume.
 
-    Worker w of workers gets the rows i with i % workers == w (_fill_rows).
-    Worker 0 is the calling thread, every other worker a thread of its own
-    with scratch the calling thread allocated, started once OpenBLAS's pool
-    is parked. Each scratch holds at least least values, which the
-    consumer may need. The pairs of bitwise identical rows of R are 0. An
-    exception in any worker is re-raised on the caller once every thread
-    is joined.
+    The workers share one queue of the rows 0, ..., n - 2 (_fill_rows):
+    each takes the next row when it finishes one, so the rows are spread
+    by how fast each worker runs, not by a fixed split. Worker 0 is the
+    calling thread, every other worker a thread of its own with scratch
+    the calling thread allocated, started once OpenBLAS's pool is parked.
+    Each scratch holds at least least values, which the consumer may
+    need. The pairs of bitwise identical rows of R are 0. An exception in
+    any worker is re-raised on the caller once every thread is joined.
     """
     R = np.ascontiguousarray(R, dtype=np.float64)
     n, m = R.shape
@@ -330,11 +338,14 @@ def _run_rows(R, K, consume, workers, least=0):
     values = max(_chunk_columns(n, m) * m, least)
     scratch = [(np.empty(values), np.full((PANEL_ROWS, n), np.inf))
                for _ in range(workers)]
+    # next() on a range iterator holds the interpreter lock throughout, so
+    # the workers never get the same row
+    queue = iter(range(n - 1))
     errors = []
 
-    def work(first):
+    def work(w):
         try:
-            _fill_rows(R, K, consume, first, workers, group, *scratch[first])
+            _fill_rows(R, K, consume, w, queue, group, *scratch[w])
         except BaseException as exc:  # re-raised on the caller below
             errors.append(exc)
 

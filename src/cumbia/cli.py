@@ -12,6 +12,7 @@ violation.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -182,14 +183,30 @@ def _read_label_file(path, object_labels):
 
 
 def _read_spectrum(path):
-    """Spectrum file: one number per line (a BOM and blank lines skipped)."""
+    """Spectrum file: one finite number per line (a BOM and blank lines
+    skipped). A line that is not one is named by its number and at most
+    40 of its characters."""
+    spectrum = []
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
-            return [float(line) for line in handle if line.strip()]
+            for k, line in enumerate(handle, 1):
+                cell = line.strip()
+                if not cell:
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = None
+                if value is None or not math.isfinite(value):
+                    what = "a number" if value is None else "finite"
+                    raise InputError(f"spectrum file {path}: line {k}: "
+                                     f"{cell[:40]!r} is not {what}")
+                spectrum.append(value)
     except OSError as exc:
         raise InputError(f"cannot read spectrum file {path}: {exc}") from exc
-    except ValueError as exc:  # a line float cannot read, or bad UTF-8
+    except ValueError as exc:  # bad UTF-8
         raise InputError(f"spectrum file {path}: {exc}") from None
+    return spectrum
 
 
 def _manifest(args, source, digests, report):

@@ -178,10 +178,10 @@ def test_small_input_runs_on_the_caller_thread(monkeypatch):
 def test_worker_exception_reraised_on_caller(monkeypatch):
     fill_rows = _kernels._fill_rows
 
-    def failing(R, K, consume, first, step, zero, buf, panel):
-        if first == 1:
+    def failing(R, K, consume, w, queue, zero, buf, panel):
+        if w == 1:
             raise MemoryError("worker 1")
-        fill_rows(R, K, consume, first, step, zero, buf, panel)
+        fill_rows(R, K, consume, w, queue, zero, buf, panel)
 
     monkeypatch.setattr(_kernels, "_worker_count", lambda: 3)
     monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
@@ -196,17 +196,17 @@ class StopKernel(Exception):
 
 def test_worker_scratch_stays_within_the_budget(monkeypatch):
     # each worker's pair sums fit SCRATCH_VALUES at 3000 x 100, where an
-    # (n - 1) x m row buffer held 299,900; the walk stops after the first
-    # row, whose 2999 entries take five chunks
+    # (n - 1) x m row buffer held 299,900; each worker walks a queue of
+    # the first row alone, whose 2999 entries take ten chunks
     seen = []
 
-    def first_row(R, K, consume, first, step, zero, scratch, panel):
+    def first_row(R, K, consume, w, queue, zero, scratch, panel):
         seen.append(scratch.size)
 
         def stop(w, rows, panel, scratch):
             raise StopKernel
 
-        fill_rows(R, K, stop, first, R.shape[0], zero, scratch, panel)
+        fill_rows(R, K, stop, w, iter([0]), zero, scratch, panel)
 
     fill_rows = _kernels._fill_rows
     monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)
@@ -229,9 +229,9 @@ def test_merges_run_in_blocks_inside_the_scratch(monkeypatch):
     assert n * width > _kernels.SCRATCH_VALUES
     scratches, blocks = [], []
 
-    def recording(R, K, consume, first, step, zero, scratch, panel):
+    def recording(R, K, consume, w, queue, zero, scratch, panel):
         scratches.append(scratch)
-        fill_rows(R, K, consume, first, step, zero, scratch, panel)
+        fill_rows(R, K, consume, w, queue, zero, scratch, panel)
 
     def selecting(rows, k):
         if rows.shape[1] == width:  # a merge block of a whole panel
@@ -246,7 +246,8 @@ def test_merges_run_in_blocks_inside_the_scratch(monkeypatch):
     scores = pair_mean_k0_smallest(R, K, k0)
     assert len(scratches) == 2
     assert all(s.size <= _kernels.SCRATCH_VALUES for s in scratches)
-    panels = sum((n - 1 - w) // (2 * _kernels.PANEL_ROWS) for w in (0, 1))
+    # whichever worker takes which row, there are at most this many
+    panels = (n - 1) // _kernels.PANEL_ROWS
     assert all(blocks) and len(blocks) > panels, (len(blocks), panels)
     M = pair_mean_k_smallest(R, K)
     np.fill_diagonal(M, np.inf)
@@ -340,14 +341,53 @@ def test_the_caller_is_worker_zero(monkeypatch):
     assert len(counting.made) == 4
 
 
+def test_a_free_worker_takes_the_next_row(monkeypatch):
+    # worker 1 waits until worker 0 has left its loop, so worker 0 takes
+    # every row from the shared queue and worker 1 finds it empty; a
+    # fixed split would have left worker 0 every other row
+    fill_rows = _kernels._fill_rows
+    done, taken = threading.Event(), {0: [], 1: []}
+
+    def held(R, K, consume, w, queue, zero, scratch, panel):
+        def recording(w, rows, panel, scratch):
+            taken[w] += rows
+            consume(w, rows, panel, scratch)
+
+        if w == 1:
+            done.wait()
+        try:
+            fill_rows(R, K, recording, w, queue, zero, scratch, panel)
+        finally:
+            if w == 0:
+                done.set()
+
+    monkeypatch.setattr(_kernels, "_worker_count", lambda: 2)
+    monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
+    monkeypatch.setattr(_kernels, "_fill_rows", held)
+    n = 40
+    R = np.abs(np.random.default_rng(15).standard_normal((n, 6)))
+    M = pair_oracle(R, 2)
+    stored = M.copy()
+    np.fill_diagonal(stored, np.inf)
+    for call, wants in (
+            (lambda: pair_mean_k_smallest(R, 2), [M]),
+            (lambda: pair_mean_k0_smallest(R, 2, 3),
+             [k0_oracle(M, 3), _kernels._mean_k_smallest(stored, 3)])):
+        done.clear()
+        taken[0].clear()
+        got = call()
+        assert taken == {0: list(range(n - 1)), 1: []}
+        assert all(got.tobytes() == want.tobytes() for want in wants)
+
+
 def test_caller_exception_reraised_after_the_threads_end(monkeypatch):
     fill_rows = _kernels._fill_rows
     counting = CountingThreads()
 
-    def failing(R, K, consume, first, step, zero, buf, panel):
-        if first == 0:
+    def failing(R, K, consume, w, queue, zero, buf, panel):
+        if w == 0:
             raise MemoryError("worker 0")
-        fill_rows(R, K, consume, first, step, zero, buf, panel)
+        fill_rows(R, K, consume, w, queue, zero, buf, panel)
 
     monkeypatch.setattr(_kernels, "_worker_count", lambda: 3)
     monkeypatch.setattr(_kernels, "MIN_SUMS_PER_WORKER", 1)
